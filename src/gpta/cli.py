@@ -5,7 +5,6 @@ Exit codes are a stable scripting contract: 0 success, 1 usage error,
 """
 
 import argparse
-import csv
 import json
 import logging
 import sys
@@ -16,7 +15,7 @@ from .dataset import load_jsonl, synth_generate, write_jsonl
 from .errors import GptaError, ValidationError
 from .history import score_prefix
 from .metrics import MetricKind
-from .trainer import RunConfig, run
+from .trainer import EpochRecord, RunConfig, run, write_metrics_csv
 
 logger = logging.getLogger(__name__)
 
@@ -169,19 +168,7 @@ def emit_report(run_dir: str | Path, out_dir: str | Path) -> None:
         raise ValidationError(f"{report_path} contains no epoch records")
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "metrics.csv", "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["epoch", "train_loss", "val_best", "val_empty", "improvement_rate"])
-        for e in epochs:
-            writer.writerow(
-                [
-                    e["epoch"],
-                    f"{e['train_loss']:.6f}",
-                    f"{e['val_best']:.6f}",
-                    f"{e['val_empty']:.6f}",
-                    f"{e['improvement_rate']:.6f}",
-                ]
-            )
+    write_metrics_csv([EpochRecord.from_dict(e) for e in epochs], out_dir / "metrics.csv")
     (out_dir / "curves.svg").write_text(render_curves_svg(epochs), encoding="utf-8")
 
 

@@ -8,6 +8,7 @@ never score below the no-prefix baseline on the selection split.
 
 import bisect
 import logging
+import math
 from dataclasses import dataclass
 
 from . import student as student_mod
@@ -144,7 +145,11 @@ def score_prefix(
 
 def insert_sorted(h: PrefixHistory, sp: ScoredPrefix) -> PrefixHistory:
     """Insert keeping nondecreasing score order; ties go after existing
-    equals (stable). A prefix already present is kept as-is."""
+    equals (stable). A prefix already present is kept as-is. A NaN or
+    infinite score is rejected: NaN compares false both ways, so bisecting
+    it in would break the order."""
+    if not math.isfinite(sp.score):
+        raise ValidationError(f"non-finite score {sp.score!r} for prefix {sp.prefix!r}")
     if h.find(sp.prefix) is not None:
         return h
     scores = [e.score for e in h.entries]

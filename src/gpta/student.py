@@ -18,6 +18,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import StateError, ValidationError
+from .fileio import write_atomic
 
 FeatureVector = dict[int, float]
 
@@ -203,29 +204,70 @@ def predict(params: StudentParams, prefix: str, text: str, hash_seed: int = 0) -
 
 
 def params_to_dict(params: StudentParams) -> dict:
+    """Sparse JSON-ready form: `columns` lists, ascending, the feature
+    columns where any class weight is non-zero, and `weights` holds those
+    columns' values row-major as class_count x len(columns). Hashed
+    features leave most columns at zero, so this is far smaller than the
+    dense matrix. Floats serialize via repr, so the round-trip is lossless."""
+    columns = np.flatnonzero(params.weights.any(axis=0))
     return {
         "dims": params.dims,
         "class_count": params.class_count,
-        "bias": [float(x) for x in params.bias],
-        "weights": [float(x) for x in params.weights.reshape(-1)],
+        "bias": params.bias.tolist(),
+        "columns": columns.tolist(),
+        "weights": params.weights[:, columns].reshape(-1).tolist(),
     }
 
 
 def save_checkpoint(params: StudentParams, path: str | Path) -> None:
-    """Write params as JSON {dims, class_count, bias, weights(row-major)}.
-    Floats serialize via repr, so the round-trip is lossless."""
-    Path(path).write_text(json.dumps(params_to_dict(params)), encoding="utf-8")
+    """Write params_to_dict(params) as compact JSON, atomically."""
+    write_atomic(path, json.dumps(params_to_dict(params), separators=(",", ":")))
 
 
 def load_checkpoint(path: str | Path) -> StudentParams:
     return params_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
+def _flat_array(obj: dict, key: str, dtype) -> np.ndarray:
+    try:
+        arr = np.asarray(obj[key], dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"student {key}: expected a list of numbers") from exc
+    if arr.ndim != 1:
+        raise ValidationError(f"student {key}: expected a flat list")
+    return arr
+
+
 def params_from_dict(obj: dict) -> StudentParams:
-    dims = obj["dims"]
-    class_count = obj["class_count"]
-    weights = np.array(obj["weights"], dtype=np.float64).reshape(class_count, dims)
-    bias = np.array(obj["bias"], dtype=np.float64)
+    """Inverse of params_to_dict, validating the layout. A dense layout
+    (`weights` without `columns`) is rejected, not read."""
+    if not isinstance(obj, dict):
+        raise ValidationError("student params must be a JSON object")
+    if "weights" in obj and "columns" not in obj:
+        raise ValidationError(
+            "dense student format (weights without columns) is not supported; "
+            "checkpoints now store only the non-zero weight columns"
+        )
+    missing = [k for k in ("dims", "class_count", "bias", "columns", "weights") if k not in obj]
+    if missing:
+        raise ValidationError(f"student params missing keys {missing}")
+    dims, class_count = obj["dims"], obj["class_count"]
+    if type(dims) is not int or type(class_count) is not int:
+        raise ValidationError("student dims and class_count must be integers")
+    weights = init_params(dims, class_count).weights
+    if not isinstance(obj["columns"], list) or any(type(c) is not int for c in obj["columns"]):
+        raise ValidationError("student columns must be a list of integers")
+    columns = _flat_array(obj, "columns", np.int64)
+    if len(columns) and (columns[0] < 0 or columns[-1] >= dims or np.any(np.diff(columns) <= 0)):
+        raise ValidationError(f"student columns must be strictly increasing within [0, {dims})")
+    values = _flat_array(obj, "weights", np.float64)
+    if len(values) != class_count * len(columns):
+        raise ValidationError(
+            f"student weights length {len(values)} != class_count x columns "
+            f"= {class_count} x {len(columns)}"
+        )
+    bias = _flat_array(obj, "bias", np.float64)
     if bias.shape != (class_count,):
         raise ValidationError("bias length does not match class_count")
+    weights[:, columns] = values.reshape(class_count, len(columns))
     return StudentParams(weights=weights, bias=bias, dims=dims, class_count=class_count)

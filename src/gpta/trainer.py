@@ -7,8 +7,11 @@ used: every random draw is derived from seeds in the config, and run state
 serializes losslessly, so checkpoints resume bit-identically.
 """
 
+import csv
+import io
 import json
 import logging
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,6 +22,7 @@ from . import ta as ta_mod
 from .dataset import Dataset, DatasetDescription, load_jsonl, make_exemplars, split
 from .dialogue_gradient import DEFAULT_FINETUNE_CAP, FINETUNE_SOFT_LIMIT, build_windows, cap, enrich, serialize_jsonl
 from .errors import FinetuneError, TransportError, ValidationError
+from .fileio import write_atomic
 from .history import Origin, PrefixHistory, RoundStats, ScoredPrefix, collect, insert_sorted, score_prefix, seed_history
 from .metrics import MetricKind
 from .remote import RemoteClient
@@ -556,7 +560,7 @@ def state_to_json(state: RunState) -> str:
         },
         "records": [r.to_dict() for r in state.records],
     }
-    return json.dumps(obj, ensure_ascii=False, indent=2) + "\n"
+    return json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n"
 
 
 def state_from_json(text: str, cfg: RunConfig) -> RunState:
@@ -588,22 +592,22 @@ def config_to_json(cfg: RunConfig) -> str:
     return json.dumps(cfg.to_dict(), ensure_ascii=False, indent=2) + "\n"
 
 
-def write_metrics_csv(report: RunReport, path: Path) -> None:
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["epoch", "train_loss", "val_best", "val_empty", "improvement_rate"])
-        for r in report.records:
-            writer.writerow(
-                [
-                    r.epoch,
-                    f"{r.train_loss:.6f}",
-                    f"{r.val_best:.6f}",
-                    f"{r.val_empty:.6f}",
-                    f"{r.improvement_rate:.6f}",
-                ]
-            )
+def write_metrics_csv(records: Iterable[EpochRecord], path: Path) -> None:
+    """Write one CSV row per epoch record, atomically."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["epoch", "train_loss", "val_best", "val_empty", "improvement_rate"])
+    for r in records:
+        writer.writerow(
+            [
+                r.epoch,
+                f"{r.train_loss:.6f}",
+                f"{r.val_best:.6f}",
+                f"{r.val_empty:.6f}",
+                f"{r.improvement_rate:.6f}",
+            ]
+        )
+    write_atomic(path, buf.getvalue())
 
 
 def run(cfg: RunConfig, out_dir: str | Path, resume_from: str | Path | None = None) -> RunReport:
@@ -617,7 +621,7 @@ def run(cfg: RunConfig, out_dir: str | Path, resume_from: str | Path | None = No
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ctx = prepare(cfg)
-    (out_dir / "config.json").write_text(config_to_json(cfg), encoding="utf-8")
+    write_atomic(out_dir / "config.json", config_to_json(cfg))
 
     if resume_from is not None:
         state = state_from_json(Path(resume_from).read_text(encoding="utf-8"), cfg)
@@ -629,10 +633,8 @@ def run(cfg: RunConfig, out_dir: str | Path, resume_from: str | Path | None = No
         epoch = state.epoch
         state, gradients = run_epoch(state, ctx)
         if gradients is not None:
-            (out_dir / f"gradients_epoch{epoch}.jsonl").write_bytes(gradients)
-        (out_dir / f"state_epoch{epoch}.json").write_text(
-            state_to_json(state), encoding="utf-8"
-        )
+            write_atomic(out_dir / f"gradients_epoch{epoch}.jsonl", gradients)
+        write_atomic(out_dir / f"state_epoch{epoch}.json", state_to_json(state))
         rec = state.records[-1]
         logger.info(
             "epoch %d: train_loss=%.4f val_best=%.4f val_empty=%.4f rate=%.3f",
@@ -644,8 +646,8 @@ def run(cfg: RunConfig, out_dir: str | Path, resume_from: str | Path | None = No
         )
 
     report = RunReport(best=state.best, records=state.records)
-    (out_dir / "report.json").write_text(
-        json.dumps(report.to_dict(), ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
+    write_atomic(
+        out_dir / "report.json", json.dumps(report.to_dict(), ensure_ascii=False, indent=2) + "\n"
     )
-    write_metrics_csv(report, out_dir / "metrics.csv")
+    write_metrics_csv(report.records, out_dir / "metrics.csv")
     return report

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from gpta import ValidationError
 from gpta.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, main
 from gpta.dataset import load_jsonl
+from gpta.student import params_from_dict
 
 
 def run_cli(argv):
@@ -107,6 +109,11 @@ class TestTrainEvalReport:
         assert svg.startswith("<svg")
         assert 'width="800" height="480"' in svg
 
+    def test_report_csv_matches_run_csv(self, run_dir, tmp_path):
+        out = tmp_path / "reported"
+        assert run_cli(["report", "--run", str(run_dir), "--out", str(out)]) == EXIT_OK
+        assert (out / "metrics.csv").read_bytes() == (run_dir / "metrics.csv").read_bytes()
+
     def test_report_deterministic_svg(self, run_dir, tmp_path):
         run_cli(["report", "--run", str(run_dir), "--out", str(tmp_path / "r1")])
         run_cli(["report", "--run", str(run_dir), "--out", str(tmp_path / "r2")])
@@ -165,3 +172,35 @@ class TestTrainEvalReport:
         rep = tmp_path / "rep1"
         assert run_cli(["report", "--run", str(out), "--out", str(rep)]) == EXIT_OK
         assert "<circle" in (rep / "curves.svg").read_text()
+
+
+def _student(**changes):
+    payload = {"dims": 8, "class_count": 2, "bias": [0.0, 0.5], "columns": [1, 4],
+               "weights": [0.1, 0.2, 0.3, 0.4]}
+    return {**payload, **changes}
+
+
+MALFORMED_STUDENTS = {
+    "unsorted-columns": (_student(columns=[4, 1]), "strictly increasing"),
+    "duplicate-columns": (_student(columns=[4, 4]), "strictly increasing"),
+    "negative-column": (_student(columns=[-1, 4]), "strictly increasing"),
+    "column-past-dims": (_student(columns=[1, 8]), "strictly increasing"),
+    "short-weights": (_student(weights=[0.1, 0.2, 0.3]), "weights length"),
+    "short-bias": (_student(bias=[0.0]), "bias length"),
+    "legacy-dense": (
+        {"dims": 8, "class_count": 2, "bias": [0.0, 0.5], "weights": [0.0] * 16},
+        "dense student format",
+    ),
+}
+
+
+@pytest.mark.parametrize("payload,message", MALFORMED_STUDENTS.values(), ids=MALFORMED_STUDENTS)
+def test_malformed_checkpoint_rejected(payload, message, tmp_path, desk_dataset_path, capsys):
+    with pytest.raises(ValidationError, match=message):
+        params_from_dict(payload)
+    ckpt = tmp_path / "student.json"
+    ckpt.write_text(json.dumps(payload))
+    code = run_cli(["eval", "--checkpoint", str(ckpt), "--data", str(desk_dataset_path),
+                    "--metric", "accuracy"])
+    assert code == EXIT_VALIDATION
+    assert message in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,6 +92,12 @@ class TestInsertSorted:
         h = insert_sorted(h, ScoredPrefix(prefix="first", score=0.5))
         h = insert_sorted(h, ScoredPrefix(prefix="second", score=0.5))
         assert [e.prefix for e in h.entries] == ["first", "second"]
+
+    @pytest.mark.parametrize("score", [math.nan, math.inf, -math.inf])
+    def test_non_finite_score_rejected(self, score):
+        h = insert_sorted(PrefixHistory(), ScoredPrefix(prefix="a", score=0.3))
+        with pytest.raises(ValidationError, match="'bad'"):
+            insert_sorted(h, ScoredPrefix(prefix="bad", score=score))
 
     @settings(max_examples=1000, deadline=None)
     @given(

@@ -1,7 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpta import (
     StateError,
@@ -21,7 +24,7 @@ from gpta import (
     train_pass,
     unfreeze,
 )
-from gpta.student import Gradient, StudentParams
+from gpta.student import Gradient, StudentParams, params_from_dict, params_to_dict
 
 
 def reference_fnv1a64(data: bytes, seed: int = 0) -> int:
@@ -272,6 +275,38 @@ def test_checkpoint_round_trip(tmp_path):
     # lossless: serialize -> load -> serialize is byte-stable
     save_checkpoint(back, tmp_path / "ckpt2.json")
     assert (tmp_path / "ckpt.json").read_bytes() == (tmp_path / "ckpt2.json").read_bytes()
+
+
+# Zeros of both signs, the smallest and largest subnormals, and floats
+# near the ends of the double range.
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e308, -1e308)
+FINITE = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def sparse_params(draw):
+    """Params over power-of-two dims whose non-zero column share runs from
+    none to all, filled from a few drawn values."""
+    class_count = draw(st.integers(2, 5))
+    dims = 2 ** draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random(dims) < draw(st.floats(0.0, 1.0))
+    values = draw(st.lists(FINITE, min_size=1, max_size=8))
+    weights = np.zeros((class_count, dims))
+    weights[:, mask] = rng.choice(values, size=(class_count, int(mask.sum())))
+    bias = np.array(draw(st.lists(FINITE, min_size=class_count, max_size=class_count)))
+    return StudentParams(weights=weights, bias=bias, dims=dims, class_count=class_count)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=sparse_params())
+def test_sparse_params_round_trip(p):
+    text = json.dumps(params_to_dict(p))
+    back = params_from_dict(json.loads(text))
+    assert np.array_equal(back.weights, p.weights)
+    assert np.array_equal(back.bias, p.bias)
+    assert (back.dims, back.class_count) == (p.dims, p.class_count)
+    assert json.dumps(params_to_dict(back)) == text
 
 
 def test_freeze_unfreeze_round_trip():

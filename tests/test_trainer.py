@@ -1,9 +1,21 @@
 import json
 import logging
+import resource
+from contextlib import contextmanager
 
+import numpy as np
 import pytest
 
-from gpta import RunConfig, ValidationError, improvement_rate, parse_jsonl, run
+from gpta import (
+    RunConfig,
+    StudentParams,
+    ValidationError,
+    improvement_rate,
+    init_params,
+    parse_jsonl,
+    run,
+    save_checkpoint,
+)
 from gpta.history import RoundStats
 from gpta.trainer import (
     init_state,
@@ -12,6 +24,7 @@ from gpta.trainer import (
     state_from_json,
     state_to_json,
 )
+from gpta.student import DEFAULT_DIMS
 
 
 class TestImprovementRate:
@@ -162,6 +175,21 @@ class TestRun:
                 tmp_path / "resumed" / f"state_epoch{e}.json"
             ).read_bytes()
 
+    def test_shipped_dims_resume_is_bit_identical_and_states_are_small(
+        self, desk_config, tmp_path
+    ):
+        run(desk_config(epochs=2, dims=DEFAULT_DIMS), tmp_path / "straight")
+        run(desk_config(epochs=1, dims=DEFAULT_DIMS), tmp_path / "resumed")
+        run(
+            desk_config(epochs=2, dims=DEFAULT_DIMS),
+            tmp_path / "resumed",
+            resume_from=tmp_path / "resumed" / "state_epoch0.json",
+        )
+        for e in range(2):
+            straight = (tmp_path / "straight" / f"state_epoch{e}.json").read_bytes()
+            assert straight == (tmp_path / "resumed" / f"state_epoch{e}.json").read_bytes()
+            assert len(straight) < 1_000_000
+
     def test_config_echo_is_idempotent(self, desk_config, tmp_path):
         cfg = desk_config(epochs=1)
         run(cfg, tmp_path / "run")
@@ -222,3 +250,45 @@ class TestFinetuneFailureTolerance:
         assert state.ta.generation == 0  # handle untouched
         assert state.epoch == 1  # student progress kept
         assert any("fine-tune failed" in r.message for r in caplog.records)
+
+
+@contextmanager
+def file_size_limit(nbytes):
+    """Cap the size of files this process writes, so that a write past
+    `nbytes` fails part-way through, as it would on a full disk."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (nbytes, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+
+
+def _dir_bytes(path):
+    return {p.name: p.read_bytes() for p in path.iterdir()}
+
+
+class TestAtomicWrites:
+    def test_failed_state_write_keeps_previous_file(self, desk_config, tmp_path):
+        cfg = desk_config(epochs=1)
+        run(cfg, tmp_path / "run")
+        before = _dir_bytes(tmp_path / "run")
+        # config.json and the gradients file are written before the state
+        # file, so only the state write crosses the limit.
+        limit = max(len(before["config.json"]), len(before["gradients_epoch0.jsonl"])) + 1
+        assert limit < len(before["state_epoch0.json"])
+        with file_size_limit(limit), pytest.raises(OSError):
+            run(cfg, tmp_path / "run")
+        assert _dir_bytes(tmp_path / "run") == before
+
+    def test_failed_checkpoint_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "student.json"
+        save_checkpoint(init_params(64, 2), path)
+        before = _dir_bytes(tmp_path)
+        rng = np.random.default_rng(5)
+        dense = StudentParams(
+            weights=rng.normal(size=(2, 4096)), bias=np.zeros(2), dims=4096, class_count=2
+        )
+        with file_size_limit(len(before["student.json"]) + 1), pytest.raises(OSError):
+            save_checkpoint(dense, path)
+        assert _dir_bytes(tmp_path) == before
