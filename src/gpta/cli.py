@@ -13,6 +13,7 @@ from pathlib import Path
 from . import student as student_mod
 from .dataset import load_jsonl, synth_generate, write_jsonl
 from .errors import GptaError, ValidationError
+from .fileio import write_atomic
 from .history import score_prefix
 from .metrics import MetricKind
 from .trainer import EpochRecord, RunConfig, run, write_metrics_csv
@@ -162,14 +163,17 @@ def emit_report(run_dir: str | Path, out_dir: str | Path) -> None:
     report_path = run_dir / "report.json"
     if not report_path.exists():
         raise OSError(f"missing {report_path}")
-    report = json.loads(report_path.read_text(encoding="utf-8"))
-    epochs = report["epochs"]
-    if not epochs:
+    try:
+        epochs = json.loads(report_path.read_text(encoding="utf-8"))["epochs"]
+        records = [EpochRecord(**e) for e in epochs]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValidationError(f"malformed {report_path}: {type(exc).__name__}: {exc}") from exc
+    if not records:
         raise ValidationError(f"{report_path} contains no epoch records")
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_metrics_csv([EpochRecord.from_dict(e) for e in epochs], out_dir / "metrics.csv")
-    (out_dir / "curves.svg").write_text(render_curves_svg(epochs), encoding="utf-8")
+    write_metrics_csv(records, out_dir / "metrics.csv")
+    write_atomic(out_dir / "curves.svg", render_curves_svg(epochs))
 
 
 def _cmd_train(args) -> int:

@@ -3,9 +3,11 @@ service. Works against api.openai.com or any local server exposing the
 same routes; the API key comes from the GPTA_API_KEY environment variable.
 
 Every request is retried on transport failures (connection errors,
-timeouts, 5xx) with exponential backoff; after the attempt budget the last
-error surfaces as TransportError. Nothing here mutates local state, so a
-failed call leaves the caller exactly where it started.
+timeouts, 5xx) and rate limits (429) with exponential backoff, waiting at
+least as long as a failed response's Retry-After header asks; after the
+attempt budget the last error surfaces as TransportError. Nothing here
+mutates local state, so a failed call leaves the caller exactly where it
+started.
 """
 
 import logging
@@ -21,6 +23,15 @@ logger = logging.getLogger(__name__)
 API_KEY_ENV = "GPTA_API_KEY"
 
 TERMINAL_JOB_STATES = ("succeeded", "failed", "cancelled")
+
+
+def _retry_after_s(resp: requests.Response) -> float:
+    """Seconds a response's Retry-After header asks to wait; 0 when the
+    header is absent or not a number of seconds."""
+    try:
+        return max(0.0, float(resp.headers.get("Retry-After", 0)))
+    except ValueError:
+        return 0.0
 
 
 class RemoteClient:
@@ -50,12 +61,15 @@ class RemoteClient:
         return headers
 
     def _request(self, method: str, path: str, **kwargs) -> dict:
-        """Issue one HTTP request with retry/backoff on transport failures."""
+        """Issue one HTTP request with retry/backoff on transport failures
+        and rate limits. A Retry-After wait is capped at the request timeout."""
         url = f"{self.base_url}{path}"
         last_exc: Exception | None = None
         for attempt in range(self.max_attempts):
             if attempt:
-                time.sleep(self.backoff_base * 2 ** (attempt - 1))
+                backoff = self.backoff_base * 2 ** (attempt - 1)
+                time.sleep(max(backoff, min(retry_after, self.timeout)))
+            retry_after = 0.0
             try:
                 resp = self._session.request(
                     method, url, headers=self._headers(), timeout=self.timeout, **kwargs
@@ -65,8 +79,9 @@ class RemoteClient:
                 logger.warning("attempt %d/%d %s %s failed: %s",
                                attempt + 1, self.max_attempts, method, path, exc)
                 continue
-            if resp.status_code >= 500:
+            if resp.status_code >= 500 or resp.status_code == 429:
                 last_exc = TransportError(f"{method} {path} -> HTTP {resp.status_code}")
+                retry_after = _retry_after_s(resp)
                 logger.warning("attempt %d/%d %s %s -> HTTP %d",
                                attempt + 1, self.max_attempts, method, path, resp.status_code)
                 continue

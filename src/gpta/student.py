@@ -225,7 +225,11 @@ def save_checkpoint(params: StudentParams, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> StudentParams:
-    return params_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
+    return params_from_dict(obj)
 
 
 def _flat_array(obj: dict, key: str, dtype) -> np.ndarray:
@@ -248,9 +252,13 @@ def params_from_dict(obj: dict) -> StudentParams:
             "dense student format (weights without columns) is not supported; "
             "checkpoints now store only the non-zero weight columns"
         )
-    missing = [k for k in ("dims", "class_count", "bias", "columns", "weights") if k not in obj]
+    keys = ("dims", "class_count", "bias", "columns", "weights")
+    missing = [k for k in keys if k not in obj]
     if missing:
         raise ValidationError(f"student params missing keys {missing}")
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise ValidationError(f"student params have unknown keys {unknown}")
     dims, class_count = obj["dims"], obj["class_count"]
     if type(dims) is not int or type(class_count) is not int:
         raise ValidationError("student dims and class_count must be integers")

@@ -240,24 +240,25 @@ def generate(
 
 def finetune(h: TAHandle, training_file: bytes) -> TAHandle:
     """Tune the assistant model on a serialized dialogue file and return a
-    handle to the tuned model (generation + 1). The input must parse as the
-    fine-tune wire format with at least one example."""
+    handle to the tuned model (generation + 1); h itself is left unchanged.
+    The input must parse as the fine-tune wire format with at least one
+    example."""
     from .dialogue_gradient import parse_jsonl  # import here: module cycle
 
     examples = parse_jsonl(training_file)
     targets = [ex.messages[2].content for ex in examples]
 
     if h.backend == "simulated":
-        state = h.sim
-        index = {prefix: i for i, (prefix, _) in enumerate(state.pool)}
+        pool = list(h.sim.pool)
+        index = {prefix: i for i, (prefix, _) in enumerate(pool)}
         for target in targets:
             if target in index:
-                prefix, weight = state.pool[index[target]]
-                state.pool[index[target]] = (prefix, weight + 1.0)
+                prefix, weight = pool[index[target]]
+                pool[index[target]] = (prefix, weight + 1.0)
             else:
-                index[target] = len(state.pool)
-                state.pool.append((target, 1.0))
-        return replace(h, generation=h.generation + 1)
+                index[target] = len(pool)
+                pool.append((target, 1.0))
+        return replace(h, sim=replace(h.sim, pool=pool), generation=h.generation + 1)
 
     if h.backend == "remote":
         base = h.base_model_id if h.lineage == "from_base" else h.model_id

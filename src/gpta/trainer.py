@@ -12,8 +12,9 @@ import io
 import json
 import logging
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 
@@ -119,137 +120,57 @@ class RunConfig:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "data_path": self.data_path,
-            "split_fractions": list(self.split_fractions),
-            "split_seed": self.split_seed,
-            "metric": self.metric,
-            "epochs": self.epochs,
-            "k": self.k,
-            "w": self.w,
-            "l": self.l,
-            "temperature": self.temperature,
-            "finetune_cap": self.finetune_cap,
-            "instruction": self.instruction,
-            "exemplar_count": self.exemplar_count,
-            "exemplar_seed": self.exemplar_seed,
-            "task_name": self.task_name,
-            "task_summary": self.task_summary,
-            "label_semantics": list(self.label_semantics),
-            "lr": self.lr,
-            "dims": self.dims,
-            "hash_seed": self.hash_seed,
-            "shuffle_seed": self.shuffle_seed,
-            "ta_backend": self.ta_backend,
-            "sim_pool": [[p, w] for p, w in self.sim_pool],
-            "sim_seed": self.sim_seed,
-            "sim_temperature_scale": self.sim_temperature_scale,
-            "base_url": self.base_url,
-            "model_id": self.model_id,
-            "request_timeout_s": self.request_timeout_s,
-            "retry_backoff_s": self.retry_backoff_s,
-            "poll_interval_s": self.poll_interval_s,
-            "finetune_timeout_s": self.finetune_timeout_s,
-            "ta_lineage": self.ta_lineage,
-        }
+        return {f.name: _to_json(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "RunConfig":
         """Strict loader: unknown keys and type mismatches are errors, so a
-        misspelled hyperparameter cannot silently fall back to a default."""
+        misspelled hyperparameter cannot silently fall back to a default.
+        Each value is checked against its field's annotation."""
         if not isinstance(obj, dict):
             raise ValidationError("config must be a JSON object")
+        types = {f.name: f.type for f in fields(cls)}
         kwargs = {}
         for key, value in obj.items():
-            if key not in _CONFIG_CHECKERS:
+            if key not in types:
                 raise ValidationError(f"unknown config key $.{key}")
-            kwargs[key] = _CONFIG_CHECKERS[key](key, value)
+            kwargs[key] = _from_json(key, types[key], value)
         if "data_path" not in kwargs:
             raise ValidationError("missing required config key $.data_path")
         return cls(**kwargs)
 
 
-def _expect_str(key, value):
-    if not isinstance(value, str):
-        raise ValidationError(f"$.{key}: expected string, got {type(value).__name__}")
-    return value
+def _to_json(value):
+    return [_to_json(v) for v in value] if isinstance(value, tuple) else value
 
 
-def _expect_int(key, value):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"$.{key}: expected integer, got {type(value).__name__}")
-    return value
+_SCALARS = {str: ("string", str), int: ("integer", int), float: ("number", (int, float))}
 
-
-def _expect_float(key, value):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"$.{key}: expected number, got {type(value).__name__}")
-    return float(value)
-
-
-def _expect_fractions(key, value):
-    if not isinstance(value, list) or len(value) != 3:
-        raise ValidationError(f"$.{key}: expected a list of three numbers")
-    return tuple(_expect_float(f"{key}[{i}]", v) for i, v in enumerate(value))
-
-
-def _expect_str_list(key, value):
-    if not isinstance(value, list):
-        raise ValidationError(f"$.{key}: expected a list of strings")
-    return tuple(_expect_str(f"{key}[{i}]", v) for i, v in enumerate(value))
-
-
-def _expect_pool(key, value):
-    """Pool entries are either bare prefix strings (weight 0) or
-    [prefix, weight] pairs."""
-    if not isinstance(value, list):
-        raise ValidationError(f"$.{key}: expected a list")
-    pool = []
-    for i, item in enumerate(value):
-        if isinstance(item, str):
-            pool.append((item, 0.0))
-        elif isinstance(item, list) and len(item) == 2:
-            pool.append(
-                (_expect_str(f"{key}[{i}][0]", item[0]), _expect_float(f"{key}[{i}][1]", item[1]))
-            )
-        else:
-            raise ValidationError(f"$.{key}[{i}]: expected a string or [prefix, weight] pair")
-    return tuple(pool)
-
-
-_CONFIG_CHECKERS = {
-    "data_path": _expect_str,
-    "split_fractions": _expect_fractions,
-    "split_seed": _expect_int,
-    "metric": _expect_str,
-    "epochs": _expect_int,
-    "k": _expect_int,
-    "w": _expect_int,
-    "l": _expect_int,
-    "temperature": _expect_float,
-    "finetune_cap": _expect_int,
-    "instruction": _expect_str,
-    "exemplar_count": _expect_int,
-    "exemplar_seed": _expect_int,
-    "task_name": _expect_str,
-    "task_summary": _expect_str,
-    "label_semantics": _expect_str_list,
-    "lr": _expect_float,
-    "dims": _expect_int,
-    "hash_seed": _expect_int,
-    "shuffle_seed": _expect_int,
-    "ta_backend": _expect_str,
-    "sim_pool": _expect_pool,
-    "sim_seed": _expect_int,
-    "sim_temperature_scale": _expect_float,
-    "base_url": _expect_str,
-    "model_id": _expect_str,
-    "request_timeout_s": _expect_float,
-    "retry_backoff_s": _expect_float,
-    "poll_interval_s": _expect_float,
-    "finetune_timeout_s": _expect_float,
-    "ta_lineage": _expect_str,
+# What a tuple-typed config value must be, for the error when it is not.
+_SEQUENCE_EXPECTED = {
+    tuple[float, float, float]: "a list of three numbers",
+    tuple[str, ...]: "a list of strings",
+    tuple[tuple[str, float], ...]: "a list",
+    tuple[str, float]: "a string or [prefix, weight] pair",
 }
+
+
+def _from_json(path: str, tp, value):
+    """Check a JSON value against a RunConfig annotation and return it as
+    that type; errors name the JSON path, e.g. $.sim_pool[3][1]."""
+    if tp in _SCALARS:
+        name, accepted = _SCALARS[tp]
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise ValidationError(f"$.{path}: expected {name}, got {type(value).__name__}")
+        return tp(value)
+    if tp == tuple[str, float] and isinstance(value, str):
+        return (value, 0.0)  # a bare pool prefix has weight 0
+    items = get_args(tp)
+    if isinstance(value, list) and items[-1] is Ellipsis:
+        items = items[:1] * len(value)
+    if not isinstance(value, list) or len(value) != len(items):
+        raise ValidationError(f"$.{path}: expected {_SEQUENCE_EXPECTED[tp]}")
+    return tuple(_from_json(f"{path}[{i}]", t, v) for i, (t, v) in enumerate(zip(items, value)))
 
 
 @dataclass(frozen=True)
@@ -268,29 +189,6 @@ class EpochRecord:
     val_empty: float
     improvement_rate: float
     finetune_error: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "train_prefix": self.train_prefix,
-            "train_loss": float(self.train_loss),
-            "val_best": float(self.val_best),
-            "val_empty": float(self.val_empty),
-            "improvement_rate": float(self.improvement_rate),
-            "finetune_error": self.finetune_error,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "EpochRecord":
-        return cls(
-            epoch=obj["epoch"],
-            train_prefix=obj["train_prefix"],
-            train_loss=obj["train_loss"],
-            val_best=obj["val_best"],
-            val_empty=obj["val_empty"],
-            improvement_rate=obj["improvement_rate"],
-            finetune_error=obj["finetune_error"],
-        )
 
 
 @dataclass(frozen=True)
@@ -316,13 +214,9 @@ class RunReport:
 
     def to_dict(self) -> dict:
         return {
-            "best": {
-                "prefix": self.best.prefix,
-                "score": float(self.best.score),
-                "epoch": self.best.epoch,
-            },
+            "best": asdict(self.best),
             "best_state_file": f"state_epoch{self.best.epoch}.json",
-            "epochs": [r.to_dict() for r in self.records],
+            "epochs": [asdict(r) for r in self.records],
             "improvement_rates": [float(r) for r in self.improvement_rates],
         }
 
@@ -551,41 +445,30 @@ def state_to_json(state: RunState) -> str:
         "student_frozen": state.student.frozen,
         "ta": ta_mod.handle_to_dict(state.ta),
         "history": state.history.to_list(),
-        "best": None
-        if state.best is None
-        else {
-            "prefix": state.best.prefix,
-            "score": float(state.best.score),
-            "epoch": state.best.epoch,
-        },
-        "records": [r.to_dict() for r in state.records],
+        "best": None if state.best is None else asdict(state.best),
+        "records": [asdict(r) for r in state.records],
     }
     return json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n"
 
 
 def state_from_json(text: str, cfg: RunConfig) -> RunState:
-    obj = json.loads(text)
-    client = None
-    if obj["ta"]["backend"] == "remote":
-        client = build_ta(cfg).client
-    params = student_mod.params_from_dict(obj["student"])
-    if obj["student_frozen"]:
+    """Inverse of state_to_json. Invalid JSON, a missing key and a record
+    with a missing or unknown key raise ValidationError."""
+    try:
+        obj = json.loads(text)
+        ta = ta_mod.handle_from_dict(obj["ta"])
+        history = PrefixHistory.from_list(obj["history"], capacity=cfg.k)
+        best = None if obj["best"] is None else BestRecord(**obj["best"])
+        records = tuple(EpochRecord(**r) for r in obj["records"])
+        epoch, student, frozen = obj["epoch"], obj["student"], obj["student_frozen"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValidationError(f"malformed run state: {type(exc).__name__}: {exc}") from exc
+    params = student_mod.params_from_dict(student)
+    if frozen:
         params = student_mod.freeze(params)
-    best = None
-    if obj["best"] is not None:
-        best = BestRecord(
-            prefix=obj["best"]["prefix"],
-            score=obj["best"]["score"],
-            epoch=obj["best"]["epoch"],
-        )
-    return RunState(
-        epoch=obj["epoch"],
-        student=params,
-        ta=ta_mod.handle_from_dict(obj["ta"], client=client),
-        history=PrefixHistory.from_list(obj["history"], capacity=cfg.k),
-        best=best,
-        records=tuple(EpochRecord.from_dict(r) for r in obj["records"]),
-    )
+    if ta.backend == "remote":
+        ta = replace(ta, client=build_ta(cfg).client)
+    return RunState(epoch=epoch, student=params, ta=ta, history=history, best=best, records=records)
 
 
 def config_to_json(cfg: RunConfig) -> str:

@@ -26,8 +26,11 @@ class RecordedRequest:
 class MockOpenAIServer:
     # scripted chat completion texts, consumed in order (last one repeats)
     completions: list = field(default_factory=lambda: ["Think step by step"])
-    # number of leading requests (any route) answered with HTTP 500
+    # number of leading requests (any route) answered with fail_status,
+    # carrying a Retry-After header when retry_after is set
     fail_first: int = 0
+    fail_status: int = 500
+    retry_after: str | None = None
     # job statuses returned by successive polls (last one repeats)
     job_statuses: list = field(default_factory=lambda: ["running", "succeeded"])
     fine_tuned_model: str = "ft:mock-model:v1"
@@ -71,9 +74,11 @@ class MockOpenAIServer:
                 length = int(self.headers.get("Content-Length", 0))
                 return self.rfile.read(length) if length else b""
 
-            def _reply(self, code: int, obj: dict):
+            def _reply(self, code: int, obj: dict, headers: dict | None = None):
                 data = json.dumps(obj).encode("utf-8")
                 self.send_response(code)
+                for name, value in (headers or {}).items():
+                    self.send_header(name, value)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(data)))
                 self.end_headers()
@@ -92,7 +97,12 @@ class MockOpenAIServer:
                     )
                     if server_self.fail_first > 0:
                         server_self.fail_first -= 1
-                        self._reply(500, {"error": "scripted failure"})
+                        retry = server_self.retry_after
+                        self._reply(
+                            server_self.fail_status,
+                            {"error": "scripted failure"},
+                            {"Retry-After": retry} if retry is not None else None,
+                        )
                         return True
                 return False
 

@@ -204,3 +204,63 @@ def test_malformed_checkpoint_rejected(payload, message, tmp_path, desk_dataset_
                     "--metric", "accuracy"])
     assert code == EXIT_VALIDATION
     assert message in capsys.readouterr().err
+
+
+MALFORMED_STATES = {
+    "truncated": lambda text: text[: len(text) // 2],
+    "empty-object": lambda text: "{}",
+    "unknown-record-key": lambda text: text.replace('"finetune_error"', '"finetune_err"'),
+    "missing-best-key": lambda text: text.replace('"best":{"prefix"', '"best":{"prefix_"'),
+}
+
+
+@pytest.mark.parametrize("corrupt", MALFORMED_STATES.values(), ids=MALFORMED_STATES)
+def test_resume_from_malformed_state_exits_2(corrupt, tmp_path, desk_config, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(desk_config(epochs=1).to_dict()))
+    out = tmp_path / "run"
+    assert run_cli(["train", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+    state = tmp_path / "bad_state.json"
+    state.write_text(corrupt((out / "state_epoch0.json").read_text()))
+    code = run_cli(["train", "--config", str(cfg_path), "--out", str(tmp_path / "resumed"),
+                    "--resume", str(state)])
+    assert code == EXIT_VALIDATION
+    assert "malformed run state" in capsys.readouterr().err
+
+
+def test_eval_truncated_checkpoint_exits_2(tmp_path, desk_dataset_path, capsys):
+    ckpt = tmp_path / "student.json"
+    ckpt.write_text(json.dumps(_student())[:20])
+    code = run_cli(["eval", "--checkpoint", str(ckpt), "--data", str(desk_dataset_path),
+                    "--metric", "accuracy"])
+    assert code == EXIT_VALIDATION
+    assert "invalid JSON" in capsys.readouterr().err
+
+
+def test_eval_checkpoint_with_unknown_key_exits_2(tmp_path, desk_dataset_path, capsys):
+    ckpt = tmp_path / "student.json"
+    ckpt.write_text(json.dumps(_student(extra=1)))
+    code = run_cli(["eval", "--checkpoint", str(ckpt), "--data", str(desk_dataset_path),
+                    "--metric", "accuracy"])
+    assert code == EXIT_VALIDATION
+    assert "unknown keys ['extra']" in capsys.readouterr().err
+
+
+_RECORD = {"epoch": 0, "train_prefix": "p", "train_loss": 0.5, "val_best": 0.9,
+           "val_empty": 0.8, "improvement_rate": 0.1, "finetune_error": None}
+
+MALFORMED_REPORTS = {
+    "truncated": '{"epochs": [',
+    "no-epochs": "{}",
+    "not-object": "[]",
+    "unknown-record-key": json.dumps({"epochs": [{**_RECORD, "extra": 1}]}),
+    "missing-record-key": json.dumps({"epochs": [{k: v for k, v in _RECORD.items() if k != "val_best"}]}),
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_REPORTS.values(), ids=MALFORMED_REPORTS)
+def test_report_from_malformed_report_json_exits_2(text, tmp_path, capsys):
+    (tmp_path / "report.json").write_text(text)
+    code = run_cli(["report", "--run", str(tmp_path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_VALIDATION
+    assert "malformed" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 from gpta import (
@@ -13,6 +15,7 @@ from gpta import (
     synth_generate,
     train_pass,
 )
+from gpta import remote as remote_mod
 from gpta.remote import RemoteClient
 from gpta.ta import remote_handle, render_generation_request
 
@@ -76,6 +79,30 @@ class TestGenerate:
             request = render_generation_request(make_mp(), _history(), 1, 1.0)
             assert generate(handle, request, 1, 1.0) == ["good prefix"]
             assert len(server.requests_for("/v1/chat/completions")) == 3
+
+    def test_rate_limit_retried(self):
+        with MockOpenAIServer(fail_first=1, fail_status=429, completions=["good prefix"]) as server:
+            handle = remote_handle(make_client(server), "base-model")
+            request = render_generation_request(make_mp(), _history(), 1, 1.0)
+            assert generate(handle, request, 1, 1.0) == ["good prefix"]
+            assert len(server.requests_for("/v1/chat/completions")) == 2
+
+    def test_rate_limit_on_every_attempt_raises(self):
+        with MockOpenAIServer(fail_first=99, fail_status=429) as server:
+            handle = remote_handle(make_client(server), "base-model")
+            request = render_generation_request(make_mp(), _history(), 1, 1.0)
+            with pytest.raises(TransportError, match="3 attempts.*HTTP 429"):
+                generate(handle, request, 1, 1.0)
+            assert len(server.requests_for("/v1/chat/completions")) == 3
+
+    @pytest.mark.parametrize("header,expected", [("0.25", 0.25), ("100", 5.0), ("soon", 0.01)])
+    def test_retry_after_sets_wait_capped_at_timeout(self, header, expected, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(remote_mod, "time", SimpleNamespace(sleep=sleeps.append))
+        with MockOpenAIServer(fail_first=1, fail_status=429, retry_after=header) as server:
+            client = make_client(server)  # backoff 0.01 s, timeout 5 s
+            assert client.chat("base-model", [], 1.0) == "Think step by step"
+        assert sleeps == [expected]
 
 
 class TestFinetune:

@@ -207,3 +207,10 @@ class TestSimulatedFinetune:
         h = simulated_handle([("a", 0.0)], rng_seed=0)
         with pytest.raises(ValidationError):
             finetune(h, b"")
+
+    def test_input_handle_unchanged(self):
+        h = simulated_handle([("a", 0.0), ("b", 0.0)], rng_seed=0)
+        new = finetune(h, finetune_file(["a", "brand new prefix"]))
+        assert h.sim.pool == [("a", 0.0), ("b", 0.0)]
+        assert h.generation == 0
+        assert new.sim.pool == [("a", 1.0), ("b", 0.0), ("brand new prefix", 1.0)]

@@ -1,7 +1,10 @@
+import dataclasses
 import json
 import logging
+import re
 import resource
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from gpta import (
 )
 from gpta.history import RoundStats
 from gpta.trainer import (
+    config_to_json,
     init_state,
     prepare,
     run_epoch,
@@ -39,6 +43,56 @@ class TestImprovementRate:
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             improvement_rate([])
+
+
+CONFIG_ERRORS = {
+    "not-object": ([], "config must be a JSON object"),
+    "no-data-path": ({}, "missing required config key $.data_path"),
+    "unknown-key": ({"data_path": "x", "ww": 5}, "unknown config key $.ww"),
+    "str": ({"data_path": "x", "metric": 1}, "$.metric: expected string, got int"),
+    "int": ({"data_path": "x", "k": "fifty"}, "$.k: expected integer, got str"),
+    "int-not-float": ({"data_path": "x", "k": 5.0}, "$.k: expected integer, got float"),
+    "int-not-bool": ({"data_path": "x", "k": True}, "$.k: expected integer, got bool"),
+    "float": ({"data_path": "x", "lr": "0.1"}, "$.lr: expected number, got str"),
+    "float-not-bool": ({"data_path": "x", "lr": False}, "$.lr: expected number, got bool"),
+    "fractions-short": (
+        {"data_path": "x", "split_fractions": [0.8, 0.2]},
+        "$.split_fractions: expected a list of three numbers",
+    ),
+    "fractions-not-list": (
+        {"data_path": "x", "split_fractions": 0.8},
+        "$.split_fractions: expected a list of three numbers",
+    ),
+    "fractions-item": (
+        {"data_path": "x", "split_fractions": [0.8, "a", 0.1]},
+        "$.split_fractions[1]: expected number, got str",
+    ),
+    "strings-not-list": (
+        {"data_path": "x", "label_semantics": "a"},
+        "$.label_semantics: expected a list of strings",
+    ),
+    "strings-item": (
+        {"data_path": "x", "label_semantics": ["a", 3]},
+        "$.label_semantics[1]: expected string, got int",
+    ),
+    "pool-not-list": ({"data_path": "x", "sim_pool": "a"}, "$.sim_pool: expected a list"),
+    "pool-item": (
+        {"data_path": "x", "sim_pool": ["a", 3]},
+        "$.sim_pool[1]: expected a string or [prefix, weight] pair",
+    ),
+    "pool-triple": (
+        {"data_path": "x", "sim_pool": [["a", 1.0, 2.0]]},
+        "$.sim_pool[0]: expected a string or [prefix, weight] pair",
+    ),
+    "pool-prefix": (
+        {"data_path": "x", "sim_pool": [[3, 1.0]]},
+        "$.sim_pool[0][0]: expected string, got int",
+    ),
+    "pool-weight": (
+        {"data_path": "x", "sim_pool": [["a", "b"]]},
+        "$.sim_pool[0][1]: expected number, got str",
+    ),
+}
 
 
 class TestConfig:
@@ -74,6 +128,46 @@ class TestConfig:
     def test_round_trips_through_dict(self, desk_config):
         cfg = desk_config()
         assert RunConfig.from_dict(cfg.to_dict()) == cfg
+
+    @pytest.mark.parametrize("value", [True, {}], ids=["bool", "object"])
+    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(RunConfig)])
+    def test_every_key_rejects_wrong_type(self, key, value):
+        obj = {"data_path": "x.jsonl", key: value}
+        with pytest.raises(ValidationError, match=rf"^\$\.{key}: expected "):
+            RunConfig.from_dict(obj)
+
+    @pytest.mark.parametrize("obj,message", CONFIG_ERRORS.values(), ids=CONFIG_ERRORS)
+    def test_error_messages(self, obj, message):
+        with pytest.raises(ValidationError) as exc:
+            RunConfig.from_dict(obj)
+        assert str(exc.value) == message
+
+    def test_loader_converts_to_field_types(self):
+        cfg = RunConfig.from_dict(
+            {"data_path": "x.jsonl", "lr": 1, "split_fractions": [1, 0, 0],
+             "label_semantics": ["0: a"], "sim_pool": ["bare", ["paired", 2]]}
+        )
+        assert cfg.lr == 1.0 and type(cfg.lr) is float
+        assert cfg.split_fractions == (1.0, 0.0, 0.0)
+        assert all(type(f) is float for f in cfg.split_fractions)
+        assert cfg.label_semantics == ("0: a",)
+        assert cfg.sim_pool == (("bare", 0.0), ("paired", 2.0))
+        assert type(cfg.sim_pool[1][1]) is float
+
+    def test_config_json_golden_bytes(self, desk_config):
+        cfg = desk_config(data_path="desk.jsonl")
+        golden = Path(__file__).parent / "data" / "desk_config.json"
+        assert config_to_json(cfg).encode("utf-8") == golden.read_bytes()
+
+    def test_readme_table_lists_every_key(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+        listed = set()
+        for row in section.splitlines():
+            if row.startswith("| `"):
+                listed.update(re.findall(r"`(\w+)`", row.split(" | ", 1)[0]))
+        missing = [f.name for f in dataclasses.fields(RunConfig) if f.name not in listed]
+        assert not missing
 
 
 class TestRunEpoch:
