@@ -10,6 +10,7 @@ basis; everything here is bit-stable across runs and platforms.
 """
 
 import json
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
@@ -33,13 +34,67 @@ _PAIR_SEP = "\x01"
 DEFAULT_DIMS = 1 << 18
 
 
-@lru_cache(maxsize=1 << 17)
-def fnv1a64(data: str, seed: int = 0) -> int:
-    """FNV-1a 64-bit hash of the UTF-8 bytes of `data`."""
-    h = _FNV_OFFSET ^ seed
+# Size of the pair-hash rows below, counted as one unit per cached pair and
+# two per row; past it the least recently used rows are dropped. Measured
+# with tracemalloc, a pair costs less than one fnv1a64 cache entry and a
+# row less than two, so the rows never take more memory than a full
+# fnv1a64 cache.
+_PAIR_CACHE_CAP = 1 << 17
+_ROW_UNITS = 2
+
+# (prefix token, hash seed) -> (FNV-1a state after prefix token + _PAIR_SEP,
+# {text token: pair hash}), least recently used first. FNV-1a folds one
+# byte at a time, so continuing from that state over a text token's bytes
+# gives exactly fnv1a64(prefix token + _PAIR_SEP + text token, seed).
+_pair_rows: OrderedDict[tuple[str, int], tuple[int, dict[str, int]]] = OrderedDict()
+_pair_units = 0
+
+
+def _fold(h: int, data: str) -> int:
+    """Continue an FNV-1a 64-bit state over the UTF-8 bytes of `data`."""
     for byte in data.encode("utf-8"):
         h = ((h ^ byte) * _FNV_PRIME) & _MASK64
     return h
+
+
+@lru_cache(maxsize=1 << 17)
+def fnv1a64(data: str, seed: int = 0) -> int:
+    """FNV-1a 64-bit hash of the UTF-8 bytes of `data`."""
+    return _fold(_FNV_OFFSET ^ seed, data)
+
+
+def _clear_pair_hashes() -> None:
+    global _pair_units
+    _pair_rows.clear()
+    _pair_units = 0
+
+
+def _charge(units: int) -> None:
+    """Count `units` more of the pair-hash rows, then drop least recently
+    used rows until they fit under the cap. The newest row, which
+    featurize is filling, is never dropped; if it alone does not fit, it
+    is emptied in place."""
+    global _pair_units
+    _pair_units += units
+    while _pair_units > _PAIR_CACHE_CAP:
+        if len(_pair_rows) == 1:
+            hashes = next(iter(_pair_rows.values()))[1]
+            _pair_units -= len(hashes)
+            hashes.clear()
+            break
+        _, (_, hashes) = _pair_rows.popitem(last=False)
+        _pair_units -= len(hashes) + _ROW_UNITS
+
+
+def _pair_row(p_tok: str, hash_seed: int) -> tuple[int, dict[str, int]]:
+    key = (p_tok, hash_seed)
+    row = _pair_rows.get(key)
+    if row is None:
+        row = _pair_rows[key] = (_fold(_FNV_OFFSET ^ hash_seed, p_tok + _PAIR_SEP), {})
+        _charge(_ROW_UNITS)
+    else:
+        _pair_rows.move_to_end(key)
+    return row
 
 
 def tokenize(text: str) -> list[str]:
@@ -62,8 +117,13 @@ def featurize(prefix: str, text: str, dims: int, hash_seed: int = 0) -> FeatureV
         idx = fnv1a64(tok, hash_seed) % dims
         features[idx] = features.get(idx, 0.0) + 1.0
     for p_tok in prefix_tokens:
+        start, hashes = _pair_row(p_tok, hash_seed)
         for x_tok in text_tokens:
-            idx = fnv1a64(p_tok + _PAIR_SEP + x_tok, hash_seed) % dims
+            h = hashes.get(x_tok)
+            if h is None:
+                _charge(1)
+                h = hashes[x_tok] = _fold(start, x_tok)
+            idx = h % dims
             features[idx] = features.get(idx, 0.0) + 1.0
     return features
 
@@ -108,18 +168,23 @@ def unfreeze(params: StudentParams) -> StudentParams:
     return replace(params, frozen=False)
 
 
-def _logits(params: StudentParams, f: FeatureVector) -> np.ndarray:
-    z = params.bias.copy()
+def _logits(
+    weights: np.ndarray, bias: np.ndarray, f: FeatureVector
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Logits b + W·f, with the index and value arrays of f they were
+    gathered with (both None when f is empty)."""
+    z = bias.copy()
+    idx = vals = None
     if f:
         idx = np.fromiter(f.keys(), dtype=np.int64, count=len(f))
         vals = np.fromiter(f.values(), dtype=np.float64, count=len(f))
-        z += params.weights[:, idx] @ vals
-    return z
+        z += weights[:, idx] @ vals
+    return z, idx, vals
 
 
 def forward(params: StudentParams, f: FeatureVector) -> np.ndarray:
     """Class probability vector softmax(W·f + b)."""
-    z = _logits(params, f)
+    z = _logits(params.weights, params.bias, f)[0]
     z -= z.max()
     e = np.exp(z)
     return e / e.sum()
@@ -179,11 +244,7 @@ def train_pass(
     for i in order:
         ex = train.examples[i]
         f = featurize(prefix, ex.text, params.dims, hash_seed)
-        z = bias.copy()
-        if f:
-            idx = np.fromiter(f.keys(), dtype=np.int64, count=len(f))
-            vals = np.fromiter(f.values(), dtype=np.float64, count=len(f))
-            z += weights[:, idx] @ vals
+        z, idx, vals = _logits(weights, bias, f)
         z -= z.max()
         e = np.exp(z)
         probs = e / e.sum()
@@ -200,7 +261,7 @@ def train_pass(
 def predict(params: StudentParams, prefix: str, text: str, hash_seed: int = 0) -> int:
     """Argmax class for the prefixed input; ties break to the lowest index."""
     f = featurize(prefix, text, params.dims, hash_seed)
-    return int(np.argmax(_logits(params, f)))
+    return int(np.argmax(_logits(params.weights, params.bias, f)[0]))
 
 
 def params_to_dict(params: StudentParams) -> dict:

@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import logging
+import sys
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -65,7 +66,10 @@ class RunConfig:
     split_seed: int = 13
     metric: str = "accuracy"
     epochs: int = 5
-    k: int = 50
+    # k - 2 < l: the history never holds enough of the 12-prefix default
+    # pool for a round of l distinct draws to be all known, so collect
+    # cannot stall on the defaults.
+    k: int = 9
     w: int = 5
     l: int = 8
     temperature: float = 1.0
@@ -99,6 +103,13 @@ class RunConfig:
             raise ValidationError("w must be >= 1")
         if not self.w < self.k:
             raise ValidationError(f"w < k required, got w={self.w}, k={self.k}")
+        if self.ta_backend == "simulated":
+            reachable = len({prefix for prefix, _ in self.sim_pool} | {""})
+            if self.k > reachable:
+                raise ValidationError(
+                    f"k={self.k} is unreachable: the simulated backend knows only {reachable} "
+                    "distinct prefixes (those of sim_pool and the empty prefix)"
+                )
         if self.l < 1:
             raise ValidationError("l must be >= 1")
         if self.temperature < 0:
@@ -162,7 +173,12 @@ def _from_json(path: str, tp, value):
         name, accepted = _SCALARS[tp]
         if isinstance(value, bool) or not isinstance(value, accepted):
             raise ValidationError(f"$.{path}: expected {name}, got {type(value).__name__}")
+        # JSON readers accept NaN and Infinity; this also catches ints too large for a float.
+        if tp is float and not abs(value) <= sys.float_info.max:
+            raise ValidationError(f"$.{path}: expected a finite number, got {value}")
         return tp(value)
+    if tp == str | None:
+        return None if value is None else _from_json(path, str, value)
     if tp == tuple[str, float] and isinstance(value, str):
         return (value, 0.0)  # a bare pool prefix has weight 0
     items = get_args(tp)
@@ -171,6 +187,17 @@ def _from_json(path: str, tp, value):
     if not isinstance(value, list) or len(value) != len(items):
         raise ValidationError(f"$.{path}: expected {_SEQUENCE_EXPECTED[tp]}")
     return tuple(_from_json(f"{path}[{i}]", t, v) for i, (t, v) in enumerate(zip(items, value)))
+
+
+def record_from_json(cls, obj: dict, path: str):
+    """Build a run record dataclass from its JSON object. A missing or
+    unknown key raises TypeError, as the constructor does; a value that
+    does not match its field's annotation raises ValidationError naming
+    $.<path>.<field>."""
+    record = cls(**obj)
+    for f in fields(cls):
+        _from_json(f"{path}.{f.name}", f.type, getattr(record, f.name))
+    return record
 
 
 @dataclass(frozen=True)
@@ -501,6 +528,9 @@ def run(cfg: RunConfig, out_dir: str | Path, resume_from: str | Path | None = No
     report.json, and metrics.csv. With resume_from, continues from a saved
     state and reproduces exactly what an uninterrupted run would have done.
     """
+    # Start from empty pair-hash rows, as a new process would, so a run or
+    # a resume costs the same whatever ran before it in this process.
+    student_mod._clear_pair_hashes()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ctx = prepare(cfg)

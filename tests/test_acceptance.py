@@ -269,7 +269,7 @@ def test_criterion_6_planted_quality_mass_rises(desk_dataset_path, tmp_path):
 def test_criterion_7_config_defaults(desk_dataset_path, caplog):
     with criterion(7, "config defaults and cap warning"):
         cfg = RunConfig.from_dict({"data_path": str(desk_dataset_path)})
-        assert cfg.k == 50
+        assert cfg.k == 9
         assert cfg.w == 5
         assert cfg.temperature == 1.0
         assert cfg.epochs == 5

@@ -255,6 +255,10 @@ MALFORMED_REPORTS = {
     "not-object": "[]",
     "unknown-record-key": json.dumps({"epochs": [{**_RECORD, "extra": 1}]}),
     "missing-record-key": json.dumps({"epochs": [{k: v for k, v in _RECORD.items() if k != "val_best"}]}),
+    "string-loss": json.dumps({"epochs": [{**_RECORD, "train_loss": "x"}]}),
+    "null-prefix": json.dumps({"epochs": [_RECORD, {**_RECORD, "train_prefix": None}]}),
+    "bool-epoch": json.dumps({"epochs": [{**_RECORD, "epoch": True}]}),
+    "number-error": json.dumps({"epochs": [{**_RECORD, "finetune_error": 3}]}),
 }
 
 
@@ -264,3 +268,28 @@ def test_report_from_malformed_report_json_exits_2(text, tmp_path, capsys):
     code = run_cli(["report", "--run", str(tmp_path), "--out", str(tmp_path / "out")])
     assert code == EXIT_VALIDATION
     assert "malformed" in capsys.readouterr().err
+
+
+def test_report_names_the_mistyped_record_value(tmp_path, capsys):
+    records = [_RECORD, {**_RECORD, "epoch": 1, "train_loss": "x"}]
+    (tmp_path / "report.json").write_text(json.dumps({"epochs": records}))
+    code = run_cli(["report", "--run", str(tmp_path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_VALIDATION
+    assert "$.epochs[1].train_loss: expected number, got str" in capsys.readouterr().err
+
+
+INVALID_CONFIG_VALUES = {
+    "nan-lr": ('"lr": NaN', "$.lr: expected a finite number"),
+    "infinite-temperature": ('"temperature": Infinity', "$.temperature: expected a finite number"),
+    "unreachable-k": ('"k": 14', "k=14 is unreachable"),
+}
+
+
+@pytest.mark.parametrize("entry,message", INVALID_CONFIG_VALUES.values(), ids=INVALID_CONFIG_VALUES)
+def test_invalid_config_value_exits_2(entry, message, tmp_path, desk_dataset_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(f'{{"data_path": {json.dumps(str(desk_dataset_path))}, {entry}}}')
+    code = run_cli(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+    assert code == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()

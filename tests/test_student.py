@@ -24,6 +24,7 @@ from gpta import (
     train_pass,
     unfreeze,
 )
+from gpta import student
 from gpta.student import Gradient, StudentParams, params_from_dict, params_to_dict
 
 
@@ -65,6 +66,86 @@ def test_featurize_prefix_adds_interaction():
 
 def test_featurize_lowercases_and_splits():
     assert featurize("", "Hello  WORLD", 256, 0) == featurize("", "hello world", 256, 0)
+
+
+def reference_featurize(prefix: str, text: str, dims: int, hash_seed: int) -> dict:
+    """featurize with every interaction hashed as the whole pair string
+    prefix token + "\x01" + text token."""
+    prefix_tokens, text_tokens = prefix.lower().split(), text.lower().split()
+    features = {}
+    keys = prefix_tokens + text_tokens + [p + "\x01" + x for p in prefix_tokens for x in text_tokens]
+    for key in keys:
+        idx = fnv1a64(key, hash_seed) % dims
+        features[idx] = features.get(idx, 0.0) + 1.0
+    return features
+
+
+# Arbitrary Unicode, and strings made mostly of whitespace (including the
+# Unicode spaces str.split() breaks on), case pairs and multi-byte characters.
+TOKEN_TEXT = st.text(max_size=40) | st.text(
+    alphabet=" \t\n\r\x0b\x0c\x1c\x85\xa0\u2028\u3000aAbB\x01\xe9\u0130\u00df\U0001f600", max_size=40
+)
+FEATURIZE_CALLS = st.tuples(
+    st.lists(TOKEN_TEXT, min_size=1, max_size=4),
+    st.lists(TOKEN_TEXT, min_size=1, max_size=4),
+    st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3),
+    st.lists(st.integers(1, 18).map(lambda e: 1 << e), min_size=1, max_size=3),
+)
+
+
+def assert_featurize_matches_reference(prefixes, texts, seeds, dims_list):
+    """Every combination, so prefix tokens recur across calls and their
+    cached pair hashes are reused."""
+    for seed in seeds:
+        for dims in dims_list:
+            for prefix in prefixes:
+                for text in texts:
+                    got = featurize(prefix, text, dims, seed)
+                    assert list(got.items()) == list(reference_featurize(prefix, text, dims, seed).items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(calls=FEATURIZE_CALLS)
+def test_featurize_matches_pair_string_reference(calls):
+    assert_featurize_matches_reference(*calls)
+
+
+@settings(max_examples=300, deadline=None)
+@given(calls=FEATURIZE_CALLS, cap=st.integers(3, 40))
+def test_featurize_matches_reference_when_pair_cache_overflows(calls, cap):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(student, "_PAIR_CACHE_CAP", cap)
+        student._clear_pair_hashes()
+        assert_featurize_matches_reference(*calls)
+        held = sum(len(hashes) + student._ROW_UNITS for _, hashes in student._pair_rows.values())
+        assert held == student._pair_units <= cap
+    student._clear_pair_hashes()
+
+
+def test_pair_cache_drops_least_recently_used_rows_first(monkeypatch):
+    monkeypatch.setattr(student, "_PAIR_CACHE_CAP", 3 * (student._ROW_UNITS + 2))
+    student._clear_pair_hashes()
+    for prefix in ("old", "kept", "new", "kept", "newest"):
+        featurize(prefix, "two words", 64, 0)
+    assert [p for p, _ in student._pair_rows] == ["new", "kept", "newest"]
+    student._clear_pair_hashes()
+
+
+def test_featurize_does_not_depend_on_call_history():
+    calls = [
+        (prefix, text, dims, seed)
+        for seed in (0, 7, 2**63 + 5)
+        for dims in (2, 4096, 1 << 18)
+        for prefix in ("focus on the words", "focus", "Ünïcode 日本 words")
+        for text in ("the words are here", "focus focus words", "日本 語 text", "")
+    ]
+    calls = calls[::2] + calls[1::2]  # interleave seeds and dims
+    in_sequence = [featurize(*c) for c in calls]
+    from_cold = []
+    for c in calls:
+        student._clear_pair_hashes()
+        from_cold.append(featurize(*c))
+    assert [list(f.items()) for f in in_sequence] == [list(f.items()) for f in from_cold]
 
 
 def test_featurize_rejects_bad_dims():

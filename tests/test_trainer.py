@@ -13,12 +13,17 @@ from gpta import (
     RunConfig,
     StudentParams,
     ValidationError,
+    featurize,
     improvement_rate,
     init_params,
     parse_jsonl,
     run,
     save_checkpoint,
+    synth_generate,
+    write_jsonl,
 )
+from gpta import student as student_mod
+from gpta import trainer as trainer_mod
 from gpta.history import RoundStats
 from gpta.trainer import (
     config_to_json,
@@ -92,13 +97,31 @@ CONFIG_ERRORS = {
         {"data_path": "x", "sim_pool": [["a", "b"]]},
         "$.sim_pool[0][1]: expected number, got str",
     ),
+    "lr-nan": ({"data_path": "x", "lr": float("nan")}, "$.lr: expected a finite number, got nan"),
+    "temperature-inf": (
+        {"data_path": "x", "temperature": float("inf")},
+        "$.temperature: expected a finite number, got inf",
+    ),
+    "fractions-nan": (
+        {"data_path": "x", "split_fractions": [0.8, float("nan"), 0.1]},
+        "$.split_fractions[1]: expected a finite number, got nan",
+    ),
+    "pool-weight-inf": (
+        {"data_path": "x", "sim_pool": [["a", float("-inf")]], "k": 2, "w": 1},
+        "$.sim_pool[0][1]: expected a finite number, got -inf",
+    ),
+    "unreachable-k": (
+        {"data_path": "x", "k": 14},
+        "k=14 is unreachable: the simulated backend knows only 13 distinct prefixes "
+        "(those of sim_pool and the empty prefix)",
+    ),
 }
 
 
 class TestConfig:
     def test_defaults(self, desk_dataset_path):
         cfg = RunConfig.from_dict({"data_path": str(desk_dataset_path)})
-        assert cfg.k == 50
+        assert cfg.k == 9
         assert cfg.w == 5
         assert cfg.epochs == 5
         assert cfg.temperature == 1.0
@@ -142,9 +165,40 @@ class TestConfig:
             RunConfig.from_dict(obj)
         assert str(exc.value) == message
 
+    def test_reachable_k_counts_distinct_prefixes_and_the_empty_one(self):
+        pool = [["a", 1.0], "b", ""]
+        assert RunConfig.from_dict({"data_path": "x", "sim_pool": pool, "k": 3, "w": 1}).k == 3
+        with pytest.raises(ValidationError, match="k=4 is unreachable"):
+            RunConfig.from_dict({"data_path": "x", "sim_pool": pool, "k": 4, "w": 1})
+        remote = {"data_path": "x", "ta_backend": "remote", "sim_pool": pool, "k": 50}
+        assert RunConfig.from_dict(remote).k == 50
+
+    def test_bare_default_config_runs(self, tmp_path):
+        data = tmp_path / "synth.jsonl"
+        write_jsonl(synth_generate(2, 40, 60, 0.1, 3), data)
+        report = run(RunConfig(data_path=str(data)), tmp_path / "run")
+        assert len(report.records) == RunConfig(data_path=str(data)).epochs
+
+    def test_run_starts_with_empty_pair_hash_rows(self, desk_config, tmp_path, monkeypatch):
+        featurize("a stale prefix", "from an earlier call", 64, 0)
+        assert student_mod._pair_rows
+        seen = []
+
+        class Stop(Exception):
+            pass
+
+        def spy(cfg):
+            seen.append((dict(student_mod._pair_rows), student_mod._pair_units))
+            raise Stop
+
+        monkeypatch.setattr(trainer_mod, "prepare", spy)
+        with pytest.raises(Stop):
+            run(desk_config(), tmp_path / "run")
+        assert seen == [({}, 0)]
+
     def test_loader_converts_to_field_types(self):
         cfg = RunConfig.from_dict(
-            {"data_path": "x.jsonl", "lr": 1, "split_fractions": [1, 0, 0],
+            {"data_path": "x.jsonl", "k": 3, "w": 1, "lr": 1, "split_fractions": [1, 0, 0],
              "label_semantics": ["0: a"], "sim_pool": ["bare", ["paired", 2]]}
         )
         assert cfg.lr == 1.0 and type(cfg.lr) is float
