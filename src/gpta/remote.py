@@ -2,12 +2,13 @@
 service. Works against api.openai.com or any local server exposing the
 same routes; the API key comes from the GPTA_API_KEY environment variable.
 
-Every request is retried on transport failures (connection errors,
-timeouts, 5xx) and rate limits (429) with exponential backoff, waiting at
-least as long as a failed response's Retry-After header asks; after the
-attempt budget the last error surfaces as TransportError. Nothing here
-mutates local state, so a failed call leaves the caller exactly where it
-started.
+Every call sends at most max_attempts requests. Transport failures
+(connection errors, timeouts, 5xx), rate limits (429) and, for chat,
+malformed or unparseable replies are retried with exponential backoff,
+waiting at least as long as a failed response's Retry-After header asks.
+After the budget the last error surfaces: ProtocolError for an
+unparseable reply, else TransportError. Nothing here mutates local state,
+so a failed call leaves the caller exactly where it started.
 """
 
 import logging
@@ -60,9 +61,11 @@ class RemoteClient:
             headers["Authorization"] = f"Bearer {self.api_key}"
         return headers
 
-    def _request(self, method: str, path: str, **kwargs) -> dict:
-        """Issue one HTTP request with retry/backoff on transport failures
-        and rate limits. A Retry-After wait is capped at the request timeout."""
+    def _request(self, method: str, path: str, parse=None, **kwargs):
+        """Issue one HTTP request and return its JSON body, or parse(body).
+        Transport failures, rate limits and bodies parse rejects with
+        ProtocolError are retried with backoff, max_attempts requests in
+        all. A Retry-After wait is capped at the request timeout."""
         url = f"{self.base_url}{path}"
         last_exc: Exception | None = None
         for attempt in range(self.max_attempts):
@@ -90,45 +93,42 @@ class RemoteClient:
                     f"{method} {path} -> HTTP {resp.status_code}: {resp.text[:200]}"
                 )
             try:
-                return resp.json()
+                data = resp.json()
             except ValueError as exc:
                 raise TransportError(f"{method} {path} returned non-JSON body") from exc
-        raise TransportError(
+            if parse is None:
+                return data
+            try:
+                return parse(data)
+            except ProtocolError as exc:
+                last_exc = exc
+                logger.warning("attempt %d/%d %s %s: %s",
+                               attempt + 1, self.max_attempts, method, path, exc)
+        error = ProtocolError if isinstance(last_exc, ProtocolError) else TransportError
+        raise error(
             f"{method} {path} failed after {self.max_attempts} attempts: {last_exc}"
-        )
+        ) from last_exc
 
-    def chat(self, model_id: str, messages: list, temperature: float) -> str:
-        """One chat-completion call; returns the first choice's text."""
+    def chat(self, model_id: str, messages: list, temperature: float, parse=None):
+        """One chat completion: the first choice's text, or parse(text). A
+        malformed response, or a text parse rejects with ProtocolError, is a
+        failed attempt of the request's retry budget."""
         body = {
             "model": model_id,
             "temperature": temperature,
             "messages": [{"role": m.role, "content": m.content} for m in messages],
         }
-        data = self._request("POST", "/v1/chat/completions", json=body)
-        try:
-            return data["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError) as exc:
-            raise ProtocolError(f"malformed chat completion response: {data!r}") from exc
 
-    def chat_prefixes(
-        self, model_id: str, request: list, l: int, temperature: float
-    ) -> list[str]:
-        """Chat call plus prefix parsing. Unparseable completions are
-        retried like transport failures, then raised as ProtocolError."""
-        from .ta import parse_prefixes
-
-        last_exc: Exception | None = None
-        for attempt in range(self.max_attempts):
-            if attempt:
-                time.sleep(self.backoff_base * 2 ** (attempt - 1))
+        def reply(data):
             try:
-                return parse_prefixes(self.chat(model_id, request, temperature), l)
-            except ProtocolError as exc:
-                last_exc = exc
-                logger.warning("attempt %d/%d: unparseable completion",
-                               attempt + 1, self.max_attempts)
-        raise ProtocolError(f"no parseable prefixes after {self.max_attempts} attempts") \
-            from last_exc
+                text = data["choices"][0]["message"]["content"]
+            except (KeyError, IndexError, TypeError):
+                text = None
+            if not isinstance(text, str):
+                raise ProtocolError(f"malformed chat completion response: {data!r}")
+            return text if parse is None else parse(text)
+
+        return self._request("POST", "/v1/chat/completions", parse=reply, json=body)
 
     def upload_file(self, data: bytes) -> str:
         resp = self._request(

@@ -27,8 +27,11 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
-# Joins prefix token and input token into one interaction key; \x01 cannot
-# appear in whitespace-split tokens, so keys never collide with unigrams.
+# Joins prefix token and input token into one interaction key. \x01 is not
+# whitespace, so a text token containing it hashes exactly like a pair:
+# featurize("", "a\x01b", dims) and featurize("a", "b", dims) share an
+# index. It is kept because any other separator would move every
+# interaction index and change the byte-identical run outputs.
 _PAIR_SEP = "\x01"
 
 DEFAULT_DIMS = 1 << 18

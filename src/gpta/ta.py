@@ -1,17 +1,18 @@
 """The assistant model that proposes prefix prompts and is itself tuned on
 dialogue-formatted history windows.
 
-Two backends share one interface: a remote OpenAI-compatible HTTP service,
-and a deterministic simulated model that samples from a weighted prefix
-pool. The simulated backend exists so the whole training loop can run and
-be verified offline; its tuning rule (+1 pool weight per assistant-message
-occurrence) is the smallest mechanism that lets dialogue-formatted tuning
-provably shift generation toward better prefixes.
+Two backend classes share one interface: RemoteTA, a model behind an
+OpenAI-compatible HTTP service, and SimulatedTA, a deterministic model that
+samples from a weighted prefix pool. The simulated backend exists so the
+whole training loop can run and be verified offline; its tuning rule (+1
+pool weight per assistant-message occurrence) is the smallest mechanism
+that lets dialogue-formatted tuning provably shift generation toward better
+prefixes.
 """
 
 import re
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, ClassVar, Sequence
 
 import numpy as np
 
@@ -88,44 +89,100 @@ class SimState:
 
 
 @dataclass(frozen=True)
-class TAHandle:
-    """Identity of the current assistant model. generation counts the
-    fine-tunes applied in this lineage. lineage picks what each remote
-    fine-tune starts from: "continual" tunes the latest tuned model,
-    "from_base" always restarts from the original base model."""
+class SimulatedTA:
+    """The offline assistant model. sim holds its weighted prefix pool and
+    sampler state; generation counts the fine-tunes applied so far."""
 
-    backend: str  # "simulated" | "remote"
+    sim: SimState
     generation: int = 0
-    sim: SimState | None = None
-    model_id: str | None = None
-    base_model_id: str | None = None
-    client: "RemoteClient | None" = None
+    backend: ClassVar[str] = "simulated"
+
+    def generate(self, request: list[ChatMessage], l: int, temperature: float) -> list[str]:
+        """Sample l distinct pool prefixes, probability proportional to
+        exp(weight / (temperature_scale * temperature)). Temperature 0 is the
+        greedy limit: top-l by weight in pool order."""
+        state = self.sim
+        n = len(state.pool)
+        weights = np.array([w for _, w in state.pool], dtype=np.float64)
+        rng = np.random.default_rng(np.random.SeedSequence((state.rng_seed, state.calls)))
+        state.calls += 1
+        if temperature == 0.0:
+            order = np.argsort(-weights, kind="stable")
+        else:
+            # Gumbel top-k: exactly successive softmax sampling w/o replacement.
+            keys = weights / (state.temperature_scale * temperature) + rng.gumbel(size=n)
+            order = np.argsort(-keys, kind="stable")
+        return [state.pool[i][0] for i in order[: min(l, n)]]
+
+    def finetune(self, training_file: bytes, targets: list[str]) -> "SimulatedTA":
+        """+1 pool weight per target occurrence; a target not yet in the
+        pool joins it at the end."""
+        pool = dict(self.sim.pool)
+        for target in targets:
+            pool[target] = pool.get(target, 0.0) + 1.0
+        sim = replace(self.sim, pool=list(pool.items()))
+        return replace(self, sim=sim, generation=self.generation + 1)
+
+    def to_dict(self) -> dict:
+        return {"backend": self.backend, "generation": self.generation,
+                "sim": sim_state_to_dict(self.sim)}
+
+    def restore(self, obj: dict) -> "SimulatedTA":
+        return replace(self, generation=obj["generation"], sim=sim_state_from_dict(obj["sim"]))
+
+
+@dataclass(frozen=True)
+class RemoteTA:
+    """A model behind an OpenAI-compatible service. model_id is the model
+    generating now; lineage picks what each fine-tune starts from:
+    "continual" tunes model_id, "from_base" always restarts from
+    base_model_id. generation counts the fine-tunes applied so far."""
+
+    client: "RemoteClient"
+    model_id: str
+    base_model_id: str
     lineage: str = "continual"
+    generation: int = 0
+    backend: ClassVar[str] = "remote"
+
+    def __post_init__(self):
+        if self.lineage not in ("continual", "from_base"):
+            raise ValidationError(f"unknown lineage {self.lineage!r}")
+
+    def generate(self, request: list[ChatMessage], l: int, temperature: float) -> list[str]:
+        """One chat completion, parsed into at most l prefixes; an
+        unparseable completion is retried within the client's budget."""
+        return self.client.chat(
+            self.model_id, request, temperature, parse=lambda text: parse_prefixes(text, l)
+        )
+
+    def finetune(self, training_file: bytes, targets: list[str]) -> "RemoteTA":
+        base = self.base_model_id if self.lineage == "from_base" else self.model_id
+        tuned = self.client.run_finetune(base, training_file)
+        return replace(self, model_id=tuned, generation=self.generation + 1)
+
+    def to_dict(self) -> dict:
+        return {"backend": self.backend, "generation": self.generation, "model_id": self.model_id,
+                "base_model_id": self.base_model_id, "lineage": self.lineage}
+
+    def restore(self, obj: dict) -> "RemoteTA":
+        return replace(self, generation=obj["generation"], model_id=obj["model_id"],
+                       base_model_id=obj["base_model_id"], lineage=obj.get("lineage", "continual"))
+
+
+# Both answer generate, finetune (returns the tuned handle), to_dict and
+# restore (returns this handle carrying a saved state).
+TAHandle = SimulatedTA | RemoteTA
 
 
 def simulated_handle(
     pool: Sequence[tuple[str, float]], rng_seed: int = 0, temperature_scale: float = 1.0
-) -> TAHandle:
-    state = SimState(
-        pool=[(p, float(w)) for p, w in pool],
-        rng_seed=rng_seed,
-        temperature_scale=temperature_scale,
-    )
-    return TAHandle(backend="simulated", sim=state)
+) -> SimulatedTA:
+    return SimulatedTA(SimState([(p, float(w)) for p, w in pool], rng_seed, temperature_scale))
 
 
-def remote_handle(
-    client: "RemoteClient", model_id: str, lineage: str = "continual"
-) -> TAHandle:
-    if lineage not in ("continual", "from_base"):
-        raise ValidationError(f"unknown lineage {lineage!r}")
-    return TAHandle(
-        backend="remote",
-        model_id=model_id,
-        base_model_id=model_id,
-        client=client,
-        lineage=lineage,
-    )
+def remote_handle(client: "RemoteClient", model_id: str, lineage: str = "continual") -> RemoteTA:
+    return RemoteTA(client=client, model_id=model_id, base_model_id=model_id, lineage=lineage)
 
 
 def render_system_content(mp: MetaPrompt) -> str:
@@ -205,24 +262,6 @@ def parse_prefixes(completion_text: str, l: int) -> list[str]:
     return out
 
 
-def _sim_generate(state: SimState, l: int, temperature: float) -> list[str]:
-    """Sample l distinct pool prefixes, probability proportional to
-    exp(weight / (temperature_scale * temperature)). Temperature 0 is the
-    greedy limit: top-l by weight in pool order."""
-    n = len(state.pool)
-    take = min(l, n)
-    weights = np.array([w for _, w in state.pool], dtype=np.float64)
-    rng = np.random.default_rng(np.random.SeedSequence((state.rng_seed, state.calls)))
-    state.calls += 1
-    if temperature == 0.0:
-        order = np.argsort(-weights, kind="stable")
-    else:
-        # Gumbel top-k: exactly successive softmax sampling w/o replacement.
-        keys = weights / (state.temperature_scale * temperature) + rng.gumbel(size=n)
-        order = np.argsort(-keys, kind="stable")
-    return [state.pool[i][0] for i in order[:take]]
-
-
 def generate(
     h: TAHandle, request: list[ChatMessage], l: int, temperature: float = 1.0
 ) -> list[str]:
@@ -231,11 +270,7 @@ def generate(
         raise ValidationError(f"l must be >= 1, got {l}")
     if temperature < 0:
         raise ValidationError(f"temperature must be >= 0, got {temperature}")
-    if h.backend == "simulated":
-        return _sim_generate(h.sim, l, temperature)
-    if h.backend == "remote":
-        return h.client.chat_prefixes(h.model_id, request, l, temperature)
-    raise ValidationError(f"unknown backend {h.backend!r}")
+    return h.generate(request, l, temperature)
 
 
 def finetune(h: TAHandle, training_file: bytes) -> TAHandle:
@@ -246,26 +281,7 @@ def finetune(h: TAHandle, training_file: bytes) -> TAHandle:
     from .dialogue_gradient import parse_jsonl  # import here: module cycle
 
     examples = parse_jsonl(training_file)
-    targets = [ex.messages[2].content for ex in examples]
-
-    if h.backend == "simulated":
-        pool = list(h.sim.pool)
-        index = {prefix: i for i, (prefix, _) in enumerate(pool)}
-        for target in targets:
-            if target in index:
-                prefix, weight = pool[index[target]]
-                pool[index[target]] = (prefix, weight + 1.0)
-            else:
-                index[target] = len(pool)
-                pool.append((target, 1.0))
-        return replace(h, sim=replace(h.sim, pool=pool), generation=h.generation + 1)
-
-    if h.backend == "remote":
-        base = h.base_model_id if h.lineage == "from_base" else h.model_id
-        tuned = h.client.run_finetune(base, training_file)
-        return replace(h, model_id=tuned, generation=h.generation + 1)
-
-    raise ValidationError(f"unknown backend {h.backend!r}")
+    return h.finetune(training_file, [ex.messages[2].content for ex in examples])
 
 
 def softmax_pool_mass(state: SimState, prefixes: Sequence[str]) -> float:
@@ -294,32 +310,4 @@ def sim_state_from_dict(obj: dict) -> SimState:
         rng_seed=obj["rng_seed"],
         temperature_scale=obj["temperature_scale"],
         calls=obj["calls"],
-    )
-
-
-def handle_to_dict(h: TAHandle) -> dict:
-    out: dict = {"backend": h.backend, "generation": h.generation}
-    if h.backend == "simulated":
-        out["sim"] = sim_state_to_dict(h.sim)
-    else:
-        out["model_id"] = h.model_id
-        out["base_model_id"] = h.base_model_id
-        out["lineage"] = h.lineage
-    return out
-
-
-def handle_from_dict(obj: dict, client: "RemoteClient | None" = None) -> TAHandle:
-    if obj["backend"] == "simulated":
-        return TAHandle(
-            backend="simulated",
-            generation=obj["generation"],
-            sim=sim_state_from_dict(obj["sim"]),
-        )
-    return TAHandle(
-        backend="remote",
-        generation=obj["generation"],
-        model_id=obj["model_id"],
-        base_model_id=obj["base_model_id"],
-        client=client,
-        lineage=obj.get("lineage", "continual"),
     )

@@ -13,7 +13,7 @@ import json
 import logging
 import sys
 from collections.abc import Iterable
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import get_args
 
@@ -97,6 +97,10 @@ class RunConfig:
     ta_lineage: str = "continual"
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type in (float, tuple[float, float, float]) and not np.isfinite(value).all():
+                raise ValidationError(f"{f.name} must be finite, got {value}")
         if self.epochs < 1:
             raise ValidationError("epochs must be >= 1")
         if self.w < 1:
@@ -470,7 +474,7 @@ def state_to_json(state: RunState) -> str:
         "epoch": state.epoch,
         "student": student_mod.params_to_dict(state.student),
         "student_frozen": state.student.frozen,
-        "ta": ta_mod.handle_to_dict(state.ta),
+        "ta": state.ta.to_dict(),
         "history": state.history.to_list(),
         "best": None if state.best is None else asdict(state.best),
         "records": [asdict(r) for r in state.records],
@@ -479,11 +483,17 @@ def state_to_json(state: RunState) -> str:
 
 
 def state_from_json(text: str, cfg: RunConfig) -> RunState:
-    """Inverse of state_to_json. Invalid JSON, a missing key and a record
-    with a missing or unknown key raise ValidationError."""
+    """Inverse of state_to_json, with the saved assistant restored onto
+    build_ta(cfg). Invalid JSON, a missing key, a record with a missing or
+    unknown key and a state saved under another backend raise
+    ValidationError."""
+    ta = build_ta(cfg)
     try:
         obj = json.loads(text)
-        ta = ta_mod.handle_from_dict(obj["ta"])
+        if (saved := obj["ta"]["backend"]) != ta.backend:
+            raise ValidationError(f"cannot resume: the state was saved under the {saved!r} "
+                                  f"assistant backend, but the config selects {ta.backend!r}")
+        ta = ta.restore(obj["ta"])
         history = PrefixHistory.from_list(obj["history"], capacity=cfg.k)
         best = None if obj["best"] is None else BestRecord(**obj["best"])
         records = tuple(EpochRecord(**r) for r in obj["records"])
@@ -493,8 +503,6 @@ def state_from_json(text: str, cfg: RunConfig) -> RunState:
     params = student_mod.params_from_dict(student)
     if frozen:
         params = student_mod.freeze(params)
-    if ta.backend == "remote":
-        ta = replace(ta, client=build_ta(cfg).client)
     return RunState(epoch=epoch, student=params, ta=ta, history=history, best=best, records=records)
 
 
@@ -534,13 +542,12 @@ def run(cfg: RunConfig, out_dir: str | Path, resume_from: str | Path | None = No
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ctx = prepare(cfg)
-    write_atomic(out_dir / "config.json", config_to_json(cfg))
-
     if resume_from is not None:
         state = state_from_json(Path(resume_from).read_text(encoding="utf-8"), cfg)
         logger.info("resuming from %s at epoch %d", resume_from, state.epoch)
     else:
         state = init_state(cfg, ctx)
+    write_atomic(out_dir / "config.json", config_to_json(cfg))
 
     while state.epoch < cfg.epochs:
         epoch = state.epoch

@@ -228,6 +228,24 @@ def test_resume_from_malformed_state_exits_2(corrupt, tmp_path, desk_config, cap
     assert "malformed run state" in capsys.readouterr().err
 
 
+def test_resume_under_another_backend_exits_2(tmp_path, desk_config, capsys):
+    out = tmp_path / "run"
+    sim_cfg = tmp_path / "sim.json"
+    sim_cfg.write_text(json.dumps(desk_config(epochs=1).to_dict()))
+    assert run_cli(["train", "--config", str(sim_cfg), "--out", str(out)]) == EXIT_OK
+    config_before = (out / "config.json").read_bytes()
+    remote_cfg = tmp_path / "remote.json"
+    remote = desk_config(epochs=2, ta_backend="remote", base_url="http://127.0.0.1:9")
+    remote_cfg.write_text(json.dumps(remote.to_dict()))
+    code = run_cli(["train", "--config", str(remote_cfg), "--out", str(out),
+                    "--resume", str(out / "state_epoch0.json")])
+    assert code == EXIT_VALIDATION
+    assert "saved under the 'simulated' assistant backend, but the config selects 'remote'" \
+        in capsys.readouterr().err
+    assert (out / "config.json").read_bytes() == config_before
+    assert not (out / "state_epoch1.json").exists()
+
+
 def test_eval_truncated_checkpoint_exits_2(tmp_path, desk_dataset_path, capsys):
     ckpt = tmp_path / "student.json"
     ckpt.write_text(json.dumps(_student())[:20])

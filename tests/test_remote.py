@@ -1,3 +1,4 @@
+import json
 from types import SimpleNamespace
 
 import pytest
@@ -5,12 +6,14 @@ import pytest
 from gpta import (
     FinetuneError,
     MetricKind,
+    ProtocolError,
     TransportError,
     collect,
     finetune,
     freeze,
     generate,
     init_params,
+    run,
     seed_history,
     synth_generate,
     train_pass,
@@ -18,6 +21,7 @@ from gpta import (
 from gpta import remote as remote_mod
 from gpta.remote import RemoteClient
 from gpta.ta import remote_handle, render_generation_request
+from gpta.trainer import state_from_json
 
 from mock_openai import MockOpenAIServer
 from test_ta import finetune_file, make_mp
@@ -94,6 +98,22 @@ class TestGenerate:
             with pytest.raises(TransportError, match="3 attempts.*HTTP 429"):
                 generate(handle, request, 1, 1.0)
             assert len(server.requests_for("/v1/chat/completions")) == 3
+
+    def test_unparseable_completions_share_the_transport_budget(self):
+        with MockOpenAIServer(fail_first=2, completions=["   \n\t"]) as server:
+            handle = remote_handle(make_client(server), "base-model")
+            request = render_generation_request(make_mp(), _history(), 1, 1.0)
+            with pytest.raises(ProtocolError, match="no parseable prefixes"):
+                generate(handle, request, 1, 1.0)
+            assert len(server.requests_for("/v1/chat/completions")) == 3
+
+    @pytest.mark.parametrize("bad", ["  ", None], ids=["blank", "null-content"])
+    def test_bad_completion_retried_once(self, bad):
+        with MockOpenAIServer(completions=[bad, "good prefix"]) as server:
+            handle = remote_handle(make_client(server), "base-model")
+            request = render_generation_request(make_mp(), _history(), 1, 1.0)
+            assert generate(handle, request, 1, 1.0) == ["good prefix"]
+            assert len(server.requests_for("/v1/chat/completions")) == 2
 
     @pytest.mark.parametrize("header,expected", [("0.25", 0.25), ("100", 5.0), ("soon", 0.01)])
     def test_retry_after_sets_wait_capped_at_timeout(self, header, expected, monkeypatch):
@@ -193,6 +213,40 @@ class TestCollectOverRemote:
             assert len(h) == 7
             assert len(rounds) == 2
             assert len(server.requests_for("/v1/chat/completions")) == 2
+
+
+class TestResumeOverRemote:
+    def test_resumed_run_continues_the_model_lineage(self, desk_config, tmp_path):
+        # Every chat reply holds 8 prefixes no earlier reply had, so collection never stalls.
+        completions = ["\n".join(f"remote candidate {i} {j}" for j in range(8)) for i in range(40)]
+
+        def remote_config(server, epochs):
+            return desk_config(epochs=epochs, ta_backend="remote", base_url=server.base_url,
+                               model_id="base-model", retry_backoff_s=0.01, poll_interval_s=0.01)
+
+        with MockOpenAIServer(completions=completions) as server:
+            run(remote_config(server, 2), tmp_path / "straight")
+            run(remote_config(server, 1), tmp_path / "first")
+        saved = (tmp_path / "first" / "state_epoch0.json").read_text(encoding="utf-8")
+
+        with MockOpenAIServer(completions=completions) as server:
+            cfg = remote_config(server, 2)
+            assert state_from_json(saved, cfg).ta.client.base_url == server.base_url
+            run(cfg, tmp_path / "resumed", resume_from=tmp_path / "first" / "state_epoch0.json")
+            assert server.requests_for("/v1/chat/completions")
+            creates = [r for r in server.requests_for("/v1/fine_tuning/jobs") if r.method == "POST"]
+            assert [c.json()["model"] for c in creates] == ["ft:mock-model:v1"]
+
+        def final_ta(run_dir):
+            return json.loads((run_dir / "state_epoch1.json").read_text(encoding="utf-8"))["ta"]
+
+        assert final_ta(tmp_path / "resumed") == final_ta(tmp_path / "straight") == {
+            "backend": "remote",
+            "generation": 2,
+            "model_id": "ft:mock-model:v1",
+            "base_model_id": "base-model",
+            "lineage": "continual",
+        }
 
 
 def _history():

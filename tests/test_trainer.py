@@ -165,6 +165,17 @@ class TestConfig:
             RunConfig.from_dict(obj)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("key,value", [
+        ("lr", float("nan")),
+        ("temperature", float("inf")),
+        ("sim_temperature_scale", float("-inf")),
+        ("request_timeout_s", float("nan")),
+        ("split_fractions", (0.8, float("nan"), 0.1)),
+    ])
+    def test_constructor_rejects_non_finite_floats(self, key, value):
+        with pytest.raises(ValidationError, match=rf"^{key} must be finite, got "):
+            RunConfig(data_path="x", **{key: value})
+
     def test_reachable_k_counts_distinct_prefixes_and_the_empty_one(self):
         pool = [["a", 1.0], "b", ""]
         assert RunConfig.from_dict({"data_path": "x", "sim_pool": pool, "k": 3, "w": 1}).k == 3
