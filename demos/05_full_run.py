@@ -12,7 +12,8 @@ from pathlib import Path
 
 from gpta import RunConfig, run, synth_generate, write_jsonl
 from gpta.cli import emit_report
-from gpta.ta import SimState, sim_state_from_dict, softmax_pool_mass
+from gpta.ta import SimState, softmax_pool_mass
+from gpta.trainer import record_from_json
 
 workdir = Path("demo_out_run")
 workdir.mkdir(exist_ok=True)
@@ -47,8 +48,8 @@ print(f"\nbest prefix overall: {report.best.prefix!r} "
       f"({report.best.score:.4f} at epoch {report.best.epoch})")
 
 initial = SimState(pool=list(pool), rng_seed=11)
-final = sim_state_from_dict(
-    json.loads((workdir / "run" / "state_epoch2.json").read_text())["ta"]["sim"]
+final = record_from_json(
+    SimState, json.loads((workdir / "run" / "state_epoch2.json").read_text())["ta"]["sim"], "sim"
 )
 print(f"assistant model's mass on the useful prefix family: "
       f"{softmax_pool_mass(initial, family):.4f} -> {softmax_pool_mass(final, family):.4f}")

@@ -16,7 +16,7 @@ from .errors import GptaError, ValidationError
 from .fileio import write_atomic
 from .history import score_prefix
 from .metrics import MetricKind
-from .trainer import EpochRecord, RunConfig, record_from_json, run, write_metrics_csv
+from .trainer import EpochRecord, RunConfig, decoding, record_from_json, run, write_metrics_csv
 
 logger = logging.getLogger(__name__)
 
@@ -163,11 +163,9 @@ def emit_report(run_dir: str | Path, out_dir: str | Path) -> None:
     report_path = run_dir / "report.json"
     if not report_path.exists():
         raise OSError(f"missing {report_path}")
-    try:
+    with decoding(str(report_path)):
         epochs = json.loads(report_path.read_text(encoding="utf-8"))["epochs"]
         records = [record_from_json(EpochRecord, e, f"epochs[{i}]") for i, e in enumerate(epochs)]
-    except (ValueError, KeyError, TypeError, ValidationError) as exc:
-        raise ValidationError(f"malformed {report_path}: {type(exc).__name__}: {exc}") from exc
     if not records:
         raise ValidationError(f"{report_path} contains no epoch records")
 

@@ -32,9 +32,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.examples)
 
-    def texts(self) -> list[str]:
-        return [ex.text for ex in self.examples]
-
     def labels(self) -> list[int]:
         return [ex.label for ex in self.examples]
 

@@ -33,16 +33,16 @@ class Origin:
     epoch: int | None = None
     round: int | None = None
 
+    def __post_init__(self):
+        seed = self.kind == "seed" and self.epoch is None and self.round is None
+        generated = self.kind == "generated" and all(type(v) is int for v in (self.epoch, self.round))
+        if not (seed or generated):
+            raise ValidationError(f"an origin is a seed, or generated at an integer epoch and round; got {self}")
+
     def to_dict(self) -> dict:
         if self.kind == "seed":
             return {"kind": "seed"}
         return {"kind": "generated", "epoch": self.epoch, "round": self.round}
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "Origin":
-        if obj["kind"] == "seed":
-            return cls(kind="seed")
-        return cls(kind="generated", epoch=obj["epoch"], round=obj["round"])
 
 
 SEED = Origin(kind="seed")
@@ -60,7 +60,6 @@ class PrefixHistory:
     """Entries in nondecreasing score order, unique by prefix string."""
 
     entries: tuple[ScoredPrefix, ...] = ()
-    capacity: int = 0  # informational target size; 0 = unbounded
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -84,20 +83,6 @@ class PrefixHistory:
             {"prefix": e.prefix, "score": float(e.score), "origin": e.origin.to_dict()}
             for e in self.entries
         ]
-
-    @classmethod
-    def from_list(cls, items: list[dict], capacity: int = 0) -> "PrefixHistory":
-        h = cls(capacity=capacity)
-        for item in items:
-            h = insert_sorted(
-                h,
-                ScoredPrefix(
-                    prefix=item["prefix"],
-                    score=float(item["score"]),
-                    origin=Origin.from_dict(item["origin"]),
-                ),
-            )
-        return h
 
 
 @dataclass(frozen=True)
@@ -154,36 +139,20 @@ def insert_sorted(h: PrefixHistory, sp: ScoredPrefix) -> PrefixHistory:
         return h
     scores = [e.score for e in h.entries]
     pos = bisect.bisect_right(scores, sp.score)
-    return PrefixHistory(
-        entries=h.entries[:pos] + (sp,) + h.entries[pos:], capacity=h.capacity
-    )
+    return PrefixHistory(entries=h.entries[:pos] + (sp,) + h.entries[pos:])
 
 
 def seed_history(
     student: student_mod.StudentParams,
     eval_set: Dataset,
     kind: MetricKind,
-    s0_candidates: list[str] = (),
     hash_seed: int = 0,
-    capacity: int = 0,
 ) -> PrefixHistory:
-    """History seeded with the scored empty prefix (the baseline floor)
-    plus any initial candidates."""
-    h = PrefixHistory(capacity=capacity)
-    h = insert_sorted(
-        h, ScoredPrefix(prefix="", score=score_prefix(student, "", eval_set, kind, hash_seed))
+    """History seeded with the scored empty prefix, the baseline floor."""
+    return insert_sorted(
+        PrefixHistory(),
+        ScoredPrefix(prefix="", score=score_prefix(student, "", eval_set, kind, hash_seed)),
     )
-    for candidate in s0_candidates:
-        if h.find(candidate) is not None:
-            continue
-        h = insert_sorted(
-            h,
-            ScoredPrefix(
-                prefix=candidate,
-                score=score_prefix(student, candidate, eval_set, kind, hash_seed),
-            ),
-        )
-    return h
 
 
 def collect(
@@ -211,7 +180,7 @@ def collect(
     if l < 1:
         raise ValidationError(f"l must be >= 1, got {l}")
 
-    h = PrefixHistory(entries=h0.entries, capacity=k)
+    h = h0
     rounds: list[RoundStats] = []
     insertion_log: list[str] = []
     stalled = 0
@@ -250,7 +219,5 @@ def collect(
     excess = len(h) - k
     if excess:
         drop = set(insertion_log[-excess:])
-        h = PrefixHistory(
-            entries=tuple(e for e in h.entries if e.prefix not in drop), capacity=k
-        )
+        h = PrefixHistory(entries=tuple(e for e in h.entries if e.prefix not in drop))
     return h, rounds

@@ -127,9 +127,6 @@ class SimulatedTA:
         return {"backend": self.backend, "generation": self.generation,
                 "sim": sim_state_to_dict(self.sim)}
 
-    def restore(self, obj: dict) -> "SimulatedTA":
-        return replace(self, generation=obj["generation"], sim=sim_state_from_dict(obj["sim"]))
-
 
 @dataclass(frozen=True)
 class RemoteTA:
@@ -165,13 +162,11 @@ class RemoteTA:
         return {"backend": self.backend, "generation": self.generation, "model_id": self.model_id,
                 "base_model_id": self.base_model_id, "lineage": self.lineage}
 
-    def restore(self, obj: dict) -> "RemoteTA":
-        return replace(self, generation=obj["generation"], model_id=obj["model_id"],
-                       base_model_id=obj["base_model_id"], lineage=obj.get("lineage", "continual"))
 
-
-# Both answer generate, finetune (returns the tuned handle), to_dict and
-# restore (returns this handle carrying a saved state).
+# Both answer generate, finetune (returns the tuned handle) and to_dict. A
+# saved handle is read back by trainer.state_from_json, which sets the
+# to_dict keys, typed by the class's annotations, onto a handle built from
+# the config.
 TAHandle = SimulatedTA | RemoteTA
 
 
@@ -302,12 +297,3 @@ def sim_state_to_dict(state: SimState) -> dict:
         "temperature_scale": float(state.temperature_scale),
         "calls": state.calls,
     }
-
-
-def sim_state_from_dict(obj: dict) -> SimState:
-    return SimState(
-        pool=[(p, float(w)) for p, w in obj["pool"]],
-        rng_seed=obj["rng_seed"],
-        temperature_scale=obj["temperature_scale"],
-        calls=obj["calls"],
-    )

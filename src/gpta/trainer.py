@@ -13,9 +13,10 @@ import json
 import logging
 import sys
 from collections.abc import Iterable
-from dataclasses import asdict, dataclass, fields
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
-from typing import get_args
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -120,6 +121,11 @@ class RunConfig:
             raise ValidationError("temperature must be >= 0")
         if self.finetune_cap < 1:
             raise ValidationError("finetune_cap must be >= 1")
+        for name in ("lr", "retry_backoff_s", "poll_interval_s", "finetune_timeout_s"):
+            if getattr(self, name) < 0:
+                raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.request_timeout_s <= 0:
+            raise ValidationError(f"request_timeout_s must be > 0, got {self.request_timeout_s}")
         MetricKind.from_name(self.metric)
         if self.ta_backend not in ("simulated", "remote"):
             raise ValidationError(f"unknown ta_backend {self.ta_backend!r}")
@@ -149,6 +155,8 @@ class RunConfig:
         for key, value in obj.items():
             if key not in types:
                 raise ValidationError(f"unknown config key $.{key}")
+            if key == "sim_pool" and isinstance(value, list):
+                value = [[v, 0.0] if isinstance(v, str) else v for v in value]  # a bare prefix has weight 0
             kwargs[key] = _from_json(key, types[key], value)
         if "data_path" not in kwargs:
             raise ValidationError("missing required config key $.data_path")
@@ -159,49 +167,69 @@ def _to_json(value):
     return [_to_json(v) for v in value] if isinstance(value, tuple) else value
 
 
-_SCALARS = {str: ("string", str), int: ("integer", int), float: ("number", (int, float))}
+_SCALARS = {str: ("string", str), int: ("integer", int), float: ("number", (int, float)), bool: ("boolean", bool)}
 
-# What a tuple-typed config value must be, for the error when it is not.
+# What a sequence-typed config value must be, for the error when it is not.
 _SEQUENCE_EXPECTED = {
     tuple[float, float, float]: "a list of three numbers",
     tuple[str, ...]: "a list of strings",
-    tuple[tuple[str, float], ...]: "a list",
     tuple[str, float]: "a string or [prefix, weight] pair",
 }
 
 
 def _from_json(path: str, tp, value):
-    """Check a JSON value against a RunConfig annotation and return it as
-    that type; errors name the JSON path, e.g. $.sim_pool[3][1]."""
+    """Check a JSON value against a type annotation and return it as that
+    type; errors name the JSON path, e.g. $.sim_pool[3][1]. Scalars,
+    `X | None`, tuples, lists and dataclasses (via record_from_json) are
+    understood."""
     if tp in _SCALARS:
         name, accepted = _SCALARS[tp]
-        if isinstance(value, bool) or not isinstance(value, accepted):
+        if isinstance(value, bool) != (tp is bool) or not isinstance(value, accepted):
             raise ValidationError(f"$.{path}: expected {name}, got {type(value).__name__}")
         # JSON readers accept NaN and Infinity; this also catches ints too large for a float.
         if tp is float and not abs(value) <= sys.float_info.max:
             raise ValidationError(f"$.{path}: expected a finite number, got {value}")
         return tp(value)
-    if tp == str | None:
-        return None if value is None else _from_json(path, str, value)
-    if tp == tuple[str, float] and isinstance(value, str):
-        return (value, 0.0)  # a bare pool prefix has weight 0
+    if is_dataclass(tp):
+        return record_from_json(tp, value, path)
     items = get_args(tp)
-    if isinstance(value, list) and items[-1] is Ellipsis:
+    if type(None) in items:
+        return None if value is None else _from_json(path, items[0], value)
+    if isinstance(value, list) and (get_origin(tp) is list or items[-1] is Ellipsis):
         items = items[:1] * len(value)
     if not isinstance(value, list) or len(value) != len(items):
-        raise ValidationError(f"$.{path}: expected {_SEQUENCE_EXPECTED[tp]}")
-    return tuple(_from_json(f"{path}[{i}]", t, v) for i, (t, v) in enumerate(zip(items, value)))
+        raise ValidationError(f"$.{path}: expected {_SEQUENCE_EXPECTED.get(tp, 'a list')}")
+    return get_origin(tp)(_from_json(f"{path}[{i}]", t, v) for i, (t, v) in enumerate(zip(items, value)))
 
 
-def record_from_json(cls, obj: dict, path: str):
-    """Build a run record dataclass from its JSON object. A missing or
-    unknown key raises TypeError, as the constructor does; a value that
-    does not match its field's annotation raises ValidationError naming
-    $.<path>.<field>."""
-    record = cls(**obj)
-    for f in fields(cls):
-        _from_json(f"{path}.{f.name}", f.type, getattr(record, f.name))
-    return record
+def _fields_from_json(cls, obj, path: str, names=None) -> dict:
+    """Typed keyword arguments for dataclass cls from a JSON object holding
+    the fields `names` (default: all); a field whose default is None may be
+    left out."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"$.{path}: expected object, got {type(obj).__name__}")
+    named = {f.name: f for f in fields(cls) if names is None or f.name in names}
+    missing = {name for name, f in named.items() if f.default is not None} - obj.keys()
+    unknown = obj.keys() - named.keys()
+    if missing or unknown:
+        raise ValidationError(f"$.{path}: missing keys {sorted(missing)}, unknown keys {sorted(unknown)}")
+    return {key: _from_json(f"{path}.{key}", named[key].type, value) for key, value in obj.items()}
+
+
+def record_from_json(cls, obj, path: str):
+    """Build a run record dataclass from its JSON object, each field from
+    its annotation. A missing (unless its default is None), unknown or
+    mistyped key raises ValidationError naming $.<path>.<field>."""
+    return cls(**_fields_from_json(cls, obj, path))
+
+
+@contextmanager
+def decoding(what: str):
+    """Turn any failure to decode `what` into ValidationError (exit 2)."""
+    try:
+        yield
+    except (ValueError, KeyError, TypeError, ValidationError) as exc:
+        raise ValidationError(f"malformed {what}: {type(exc).__name__}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -313,7 +341,7 @@ def init_state(cfg: RunConfig, ctx: RunContext) -> RunState:
         epoch=0,
         student=student_mod.init_params(cfg.dims, data_class_count),
         ta=build_ta(cfg),
-        history=PrefixHistory(capacity=cfg.k),
+        history=PrefixHistory(),
         best=None,
         records=(),
     )
@@ -328,7 +356,7 @@ def _rescore(
 ) -> PrefixHistory:
     """Re-score carried-over entries against the new frozen checkpoint;
     metric values are checkpoint-relative, so stale scores would corrupt
-    the sort. A history already at capacity is trimmed to its best half
+    the sort. A history already holding k entries is trimmed to its best half
     (the empty-prefix baseline always survives) to leave room for fresh
     search this epoch."""
     cfg = ctx.cfg
@@ -343,7 +371,7 @@ def _rescore(
             survivors.pop(drop)
     else:
         survivors = list(history.entries)
-    h = PrefixHistory(capacity=cfg.k)
+    h = PrefixHistory()
     for entry in survivors:
         h = insert_sorted(
             h,
@@ -371,7 +399,7 @@ def run_epoch(state: RunState, ctx: RunContext) -> tuple[RunState, bytes | None]
         # Baseline-seed the history and ask the assistant model for the
         # very first prefix before any training happens.
         frozen0 = student_mod.freeze(student)
-        history = seed_history(frozen0, ctx.val, ctx.kind, hash_seed=cfg.hash_seed, capacity=cfg.k)
+        history = seed_history(frozen0, ctx.val, ctx.kind, hash_seed=cfg.hash_seed)
         request = ta_mod.render_generation_request(ctx.mp, history, 1, cfg.temperature)
         s0 = ta_mod.generate(ta_handle, request, 1, cfg.temperature)[0]
         if history.find(s0) is None:
@@ -483,23 +511,29 @@ def state_to_json(state: RunState) -> str:
 
 
 def state_from_json(text: str, cfg: RunConfig) -> RunState:
-    """Inverse of state_to_json, with the saved assistant restored onto
-    build_ta(cfg). Invalid JSON, a missing key, a record with a missing or
-    unknown key and a state saved under another backend raise
-    ValidationError."""
+    """Inverse of state_to_json. Every part but the student is read by the
+    typed reader, and the saved assistant fields are set onto build_ta(cfg).
+    Invalid JSON, a missing, unknown or mistyped value and a state saved
+    under another backend raise ValidationError."""
     ta = build_ta(cfg)
-    try:
+    with decoding("run state"):
         obj = json.loads(text)
-        if (saved := obj["ta"]["backend"]) != ta.backend:
-            raise ValidationError(f"cannot resume: the state was saved under the {saved!r} "
-                                  f"assistant backend, but the config selects {ta.backend!r}")
-        ta = ta.restore(obj["ta"])
-        history = PrefixHistory.from_list(obj["history"], capacity=cfg.k)
-        best = None if obj["best"] is None else BestRecord(**obj["best"])
-        records = tuple(EpochRecord(**r) for r in obj["records"])
-        epoch, student, frozen = obj["epoch"], obj["student"], obj["student_frozen"]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed run state: {type(exc).__name__}: {exc}") from exc
+        saved = obj["ta"]["backend"]
+    if saved != ta.backend:
+        raise ValidationError(f"cannot resume: the state was saved under the {saved!r} "
+                              f"assistant backend, but the config selects {ta.backend!r}")
+    with decoding("run state"):
+        saved_ta = {key: value for key, value in obj["ta"].items() if key != "backend"}
+        ta = replace(ta, **_fields_from_json(type(ta), saved_ta, "ta", ta.to_dict().keys() - {"backend"}))
+        history = PrefixHistory()
+        # insert_sorted re-checks finiteness, order and uniqueness
+        for entry in _from_json("history", list[ScoredPrefix], obj["history"]):
+            history = insert_sorted(history, entry)
+        best = _from_json("best", BestRecord | None, obj["best"])
+        records = _from_json("records", tuple[EpochRecord, ...], obj["records"])
+        epoch = _from_json("epoch", int, obj["epoch"])
+        frozen = _from_json("student_frozen", bool, obj["student_frozen"])
+        student = obj["student"]
     params = student_mod.params_from_dict(student)
     if frozen:
         params = student_mod.freeze(params)

@@ -35,7 +35,8 @@ from gpta import (
 )
 from gpta.remote import RemoteClient
 from gpta.student import StudentParams, forward, grad, loss
-from gpta.ta import remote_handle, render_generation_request, sim_state_from_dict, SimState
+from gpta.ta import remote_handle, render_generation_request, SimState
+from gpta.trainer import record_from_json
 
 from conftest import DESK_POOL, FAMILY_PREFIXES
 from mock_openai import MockOpenAIServer
@@ -238,8 +239,8 @@ def test_criterion_5_end_to_end_desk_run(desk_dataset_path, tmp_path):
                     )
                 }
             )
-            after = sim_state_from_dict(
-                json.loads((tmp_path / "a" / f"state_epoch{e}.json").read_text())["ta"]["sim"]
+            after = record_from_json(
+                SimState, json.loads((tmp_path / "a" / f"state_epoch{e}.json").read_text())["ta"]["sim"], "sim"
             )
             assert softmax_pool_mass(after, targets) > softmax_pool_mass(state, targets)
             state = after
@@ -256,8 +257,8 @@ def test_criterion_6_planted_quality_mass_rises(desk_dataset_path, tmp_path):
     with criterion(6, "probability of emitting a top-quartile prefix rises"):
         run(_desk_cfg(desk_dataset_path), tmp_path / "run")
         initial = SimState(pool=list(DESK_POOL), rng_seed=11)
-        final = sim_state_from_dict(
-            json.loads((tmp_path / "run" / "state_epoch2.json").read_text())["ta"]["sim"]
+        final = record_from_json(
+            SimState, json.loads((tmp_path / "run" / "state_epoch2.json").read_text())["ta"]["sim"], "sim"
         )
         # top quartile of the 40-prefix pool by planted quality = the 10
         # family prefixes that genuinely transfer score between each other

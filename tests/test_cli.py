@@ -206,11 +206,30 @@ def test_malformed_checkpoint_rejected(payload, message, tmp_path, desk_dataset_
     assert message in capsys.readouterr().err
 
 
+def _set(*path, value):
+    """A state corruption that sets the value at `path` in the JSON object."""
+    def corrupt(text):
+        obj = json.loads(text)
+        target = obj
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return json.dumps(obj)
+    return corrupt
+
+
 MALFORMED_STATES = {
     "truncated": lambda text: text[: len(text) // 2],
     "empty-object": lambda text: "{}",
     "unknown-record-key": lambda text: text.replace('"finetune_error"', '"finetune_err"'),
     "missing-best-key": lambda text: text.replace('"best":{"prefix"', '"best":{"prefix_"'),
+    "string-record-value": _set("records", 0, "train_loss", value="x"),
+    "string-best-score": _set("best", "score", value="x"),
+    "string-epoch": _set("epoch", value="1"),
+    "string-frozen": _set("student_frozen", value="yes"),
+    "string-sim-calls": _set("ta", "sim", "calls", value="1"),
+    "number-history-prefix": _set("history", 0, "prefix", value=3),
+    "generated-origin-without-place": _set("history", 0, "origin", value={"kind": "generated"}),
 }
 
 
@@ -226,6 +245,7 @@ def test_resume_from_malformed_state_exits_2(corrupt, tmp_path, desk_config, cap
                     "--resume", str(state)])
     assert code == EXIT_VALIDATION
     assert "malformed run state" in capsys.readouterr().err
+    assert not (tmp_path / "resumed" / "config.json").exists()
 
 
 def test_resume_under_another_backend_exits_2(tmp_path, desk_config, capsys):
@@ -300,6 +320,11 @@ INVALID_CONFIG_VALUES = {
     "nan-lr": ('"lr": NaN', "$.lr: expected a finite number"),
     "infinite-temperature": ('"temperature": Infinity', "$.temperature: expected a finite number"),
     "unreachable-k": ('"k": 14', "k=14 is unreachable"),
+    "negative-lr": ('"lr": -1', "lr must be >= 0, got -1.0"),
+    "zero-request-timeout": ('"request_timeout_s": 0', "request_timeout_s must be > 0, got 0.0"),
+    "negative-retry-backoff": ('"retry_backoff_s": -0.5', "retry_backoff_s must be >= 0, got -0.5"),
+    "negative-poll-interval": ('"poll_interval_s": -1', "poll_interval_s must be >= 0, got -1.0"),
+    "negative-finetune-timeout": ('"finetune_timeout_s": -1', "finetune_timeout_s must be >= 0, got -1.0"),
 }
 
 

@@ -134,17 +134,26 @@ class TestSeedHistory:
         assert [e.prefix for e in h.entries] == [""]
         assert h.entries[0].origin == Origin(kind="seed")
 
-    def test_candidate_equal_to_empty_deduped(self, trained_student):
-        frozen, data = trained_student
-        h = seed_history(frozen, data, MetricKind.ACCURACY, [""])
-        assert len(h) == 1
 
-    def test_two_candidates_sorted(self, trained_student):
-        frozen, data = trained_student
-        h = seed_history(frozen, data, MetricKind.ACCURACY, ["focus here", "noise words"])
-        assert len(h) == 3
-        scores = [e.score for e in h.entries]
-        assert scores == sorted(scores)
+@pytest.mark.parametrize("kind,epoch,round_", [
+    ("generated", None, None),
+    ("generated", 0, None),
+    ("generated", 0, 1.0),
+    ("generated", True, 1),
+    ("seed", 0, 0),
+    ("invented", None, None),
+])
+def test_origin_rejects_impossible_provenance(kind, epoch, round_):
+    with pytest.raises(ValidationError, match="an origin is a seed, or generated at an integer epoch"):
+        Origin(kind=kind, epoch=epoch, round=round_)
+
+
+def seeded(frozen, data, prefixes):
+    """The seed history plus the given prefixes, each scored and inserted."""
+    h = seed_history(frozen, data, MetricKind.ACCURACY)
+    for prefix in prefixes:
+        h = insert_sorted(h, ScoredPrefix(prefix, score_prefix(frozen, prefix, data, MetricKind.ACCURACY)))
+    return h
 
 
 def small_world(seed=0, pool_size=30):
@@ -187,21 +196,21 @@ class TestCollect:
 
     def test_max_never_decreases_below_h0(self):
         frozen, data, ta = small_world(seed=3)
-        h0 = seed_history(frozen, data, MetricKind.ACCURACY, ["alpha variant 0"])
+        h0 = seeded(frozen, data, ["alpha variant 0"])
         h, _ = collect(ta, make_mp(), frozen, data, MetricKind.ACCURACY, h0, k=10, l=3)
         assert h.best().score >= h0.best().score
 
     def test_stall_when_pool_exhausted(self):
         frozen, data, ta = small_world(seed=4, pool_size=4)
         pool_prefixes = [p for p, _ in ta.sim.pool]
-        h0 = seed_history(frozen, data, MetricKind.ACCURACY, pool_prefixes)
+        h0 = seeded(frozen, data, pool_prefixes)
         with pytest.raises(StallError):
             collect(ta, make_mp(), frozen, data, MetricKind.ACCURACY, h0,
                     k=len(h0) + 3, l=4)
 
     def test_k_not_above_h0_rejected(self):
         frozen, data, ta = small_world(seed=5)
-        h0 = seed_history(frozen, data, MetricKind.ACCURACY, ["a", "b"])
+        h0 = seeded(frozen, data, ["a", "b"])
         with pytest.raises(ValidationError):
             collect(ta, make_mp(), frozen, data, MetricKind.ACCURACY, h0, k=3, l=2)
 

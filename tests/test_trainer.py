@@ -115,6 +115,19 @@ CONFIG_ERRORS = {
         "k=14 is unreachable: the simulated backend knows only 13 distinct prefixes "
         "(those of sim_pool and the empty prefix)",
     ),
+    "lr-negative": ({"data_path": "x", "lr": -1}, "lr must be >= 0, got -1.0"),
+    "request-timeout-zero": (
+        {"data_path": "x", "request_timeout_s": 0}, "request_timeout_s must be > 0, got 0.0"
+    ),
+    "retry-backoff-negative": (
+        {"data_path": "x", "retry_backoff_s": -0.5}, "retry_backoff_s must be >= 0, got -0.5"
+    ),
+    "poll-interval-negative": (
+        {"data_path": "x", "poll_interval_s": -1}, "poll_interval_s must be >= 0, got -1.0"
+    ),
+    "finetune-timeout-negative": (
+        {"data_path": "x", "finetune_timeout_s": -1}, "finetune_timeout_s must be >= 0, got -1.0"
+    ),
 }
 
 
@@ -295,6 +308,18 @@ class TestStateSerialization:
         text = state_to_json(state)
         back = state_from_json(text, cfg)
         assert state_to_json(back) == text
+
+    def test_reader_names_the_mistyped_value(self, desk_config):
+        cfg = desk_config(epochs=1)
+        ctx = prepare(cfg)
+        state, _ = run_epoch(init_state(cfg, ctx), ctx)
+        obj = json.loads(state_to_json(state))
+        obj["records"][0]["train_loss"] = "x"
+        with pytest.raises(ValidationError, match=r"\$\.records\[0\]\.train_loss: expected number, got str"):
+            state_from_json(json.dumps(obj), cfg)
+        del obj["records"][0]["train_loss"]
+        with pytest.raises(ValidationError, match=r"\$\.records\[0\]: missing keys \['train_loss'\]"):
+            state_from_json(json.dumps(obj), cfg)
 
 
 class TestRun:
