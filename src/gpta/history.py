@@ -170,8 +170,9 @@ def collect(
 ) -> tuple[PrefixHistory, list[RoundStats]]:
     """Grow the history to exactly k entries by repeatedly asking the
     assistant model for l candidates, scoring the fresh ones, and inserting
-    in order. Candidates already present are discarded unscored. If the
-    final round overshoots k, the newest insertions are dropped.
+    in order. Candidates already present are discarded unscored. Once k
+    entries are held, the rest of the round's fresh candidates are still
+    scored and counted, but not inserted.
     """
     if len(h0) < 1:
         raise ValidationError("initial history must be non-empty")
@@ -182,7 +183,6 @@ def collect(
 
     h = h0
     rounds: list[RoundStats] = []
-    insertion_log: list[str] = []
     stalled = 0
     round_index = 0
     while len(h) < k:
@@ -196,15 +196,9 @@ def collect(
             score = score_prefix(student, candidate, eval_set, kind, hash_seed)
             if score > pre_round_max:
                 exceeded += 1
-            h = insert_sorted(
-                h,
-                ScoredPrefix(
-                    prefix=candidate,
-                    score=score,
-                    origin=Origin(kind="generated", epoch=epoch, round=round_index),
-                ),
-            )
-            insertion_log.append(candidate)
+            if len(h) < k:
+                origin = Origin(kind="generated", epoch=epoch, round=round_index)
+                h = insert_sorted(h, ScoredPrefix(prefix=candidate, score=score, origin=origin))
         rounds.append(
             RoundStats(round_index=round_index, generated=len(candidates), exceeded_max=exceeded)
         )
@@ -215,9 +209,4 @@ def collect(
                 f"(history at {len(h)}/{k})"
             )
         round_index += 1
-
-    excess = len(h) - k
-    if excess:
-        drop = set(insertion_log[-excess:])
-        h = PrefixHistory(entries=tuple(e for e in h.entries if e.prefix not in drop))
     return h, rounds

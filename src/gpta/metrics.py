@@ -8,6 +8,7 @@ import enum
 import numpy as np
 
 from .errors import ValidationError
+from .student import loss
 
 
 class MetricKind(enum.Enum):
@@ -23,16 +24,6 @@ class MetricKind(enum.Enum):
         raise ValidationError(
             f"unknown metric {name!r}; expected one of {[k.value for k in cls]}"
         )
-
-
-def _to_class_indices(predictions: list) -> list[int]:
-    out = []
-    for p in predictions:
-        if isinstance(p, (int, np.integer)):
-            out.append(int(p))
-        else:
-            out.append(int(np.argmax(p)))
-    return out
 
 
 def evaluate(
@@ -55,28 +46,23 @@ def evaluate(
         raise ValidationError("cannot evaluate empty prediction set")
 
     if kind is MetricKind.NEG_MEAN_LOSS:
-        total = 0.0
-        for p, y in zip(predictions, labels):
-            if isinstance(p, (int, np.integer)):
-                raise ValidationError("neg_loss requires probability vectors")
-            if not 0 <= y < len(p):
-                raise ValidationError(f"label {y} out of range for {len(p)} classes")
-            total += -np.log(max(float(p[y]), 1e-300))
-        return -total / len(labels)
+        if any(isinstance(p, (int, np.integer)) for p in predictions):
+            raise ValidationError("neg_loss requires probability vectors")
+        return -sum(loss(p, y) for p, y in zip(predictions, labels)) / len(labels)
 
-    preds = _to_class_indices(predictions)
+    preds = [int(p) if isinstance(p, (int, np.integer)) else int(np.argmax(p)) for p in predictions]
     if kind is MetricKind.ACCURACY:
         return sum(p == y for p, y in zip(preds, labels)) / len(labels)
 
     if kind is MetricKind.MACRO_F1:
+        if min(preds) < 0 or min(labels) < 0:
+            raise ValidationError("macro_f1 needs class indices >= 0")
         n_classes = max(class_count or 0, max(preds) + 1, max(labels) + 1)
-        f1s = []
-        for c in range(n_classes):
-            tp = sum(1 for p, y in zip(preds, labels) if p == c and y == c)
-            fp = sum(1 for p, y in zip(preds, labels) if p == c and y != c)
-            fn = sum(1 for p, y in zip(preds, labels) if p != c and y == c)
-            denom = 2 * tp + fp + fn
-            f1s.append(2 * tp / denom if denom else 0.0)
+        p, y = np.asarray(preds), np.asarray(labels)
+        tp = np.bincount(p[p == y], minlength=n_classes)
+        # Per class, 2tp + fp + fn is its predicted count plus its true count.
+        denom = np.bincount(p, minlength=n_classes) + np.bincount(y, minlength=n_classes)
+        f1s = np.divide(2 * tp, denom, out=np.zeros(n_classes), where=denom > 0)
         return float(np.mean(f1s))
 
     raise ValidationError(f"unknown metric kind {kind!r}")

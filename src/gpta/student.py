@@ -185,19 +185,24 @@ def _logits(
     return z, idx, vals
 
 
-def forward(params: StudentParams, f: FeatureVector) -> np.ndarray:
-    """Class probability vector softmax(W·f + b)."""
-    z = _logits(params.weights, params.bias, f)[0]
+def _softmax(z: np.ndarray) -> np.ndarray:
+    """softmax(z), shifting z in place by its maximum."""
     z -= z.max()
     e = np.exp(z)
     return e / e.sum()
 
 
+def forward(params: StudentParams, f: FeatureVector) -> np.ndarray:
+    """Class probability vector softmax(W·f + b)."""
+    return _softmax(_logits(params.weights, params.bias, f)[0])
+
+
 def loss(probs: np.ndarray, label: int) -> float:
-    """Cross-entropy -ln(probs[label])."""
+    """Cross-entropy -ln(probs[label]), the probability floored at 1e-300 so
+    one that underflows to 0 costs about 690.8 instead of infinity."""
     if not 0 <= label < len(probs):
         raise ValidationError(f"label {label} out of range for {len(probs)} classes")
-    return float(-np.log(probs[label]))
+    return float(-np.log(max(float(probs[label]), 1e-300)))
 
 
 def grad(params: StudentParams, f: FeatureVector, label: int) -> Gradient:
@@ -230,7 +235,8 @@ def train_pass(
     shuffle_seed: int = 0,
 ) -> tuple[StudentParams, float]:
     """One shuffled pass of per-example SGD with `prefix` prepended to
-    every input. Returns the new params and the mean pre-update loss.
+    every input. Returns the new params and the mean pre-update loss,
+    each example's loss floored as in `loss`.
 
     The update is applied sparsely (only at an example's active feature
     indices); coordinates outside the support have zero gradient, so this
@@ -248,10 +254,8 @@ def train_pass(
         ex = train.examples[i]
         f = featurize(prefix, ex.text, params.dims, hash_seed)
         z, idx, vals = _logits(weights, bias, f)
-        z -= z.max()
-        e = np.exp(z)
-        probs = e / e.sum()
-        total_loss += -np.log(probs[ex.label])
+        probs = _softmax(z)
+        total_loss += loss(probs, ex.label)
         coef = probs.copy()
         coef[ex.label] -= 1.0
         if f:
@@ -303,6 +307,8 @@ def _flat_array(obj: dict, key: str, dtype) -> np.ndarray:
         raise ValidationError(f"student {key}: expected a list of numbers") from exc
     if arr.ndim != 1:
         raise ValidationError(f"student {key}: expected a flat list")
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"student {key}: expected finite numbers")
     return arr
 
 

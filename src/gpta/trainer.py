@@ -361,14 +361,12 @@ def _rescore(
     search this epoch."""
     cfg = ctx.cfg
     if len(history) >= cfg.k:
-        carry = max(1, cfg.k // 2)
-        survivors = list(history.entries[-carry:])
+        # At most k - 2 carried, so with the baseline collect() still has room to run.
+        carry = min(cfg.k // 2, cfg.k - 2)
+        # A slice from len - carry, as [-0:] would keep every entry.
+        survivors = list(history.entries[len(history) - carry:])
         if all(e.prefix != "" for e in survivors):
             survivors.append(history.find(""))
-        # collect() needs strictly fewer than k entries to have room to run
-        while len(survivors) >= cfg.k:
-            drop = next(i for i, e in enumerate(survivors) if e.prefix != "")
-            survivors.pop(drop)
     else:
         survivors = list(history.entries)
     h = PrefixHistory()
@@ -513,8 +511,9 @@ def state_to_json(state: RunState) -> str:
 def state_from_json(text: str, cfg: RunConfig) -> RunState:
     """Inverse of state_to_json. Every part but the student is read by the
     typed reader, and the saved assistant fields are set onto build_ta(cfg).
-    Invalid JSON, a missing, unknown or mistyped value and a state saved
-    under another backend raise ValidationError."""
+    Invalid JSON, a missing, unknown or mistyped value, an epoch other than
+    the number of records (numbered 0, 1, ...) and a state saved under
+    another backend raise ValidationError."""
     ta = build_ta(cfg)
     with decoding("run state"):
         obj = json.loads(text)
@@ -533,6 +532,8 @@ def state_from_json(text: str, cfg: RunConfig) -> RunState:
         records = _from_json("records", tuple[EpochRecord, ...], obj["records"])
         epoch = _from_json("epoch", int, obj["epoch"])
         frozen = _from_json("student_frozen", bool, obj["student_frozen"])
+        if epoch != len(records) or any(r.epoch != i for i, r in enumerate(records)):
+            raise ValidationError(f"epoch {epoch} does not follow records of epochs {[r.epoch for r in records]}")
         student = obj["student"]
     params = student_mod.params_from_dict(student)
     if frozen:

@@ -4,7 +4,7 @@ import pytest
 
 from gpta import ValidationError
 from gpta.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, main
-from gpta.dataset import load_jsonl
+from gpta.dataset import load_jsonl, synth_generate, write_jsonl
 from gpta.student import params_from_dict
 
 
@@ -187,6 +187,8 @@ MALFORMED_STUDENTS = {
     "column-past-dims": (_student(columns=[1, 8]), "strictly increasing"),
     "short-weights": (_student(weights=[0.1, 0.2, 0.3]), "weights length"),
     "short-bias": (_student(bias=[0.0]), "bias length"),
+    "nan-weight": (_student(weights=[0.1, float("nan"), 0.3, 0.4]), "weights: expected finite numbers"),
+    "inf-bias": (_student(bias=[float("-inf"), 0.5]), "bias: expected finite numbers"),
     "legacy-dense": (
         {"dims": 8, "class_count": 2, "bias": [0.0, 0.5], "weights": [0.0] * 16},
         "dense student format",
@@ -226,6 +228,7 @@ MALFORMED_STATES = {
     "string-record-value": _set("records", 0, "train_loss", value="x"),
     "string-best-score": _set("best", "score", value="x"),
     "string-epoch": _set("epoch", value="1"),
+    "epoch-behind-records": _set("epoch", value=0),
     "string-frozen": _set("student_frozen", value="yes"),
     "string-sim-calls": _set("ta", "sim", "calls", value="1"),
     "number-history-prefix": _set("history", 0, "prefix", value=3),
@@ -246,6 +249,22 @@ def test_resume_from_malformed_state_exits_2(corrupt, tmp_path, desk_config, cap
     assert code == EXIT_VALIDATION
     assert "malformed run state" in capsys.readouterr().err
     assert not (tmp_path / "resumed" / "config.json").exists()
+
+
+def test_underflowing_train_loss_stays_finite(tmp_path, desk_config):
+    # At lr 10 some training examples get probability exactly 0 for their label.
+    data = tmp_path / "small.jsonl"
+    write_jsonl(synth_generate(2, 40, 60, 0.3, 3), data)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(desk_config(data_path=str(data), lr=10.0).to_dict()))
+    straight, resumed = tmp_path / "straight", tmp_path / "resumed"
+    assert run_cli(["train", "--config", str(cfg_path), "--out", str(straight)]) == EXIT_OK
+    assert run_cli(["train", "--config", str(cfg_path), "--out", str(resumed),
+                    "--resume", str(straight / "state_epoch0.json")]) == EXIT_OK
+    for name in ("state_epoch2.json", "gradients_epoch2.jsonl", "report.json", "metrics.csv"):
+        assert (resumed / name).read_bytes() == (straight / name).read_bytes()
+    # gpta report refuses a non-finite train_loss
+    assert run_cli(["report", "--run", str(straight), "--out", str(tmp_path / "rep")]) == EXIT_OK
 
 
 def test_resume_under_another_backend_exits_2(tmp_path, desk_config, capsys):

@@ -1,12 +1,18 @@
-"""Each demo script must run cleanly from an empty working directory."""
+"""Each demo script, and the README quickstart, must run cleanly from an
+empty working directory."""
 
+import re
 import runpy
 import os
+import shlex
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
+from gpta.cli import EXIT_OK, main
+
+ROOT = Path(__file__).parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
@@ -15,3 +21,35 @@ def test_demo_runs(demo, tmp_path, monkeypatch, capsys):
     runpy.run_path(str(demo), run_name="__main__")
     out = capsys.readouterr().out
     assert out.strip()  # every demo narrates something
+
+
+def _quickstart_steps():
+    """The README quickstart's bash block as steps: ("file", name, text) for
+    a `cat > name <<'EOF'` heredoc, ("python", code) for a `python3 -`
+    heredoc and ("gpta", argv) for a gpta command."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Quickstart.*?```bash\n(.*?)```", readme, re.S).group(1)
+    lines = iter(block.replace("\\\n", " ").splitlines())
+    for line in lines:
+        heredoc = re.match(r"(cat > (\S+)|python3 -) <<'(\w+)'$", line)
+        if heredoc:
+            body = "\n".join(iter(lines.__next__, heredoc.group(3))) + "\n"
+            yield ("file", heredoc.group(2), body) if heredoc.group(2) else ("python", body)
+        elif line.startswith("gpta "):
+            yield "gpta", shlex.split(line, comments=True)[1:]
+        else:
+            assert not line.strip() or line.startswith("#"), f"unhandled README line {line!r}"
+
+
+def test_readme_quickstart_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = []
+    for step in _quickstart_steps():
+        if step[0] == "file":
+            Path(step[1]).write_text(step[2], encoding="utf-8")
+        elif step[0] == "python":
+            exec(step[1], {})
+        else:
+            commands.append(step[1][0])
+            assert main(step[1]) == EXIT_OK, step[1]
+    assert commands == ["gen-synth", "train", "report", "eval"]

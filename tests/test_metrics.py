@@ -100,3 +100,31 @@ def test_ranges(preds, data):
     )
     assert 0.0 <= evaluate(MetricKind.ACCURACY, preds, labels, class_count=3) <= 1.0
     assert 0.0 <= evaluate(MetricKind.MACRO_F1, preds, labels, class_count=3) <= 1.0
+
+
+def _macro_f1_loop(preds, labels, class_count):
+    """Per-class tp/fp/fn counted in Python: the reference for MACRO_F1."""
+    f1s = []
+    for c in range(max(class_count, max(preds) + 1, max(labels) + 1)):
+        tp = sum(1 for p, y in zip(preds, labels) if p == c and y == c)
+        fp = sum(1 for p, y in zip(preds, labels) if p == c and y != c)
+        fn = sum(1 for p, y in zip(preds, labels) if p != c and y == c)
+        f1s.append(2 * tp / (2 * tp + fp + fn) if 2 * tp + fp + fn else 0.0)
+    return float(np.mean(f1s))
+
+
+@given(
+    pairs=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=1, max_size=60),
+    class_count=st.integers(0, 9),
+)
+def test_macro_f1_equals_the_per_class_loop_exactly(pairs, class_count):
+    preds = [p for p, _ in pairs]
+    labels = [y for _, y in pairs]
+    expected = _macro_f1_loop(preds, labels, class_count)
+    assert evaluate(MetricKind.MACRO_F1, preds, labels, class_count=class_count) == expected
+
+
+@pytest.mark.parametrize("preds,labels", [([-1, 0], [0, 1]), ([0, 1], [1, -1])])
+def test_macro_f1_rejects_negative_class_index(preds, labels):
+    with pytest.raises(ValidationError, match="class indices >= 0"):
+        evaluate(MetricKind.MACRO_F1, preds, labels)

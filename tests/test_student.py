@@ -181,6 +181,10 @@ def test_loss_values():
     assert abs(loss(np.array([0.75, 0.25]), 0) - 0.287682) < 1e-6
 
 
+def test_loss_floors_an_underflowed_probability():
+    assert loss(np.array([0.0, 1.0]), 0) == pytest.approx(300 * math.log(10))
+
+
 def test_grad_zero_when_perfect():
     p = init_params(16, 2)
     f = {3: 1.0}
