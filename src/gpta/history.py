@@ -105,27 +105,22 @@ def score_prefix(
     eval_set: Dataset,
     kind: MetricKind,
     hash_seed: int = 0,
+    featurizer: student_mod.Featurizer | None = None,
 ) -> float:
     """Metric of the frozen student over eval_set with `prefix` prepended
-    to every input."""
+    to every input. A given `featurizer` must hash with student.dims and
+    hash_seed; by default a new one over eval_set's texts is used."""
     if not student.frozen:
         raise StateError("scoring requires a frozen student")
     if not len(eval_set):
         raise ValidationError("eval_set must be non-empty")
-    labels = eval_set.labels()
+    featurizer = featurizer or student_mod.Featurizer(student.dims, hash_seed, [ex.text for ex in eval_set.examples])
+    features = (featurizer.featurize(prefix, ex.text) for ex in eval_set.examples)
     if kind is MetricKind.NEG_MEAN_LOSS:
-        preds = [
-            student_mod.forward(
-                student, student_mod.featurize(prefix, ex.text, student.dims, hash_seed)
-            )
-            for ex in eval_set.examples
-        ]
+        preds = [student_mod.forward(student, f) for f in features]
     else:
-        preds = [
-            student_mod.predict(student, prefix, ex.text, hash_seed)
-            for ex in eval_set.examples
-        ]
-    return evaluate(kind, preds, labels, class_count=eval_set.class_count)
+        preds = [int(student_mod._logits(student.weights, student.bias, f)[0].argmax()) for f in features]
+    return evaluate(kind, preds, eval_set.labels(), class_count=eval_set.class_count)
 
 
 def insert_sorted(h: PrefixHistory, sp: ScoredPrefix) -> PrefixHistory:
@@ -147,11 +142,12 @@ def seed_history(
     eval_set: Dataset,
     kind: MetricKind,
     hash_seed: int = 0,
+    featurizer: student_mod.Featurizer | None = None,
 ) -> PrefixHistory:
     """History seeded with the scored empty prefix, the baseline floor."""
     return insert_sorted(
         PrefixHistory(),
-        ScoredPrefix(prefix="", score=score_prefix(student, "", eval_set, kind, hash_seed)),
+        ScoredPrefix(prefix="", score=score_prefix(student, "", eval_set, kind, hash_seed, featurizer)),
     )
 
 
@@ -167,6 +163,7 @@ def collect(
     temperature: float = 1.0,
     hash_seed: int = 0,
     epoch: int = 0,
+    featurizer: student_mod.Featurizer | None = None,
 ) -> tuple[PrefixHistory, list[RoundStats]]:
     """Grow the history to exactly k entries by repeatedly asking the
     assistant model for l candidates, scoring the fresh ones, and inserting
@@ -193,7 +190,7 @@ def collect(
         fresh = [c for c in dict.fromkeys(candidates) if c not in known]
         exceeded = 0
         for candidate in fresh:
-            score = score_prefix(student, candidate, eval_set, kind, hash_seed)
+            score = score_prefix(student, candidate, eval_set, kind, hash_seed, featurizer)
             if score > pre_round_max:
                 exceeded += 1
             if len(h) < k:

