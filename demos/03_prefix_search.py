@@ -1,9 +1,10 @@
 """Search for good prefixes with the simulated assistant model.
 
-The frozen student scores every candidate on validation data, and the
-history keeps (prefix, score) pairs sorted ascending: that sorted list is
-exactly what the assistant model conditions on when proposing the next
-candidates, so it always sees the best results last.
+The search sees the student only through a score function: the frozen
+student's accuracy on validation data with a candidate prefix prepended.
+The history keeps (prefix, score) pairs sorted ascending: that sorted
+list is exactly what the assistant model conditions on when proposing the
+next candidates, so it always sees the best results last.
 """
 
 from gpta import (
@@ -13,6 +14,7 @@ from gpta import (
     collect,
     freeze,
     init_params,
+    score_prefix,
     seed_history,
     simulated_handle,
     split,
@@ -43,10 +45,15 @@ mp = MetaPrompt(
     ),
 )
 
-h0 = seed_history(frozen, val, MetricKind.ACCURACY)
+
+def score(prefix: str) -> float:
+    return score_prefix(frozen, prefix, val, MetricKind.ACCURACY)
+
+
+h0 = seed_history(score)
 print(f"seeded history: baseline (empty prefix) scores {h0.entries[0].score:.4f}")
 
-h, rounds = collect(ta, mp, frozen, val, MetricKind.ACCURACY, h0, k=12, l=4)
+h, rounds = collect(ta, mp, score, h0, k=12, l=4)
 print("\ncollected history (ascending, best last):")
 for entry in h.entries:
     print(f"  {entry.score:.4f}  {entry.prefix!r}")

@@ -204,6 +204,8 @@ def synth_generate(
         raise ValidationError(f"per_class must be >= 1, got {per_class}")
     if not 0.0 <= noise < 1.0:
         raise ValidationError(f"noise must be in [0, 1), got {noise}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
 
     keywords_per_class = max(1, vocab_size // (2 * class_count))
     noise_count = max(0, vocab_size - class_count * keywords_per_class)

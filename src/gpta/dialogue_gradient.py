@@ -23,7 +23,8 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_FINETUNE_CAP = 50
 
-# Past this many examples, tuning quality falls off; cap() warns but obeys.
+# Past this many examples, tuning quality falls off; RunConfig warns once
+# when finetune_cap exceeds it, and cap() obeys.
 FINETUNE_SOFT_LIMIT = 150
 
 
@@ -100,12 +101,6 @@ def cap(examples: list[FinetuneExample], max_n: int = DEFAULT_FINETUNE_CAP) -> l
     targets carry the highest scores."""
     if max_n < 1:
         raise ValidationError(f"max_n must be >= 1, got {max_n}")
-    if max_n > FINETUNE_SOFT_LIMIT:
-        logger.warning(
-            "finetune cap %d exceeds %d examples; tuning quality degrades past that",
-            max_n,
-            FINETUNE_SOFT_LIMIT,
-        )
     return examples[-max_n:]
 
 

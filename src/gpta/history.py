@@ -1,6 +1,12 @@
-"""Prefix-prompt history: candidate prefixes scored against the frozen
-student on held-out data, kept in ascending score order for the assistant
-model's in-context consumption.
+"""Prefix-prompt history: candidate prefixes with their scores, kept in
+ascending score order for the assistant model's in-context consumption.
+
+The search takes the score of a prefix as a function, `score(prefix) ->
+float`; the training loop passes one per frozen checkpoint that calls
+`score_prefix` on the validation split:
+
+    h = seed_history(score)
+    h, rounds = collect(ta, mp, score, h, k, l, temperature, epoch)
 
 The empty prefix is always seeded in, which guarantees the best entry can
 never score below the no-prefix baseline on the selection split.
@@ -9,6 +15,7 @@ never score below the no-prefix baseline on the selection split.
 import bisect
 import logging
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import student as student_mod
@@ -109,12 +116,13 @@ def score_prefix(
 ) -> float:
     """Metric of the frozen student over eval_set with `prefix` prepended
     to every input. A given `featurizer` must hash with student.dims and
-    hash_seed; by default a new one over eval_set's texts is used."""
+    hash_seed, else ValidationError; by default a new one over eval_set's
+    texts is used."""
     if not student.frozen:
         raise StateError("scoring requires a frozen student")
     if not len(eval_set):
         raise ValidationError("eval_set must be non-empty")
-    featurizer = featurizer or student_mod.Featurizer(student.dims, hash_seed, [ex.text for ex in eval_set.examples])
+    featurizer = student_mod._featurizer_for(featurizer, student.dims, hash_seed, eval_set)
     features = (featurizer.featurize(prefix, ex.text) for ex in eval_set.examples)
     if kind is MetricKind.NEG_MEAN_LOSS:
         preds = [student_mod.forward(student, f) for f in features]
@@ -137,39 +145,26 @@ def insert_sorted(h: PrefixHistory, sp: ScoredPrefix) -> PrefixHistory:
     return PrefixHistory(entries=h.entries[:pos] + (sp,) + h.entries[pos:])
 
 
-def seed_history(
-    student: student_mod.StudentParams,
-    eval_set: Dataset,
-    kind: MetricKind,
-    hash_seed: int = 0,
-    featurizer: student_mod.Featurizer | None = None,
-) -> PrefixHistory:
-    """History seeded with the scored empty prefix, the baseline floor."""
-    return insert_sorted(
-        PrefixHistory(),
-        ScoredPrefix(prefix="", score=score_prefix(student, "", eval_set, kind, hash_seed, featurizer)),
-    )
+def seed_history(score: Callable[[str], float]) -> PrefixHistory:
+    """History seeded with the empty prefix at score(""), the baseline floor."""
+    return insert_sorted(PrefixHistory(), ScoredPrefix(prefix="", score=score("")))
 
 
 def collect(
     ta: ta_mod.TAHandle,
     mp: ta_mod.MetaPrompt,
-    student: student_mod.StudentParams,
-    eval_set: Dataset,
-    kind: MetricKind,
+    score: Callable[[str], float],
     h0: PrefixHistory,
     k: int,
     l: int,
     temperature: float = 1.0,
-    hash_seed: int = 0,
     epoch: int = 0,
-    featurizer: student_mod.Featurizer | None = None,
 ) -> tuple[PrefixHistory, list[RoundStats]]:
     """Grow the history to exactly k entries by repeatedly asking the
-    assistant model for l candidates, scoring the fresh ones, and inserting
-    in order. Candidates already present are discarded unscored. Once k
-    entries are held, the rest of the round's fresh candidates are still
-    scored and counted, but not inserted.
+    assistant model for l candidates, scoring each fresh one once with
+    `score`, and inserting in order. Candidates already present are
+    discarded unscored. Once k entries are held, the rest of the round's
+    fresh candidates are still scored and counted, but not inserted.
     """
     if len(h0) < 1:
         raise ValidationError("initial history must be non-empty")
@@ -190,12 +185,12 @@ def collect(
         fresh = [c for c in dict.fromkeys(candidates) if c not in known]
         exceeded = 0
         for candidate in fresh:
-            score = score_prefix(student, candidate, eval_set, kind, hash_seed, featurizer)
-            if score > pre_round_max:
+            value = score(candidate)
+            if value > pre_round_max:
                 exceeded += 1
             if len(h) < k:
                 origin = Origin(kind="generated", epoch=epoch, round=round_index)
-                h = insert_sorted(h, ScoredPrefix(prefix=candidate, score=score, origin=origin))
+                h = insert_sorted(h, ScoredPrefix(prefix=candidate, score=value, origin=origin))
         rounds.append(
             RoundStats(round_index=round_index, generated=len(candidates), exceeded_max=exceeded)
         )

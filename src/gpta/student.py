@@ -140,6 +140,19 @@ class Featurizer:
         return _count(unigrams + table[:, ids].ravel().tolist())
 
 
+def _featurizer_for(featurizer: Featurizer | None, dims: int, hash_seed: int, data: Dataset) -> Featurizer:
+    """`featurizer`, checked to hash with dims and hash_seed (seeds equal
+    modulo 2^64 hash alike), or a new one over data's texts when None."""
+    if featurizer is None:
+        return Featurizer(dims, hash_seed, [ex.text for ex in data.examples])
+    if featurizer.dims != dims or (featurizer.hash_seed - hash_seed) & _MASK64:
+        raise ValidationError(
+            f"the featurizer hashes with dims {featurizer.dims} and hash_seed {featurizer.hash_seed}, "
+            f"not dims {dims} and hash_seed {hash_seed}"
+        )
+    return featurizer
+
+
 @dataclass(frozen=True)
 class StudentParams:
     """Weights and bias of the classifier. Treated as immutable: training
@@ -246,8 +259,8 @@ def train_pass(
     """One shuffled pass of per-example SGD with `prefix` prepended to
     every input. Returns the new params and the mean pre-update loss,
     each example's loss floored as in `loss`. Features come from
-    `featurizer`, which must hash with params.dims and hash_seed (by
-    default a new one over `train`'s texts).
+    `featurizer`, which must hash with params.dims and hash_seed, else
+    ValidationError (by default a new one over `train`'s texts).
 
     The update is applied sparsely (only at an example's active feature
     indices); coordinates outside the support have zero gradient, so this
@@ -257,7 +270,7 @@ def train_pass(
         raise StateError("cannot train frozen params")
     if lr < 0:
         raise ValidationError(f"lr must be >= 0, got {lr}")
-    featurizer = featurizer or Featurizer(params.dims, hash_seed, [ex.text for ex in train.examples])
+    featurizer = _featurizer_for(featurizer, params.dims, hash_seed, train)
     weights = params.weights.copy()
     bias = params.bias.copy()
     order = np.random.default_rng(shuffle_seed).permutation(len(train))

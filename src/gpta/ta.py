@@ -86,6 +86,8 @@ class SimState:
                 raise ValidationError(f"non-finite pool weight for {prefix!r}")
         if self.temperature_scale <= 0:
             raise ValidationError("temperature_scale must be positive")
+        if self.rng_seed < 0:
+            raise ValidationError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 @dataclass(frozen=True)

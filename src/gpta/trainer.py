@@ -12,7 +12,7 @@ import io
 import json
 import logging
 import sys
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
@@ -121,7 +121,9 @@ class RunConfig:
             raise ValidationError("temperature must be >= 0")
         if self.finetune_cap < 1:
             raise ValidationError("finetune_cap must be >= 1")
-        for name in ("lr", "retry_backoff_s", "poll_interval_s", "finetune_timeout_s"):
+        # hash_seed may be any integer: hashing masks it to 64 bits.
+        for name in ("lr", "retry_backoff_s", "poll_interval_s", "finetune_timeout_s",
+                     "split_seed", "shuffle_seed", "sim_seed", "exemplar_seed"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.request_timeout_s <= 0:
@@ -356,18 +358,23 @@ def _epoch_shuffle_seed(base: int, epoch: int) -> int:
     return int(np.random.SeedSequence((base, epoch)).generate_state(1)[0])
 
 
-def _rescore(
-    history: PrefixHistory, frozen: student_mod.StudentParams, ctx: RunContext
-) -> PrefixHistory:
+def _scorer(frozen: student_mod.StudentParams, ctx: RunContext) -> Callable[[str], float]:
+    """The search's score function for one frozen checkpoint: a prefix's
+    metric on the validation split. Private: the benchmark's tracer wraps
+    public functions, and a wrapped scorer would become the parent of every
+    score_prefix span in place of collect, seed_history or run_epoch."""
+    return lambda prefix: score_prefix(frozen, prefix, ctx.val, ctx.kind, ctx.cfg.hash_seed, ctx.featurizer)
+
+
+def _rescore(history: PrefixHistory, score: Callable[[str], float], k: int) -> PrefixHistory:
     """Re-score carried-over entries against the new frozen checkpoint;
     metric values are checkpoint-relative, so stale scores would corrupt
     the sort. A history already holding k entries is trimmed to its best half
     (the empty-prefix baseline always survives) to leave room for fresh
     search this epoch."""
-    cfg = ctx.cfg
-    if len(history) >= cfg.k:
+    if len(history) >= k:
         # At most k - 2 carried, so with the baseline collect() still has room to run.
-        carry = min(cfg.k // 2, cfg.k - 2)
+        carry = min(k // 2, k - 2)
         # A slice from len - carry, as [-0:] would keep every entry.
         survivors = list(history.entries[len(history) - carry:])
         if all(e.prefix != "" for e in survivors):
@@ -376,14 +383,7 @@ def _rescore(
         survivors = list(history.entries)
     h = PrefixHistory()
     for entry in survivors:
-        h = insert_sorted(
-            h,
-            ScoredPrefix(
-                prefix=entry.prefix,
-                score=score_prefix(frozen, entry.prefix, ctx.val, ctx.kind, cfg.hash_seed, ctx.featurizer),
-                origin=entry.origin,
-            ),
-        )
+        h = insert_sorted(h, ScoredPrefix(prefix=entry.prefix, score=score(entry.prefix), origin=entry.origin))
     return h
 
 
@@ -401,19 +401,13 @@ def run_epoch(state: RunState, ctx: RunContext) -> tuple[RunState, bytes | None]
     if e == 0 and len(history) == 0:
         # Baseline-seed the history and ask the assistant model for the
         # very first prefix before any training happens.
-        frozen0 = student_mod.freeze(student)
-        history = seed_history(frozen0, ctx.val, ctx.kind, cfg.hash_seed, ctx.featurizer)
+        score = _scorer(student_mod.freeze(student), ctx)
+        history = seed_history(score)
         request = ta_mod.render_generation_request(ctx.mp, history, 1, cfg.temperature)
         s0 = ta_mod.generate(ta_handle, request, 1, cfg.temperature)[0]
         if history.find(s0) is None:
-            history = insert_sorted(
-                history,
-                ScoredPrefix(
-                    prefix=s0,
-                    score=score_prefix(frozen0, s0, ctx.val, ctx.kind, cfg.hash_seed, ctx.featurizer),
-                    origin=Origin(kind="generated", epoch=0, round=-1),
-                ),
-            )
+            origin = Origin(kind="generated", epoch=0, round=-1)
+            history = insert_sorted(history, ScoredPrefix(prefix=s0, score=score(s0), origin=origin))
         train_prefix = s0
     else:
         train_prefix = history.best().prefix
@@ -432,21 +426,9 @@ def run_epoch(state: RunState, ctx: RunContext) -> tuple[RunState, bytes | None]
 
     # (2) freeze, refresh scores, collect
     student = student_mod.freeze(student)
-    history = _rescore(history, student, ctx)
-    history, rounds = collect(
-        ta_handle,
-        ctx.mp,
-        student,
-        ctx.val,
-        ctx.kind,
-        history,
-        cfg.k,
-        cfg.l,
-        cfg.temperature,
-        hash_seed=cfg.hash_seed,
-        epoch=e,
-        featurizer=ctx.featurizer,
-    )
+    score = _scorer(student, ctx)
+    history = _rescore(history, score, cfg.k)
+    history, rounds = collect(ta_handle, ctx.mp, score, history, cfg.k, cfg.l, cfg.temperature, epoch=e)
 
     # (3) dialogue gradients
     windows = build_windows(history, cfg.w)

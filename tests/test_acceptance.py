@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from gpta import (
-    MetricKind,
     PrefixHistory,
     RunConfig,
     ScoredPrefix,
@@ -40,6 +39,7 @@ from gpta.trainer import record_from_json
 
 from conftest import DESK_POOL, FAMILY_PREFIXES
 from mock_openai import MockOpenAIServer
+from test_history import scorer
 from test_ta import finetune_file, make_mp
 
 GOLDEN = Path(__file__).parent / "data" / "golden_gradients.jsonl"
@@ -143,11 +143,9 @@ def test_criterion_2_history_invariants():
             pool = [(f"alpha word {i}", 1.0) for i in range(10)]
             pool += [(f"junk word {i}", 0.0) for i in range(10)]
             ta = simulated_handle(pool, rng_seed=seed)
-            h0 = seed_history(frozen, data, MetricKind.ACCURACY)
-            h, rounds = collect(
-                ta, make_mp(), frozen, data, MetricKind.ACCURACY, h0,
-                k=int(3 + seed), l=int(1 + seed % 4),
-            )
+            score = scorer(frozen, data)
+            h0 = seed_history(score)
+            h, rounds = collect(ta, make_mp(), score, h0, k=int(3 + seed), l=int(1 + seed % 4))
             scores = [e.score for e in h.entries]
             assert scores == sorted(scores)
             assert len({e.prefix for e in h.entries}) == len(h)
@@ -291,6 +289,8 @@ def test_criterion_8_remote_protocol_conformance():
         p, _ = train_pass(p, data, "alpha", 0.1, shuffle_seed=1)
         frozen = freeze(p)
 
+        score = scorer(frozen, data)
+
         def client(server, **kw):
             base = dict(
                 base_url=server.base_url,
@@ -306,10 +306,8 @@ def test_criterion_8_remote_protocol_conformance():
         completions = ["alpha one\nalpha two\nalpha three", "beta one\nbeta two\nbeta three"]
         with MockOpenAIServer(completions=completions) as server:
             handle = remote_handle(client(server), "base-model")
-            h0 = seed_history(frozen, data, MetricKind.ACCURACY)
-            _, rounds = collect(
-                handle, make_mp(), frozen, data, MetricKind.ACCURACY, h0, k=7, l=3
-            )
+            h0 = seed_history(score)
+            _, rounds = collect(handle, make_mp(), score, h0, k=7, l=3)
             chats = server.requests_for("/v1/chat/completions")
             assert len(chats) == len(rounds) == 2
             for req in chats:
@@ -336,7 +334,7 @@ def test_criterion_8_remote_protocol_conformance():
         with MockOpenAIServer(fail_first=99) as server:
             handle = remote_handle(client(server), "base-model")
             request = render_generation_request(
-                make_mp(), seed_history(frozen, data, MetricKind.ACCURACY), 1, 1.0
+                make_mp(), seed_history(score), 1, 1.0
             )
             t0 = time.monotonic()
             with pytest.raises(TransportError):

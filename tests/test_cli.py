@@ -49,6 +49,13 @@ class TestGenSynth:
         assert d.class_count == 3
         assert d.class_names == ("class0", "class1", "class2")
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "synth.jsonl"
+        code = run_cli(["gen-synth", "--classes", "2", "--per-class", "5", "--seed", "-1", "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         args = ["gen-synth", "--classes", "2", "--per-class", "10", "--seed", "9"]
@@ -231,6 +238,7 @@ MALFORMED_STATES = {
     "epoch-behind-records": _set("epoch", value=0),
     "string-frozen": _set("student_frozen", value="yes"),
     "string-sim-calls": _set("ta", "sim", "calls", value="1"),
+    "negative-sim-rng-seed": _set("ta", "sim", "rng_seed", value=-1),
     "number-history-prefix": _set("history", 0, "prefix", value=3),
     "generated-origin-without-place": _set("history", 0, "origin", value={"kind": "generated"}),
 }
@@ -344,6 +352,10 @@ INVALID_CONFIG_VALUES = {
     "negative-retry-backoff": ('"retry_backoff_s": -0.5', "retry_backoff_s must be >= 0, got -0.5"),
     "negative-poll-interval": ('"poll_interval_s": -1', "poll_interval_s must be >= 0, got -1.0"),
     "negative-finetune-timeout": ('"finetune_timeout_s": -1', "finetune_timeout_s must be >= 0, got -1.0"),
+    "negative-split-seed": ('"split_seed": -1', "split_seed must be >= 0, got -1"),
+    "negative-shuffle-seed": ('"shuffle_seed": -1', "shuffle_seed must be >= 0, got -1"),
+    "negative-sim-seed": ('"sim_seed": -1', "sim_seed must be >= 0, got -1"),
+    "negative-exemplar-seed": ('"exemplar_seed": -1', "exemplar_seed must be >= 0, got -1"),
 }
 
 

@@ -161,12 +161,6 @@ class TestCap:
         ex = self._examples(60)
         assert len(cap(ex)) == 50
 
-    def test_soft_limit_warning(self, caplog):
-        ex = self._examples(5)
-        with caplog.at_level("WARNING"):
-            cap(ex, 200)
-        assert any("150" in r.message for r in caplog.records)
-
 
 class TestWireFormat:
     def test_golden_bytes(self):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,8 @@ from gpta import (
     train_pass,
     unfreeze,
 )
-from gpta.history import Origin
+from gpta.history import Origin, RoundStats
+from gpta.student import Featurizer
 
 from test_ta import make_mp
 
@@ -73,6 +75,19 @@ class TestScorePrefix:
             class_count=data.class_count,
         )
         assert score_prefix(frozen, "", data, MetricKind.ACCURACY) == direct
+
+    @pytest.mark.parametrize("dims,hash_seed", [(512, 0), (1024, 1), (2048, 0)])
+    def test_rejects_a_featurizer_that_hashes_otherwise(self, trained_student, dims, hash_seed):
+        frozen, data = trained_student
+        featurizer = Featurizer(dims, hash_seed, [ex.text for ex in data.examples])
+        with pytest.raises(ValidationError, match="featurizer hashes with dims"):
+            score_prefix(frozen, "focus here", data, MetricKind.ACCURACY, 0, featurizer)
+
+    def test_accepts_a_featurizer_whose_seed_is_congruent_modulo_2_64(self, trained_student):
+        frozen, data = trained_student
+        featurizer = Featurizer(1024, -5 + 2**64, [ex.text for ex in data.examples])
+        expected = score_prefix(frozen, "focus here", data, MetricKind.ACCURACY, -5)
+        assert score_prefix(frozen, "focus here", data, MetricKind.ACCURACY, -5, featurizer) == expected
 
 
 class TestInsertSorted:
@@ -127,12 +142,18 @@ class TestInsertSorted:
         assert len({e.prefix for e in h.entries}) == len(h.entries)
 
 
+def scorer(frozen, data):
+    """The search's score function: a prefix's accuracy on data against frozen."""
+    return lambda prefix: score_prefix(frozen, prefix, data, MetricKind.ACCURACY)
+
+
 class TestSeedHistory:
     def test_empty_prefix_only(self, trained_student):
         frozen, data = trained_student
-        h = seed_history(frozen, data, MetricKind.ACCURACY)
+        h = seed_history(scorer(frozen, data))
         assert [e.prefix for e in h.entries] == [""]
         assert h.entries[0].origin == Origin(kind="seed")
+        assert h.entries[0].score == score_prefix(frozen, "", data, MetricKind.ACCURACY)
 
 
 @pytest.mark.parametrize("kind,epoch,round_", [
@@ -150,9 +171,10 @@ def test_origin_rejects_impossible_provenance(kind, epoch, round_):
 
 def seeded(frozen, data, prefixes):
     """The seed history plus the given prefixes, each scored and inserted."""
-    h = seed_history(frozen, data, MetricKind.ACCURACY)
+    score = scorer(frozen, data)
+    h = seed_history(score)
     for prefix in prefixes:
-        h = insert_sorted(h, ScoredPrefix(prefix, score_prefix(frozen, prefix, data, MetricKind.ACCURACY)))
+        h = insert_sorted(h, ScoredPrefix(prefix, score(prefix)))
     return h
 
 
@@ -170,25 +192,23 @@ def small_world(seed=0, pool_size=30):
 class TestCollect:
     def test_single_round_when_all_fresh(self):
         frozen, data, ta = small_world()
-        h0 = seed_history(frozen, data, MetricKind.ACCURACY)
+        h0 = seed_history(scorer(frozen, data))
         k = len(h0) + 5
-        h, rounds = collect(
-            ta, make_mp(), frozen, data, MetricKind.ACCURACY, h0, k=k, l=5
-        )
+        h, rounds = collect(ta, make_mp(), scorer(frozen, data), h0, k=k, l=5)
         assert len(rounds) == 1
         assert len(h) == k
         assert rounds[0].generated == 5
 
     def test_exact_k_after_overshoot(self):
         frozen, data, ta = small_world(seed=1)
-        h0 = seed_history(frozen, data, MetricKind.ACCURACY)
-        h, _ = collect(ta, make_mp(), frozen, data, MetricKind.ACCURACY, h0, k=8, l=5)
+        h0 = seed_history(scorer(frozen, data))
+        h, _ = collect(ta, make_mp(), scorer(frozen, data), h0, k=8, l=5)
         assert len(h) == 8
 
     def test_sorted_and_unique_after_collect(self):
         frozen, data, ta = small_world(seed=2)
-        h0 = seed_history(frozen, data, MetricKind.ACCURACY)
-        h, _ = collect(ta, make_mp(), frozen, data, MetricKind.ACCURACY, h0, k=12, l=4)
+        h0 = seed_history(scorer(frozen, data))
+        h, _ = collect(ta, make_mp(), scorer(frozen, data), h0, k=12, l=4)
         scores = [e.score for e in h.entries]
         assert scores == sorted(scores)
         assert len({e.prefix for e in h.entries}) == len(h)
@@ -197,7 +217,7 @@ class TestCollect:
     def test_max_never_decreases_below_h0(self):
         frozen, data, ta = small_world(seed=3)
         h0 = seeded(frozen, data, ["alpha variant 0"])
-        h, _ = collect(ta, make_mp(), frozen, data, MetricKind.ACCURACY, h0, k=10, l=3)
+        h, _ = collect(ta, make_mp(), scorer(frozen, data), h0, k=10, l=3)
         assert h.best().score >= h0.best().score
 
     def test_stall_when_pool_exhausted(self):
@@ -205,19 +225,19 @@ class TestCollect:
         pool_prefixes = [p for p, _ in ta.sim.pool]
         h0 = seeded(frozen, data, pool_prefixes)
         with pytest.raises(StallError):
-            collect(ta, make_mp(), frozen, data, MetricKind.ACCURACY, h0,
+            collect(ta, make_mp(), scorer(frozen, data), h0,
                     k=len(h0) + 3, l=4)
 
     def test_k_not_above_h0_rejected(self):
         frozen, data, ta = small_world(seed=5)
         h0 = seeded(frozen, data, ["a", "b"])
         with pytest.raises(ValidationError):
-            collect(ta, make_mp(), frozen, data, MetricKind.ACCURACY, h0, k=3, l=2)
+            collect(ta, make_mp(), scorer(frozen, data), h0, k=3, l=2)
 
     def test_round_stats_consistent(self):
         frozen, data, ta = small_world(seed=6)
-        h0 = seed_history(frozen, data, MetricKind.ACCURACY)
-        h, rounds = collect(ta, make_mp(), frozen, data, MetricKind.ACCURACY, h0, k=15, l=4)
+        h0 = seed_history(scorer(frozen, data))
+        h, rounds = collect(ta, make_mp(), scorer(frozen, data), h0, k=15, l=4)
         for r in rounds:
             assert 0 <= r.exceeded_max <= r.generated
 
@@ -225,8 +245,73 @@ class TestCollect:
         outs = []
         for _ in range(2):
             frozen, data, ta = small_world(seed=7)
-            h0 = seed_history(frozen, data, MetricKind.ACCURACY)
-            h, rounds = collect(ta, make_mp(), frozen, data, MetricKind.ACCURACY,
-                                h0, k=12, l=4)
+            h0 = seed_history(scorer(frozen, data))
+            h, rounds = collect(ta, make_mp(), scorer(frozen, data), h0, k=12, l=4)
             outs.append((h, tuple(rounds)))
         assert outs[0] == outs[1]
+
+
+class ScriptedTA:
+    """An assistant model that replies with the given rounds of candidates in turn."""
+
+    def __init__(self, replies):
+        self.replies = iter(replies)
+
+    def generate(self, request, l, temperature):
+        return next(self.replies)
+
+
+class TestCollectScoring:
+    SCORES = {"": 0.5, "a": 0.2, "b": 0.6, "c": 0.7, "d": 0.1, "e": 0.9, "f": 0.8}
+
+    def counting_scorer(self):
+        calls = []
+
+        def score(prefix):
+            calls.append(prefix)
+            return self.SCORES[prefix]
+
+        return score, calls
+
+    def test_scores_each_fresh_candidate_once(self):
+        score, calls = self.counting_scorer()
+        h0 = insert_sorted(seed_history(score), ScoredPrefix("a", self.SCORES["a"]))
+        assert calls == [""]
+        calls.clear()
+        ta = ScriptedTA([["a", "b", "b", ""], ["b", "c", "a"], ["d", "c", "e", "f"]])
+        h, rounds = collect(ta, make_mp(), score, h0, k=5, l=4)
+        # Known prefixes (from h0 or inserted earlier) and repeats within a round go unscored.
+        assert calls == ["b", "c", "d", "e", "f"]
+        assert [e.prefix for e in h.entries] == ["d", "a", "", "b", "c"]
+        assert rounds == [RoundStats(0, 4, 1), RoundStats(1, 3, 1), RoundStats(2, 4, 2)]
+
+    def test_final_round_surplus_is_scored_and_counted_but_not_inserted(self):
+        """Pins current behaviour: once k entries are held, the final round's
+        remaining fresh candidates are still scored, and those beating the
+        pre-round best count in exceeded_max, so in improvement_rate."""
+        score, calls = self.counting_scorer()
+        h0 = seed_history(score)
+        calls.clear()
+        h, rounds = collect(ScriptedTA([["d", "e", "f"]]), make_mp(), score, h0, k=2, l=3)
+        assert calls == ["d", "e", "f"]
+        assert [e.prefix for e in h.entries] == ["d", ""]
+        assert rounds == [RoundStats(0, 3, 2)]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_never_scores_a_prefix_in_the_history(self, seed):
+        _, _, ta = small_world(seed=seed)
+        table = {prefix: (i * 7919 % 101) / 101 for i, (prefix, _) in enumerate(ta.sim.pool)}
+        table[""] = 0.5
+        calls = Counter()
+
+        def score(prefix):
+            calls[prefix] += 1
+            return table[prefix]
+
+        h0 = insert_sorted(seed_history(score), ScoredPrefix("alpha variant 0", table["alpha variant 0"]))
+        calls.clear()
+        h, rounds = collect(ta, make_mp(), score, h0, k=12, l=4)
+        assert set(calls.values()) == {1}
+        assert not calls.keys() & h0.prefixes()
+        assert h.prefixes() - h0.prefixes() <= calls.keys()
+        assert sum(r.exceeded_max for r in rounds) <= sum(calls.values())

@@ -5,7 +5,6 @@ import pytest
 
 from gpta import (
     FinetuneError,
-    MetricKind,
     ProtocolError,
     TransportError,
     collect,
@@ -24,6 +23,7 @@ from gpta.ta import remote_handle, render_generation_request
 from gpta.trainer import state_from_json
 
 from mock_openai import MockOpenAIServer
+from test_history import scorer
 from test_ta import finetune_file, make_mp
 
 
@@ -206,10 +206,9 @@ class TestCollectOverRemote:
         ]
         with MockOpenAIServer(completions=completions) as server:
             handle = remote_handle(make_client(server), "base-model")
-            h0 = seed_history(frozen, data, MetricKind.ACCURACY)
-            h, rounds = collect(
-                handle, make_mp(), frozen, data, MetricKind.ACCURACY, h0, k=7, l=3
-            )
+            score = scorer(frozen, data)
+            h0 = seed_history(score)
+            h, rounds = collect(handle, make_mp(), score, h0, k=7, l=3)
             assert len(h) == 7
             assert len(rounds) == 2
             assert len(server.requests_for("/v1/chat/completions")) == 2

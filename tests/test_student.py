@@ -299,6 +299,24 @@ def test_train_pass_deterministic():
     assert la == lb
 
 
+@pytest.mark.parametrize("dims,hash_seed", [(512, 3), (1024, 4), (2048, 3)])
+def test_train_pass_rejects_a_featurizer_that_hashes_otherwise(dims, hash_seed):
+    d = synth_generate(2, 20, 60, 0.1, 4)
+    featurizer = student.Featurizer(dims, hash_seed, [ex.text for ex in d.examples])
+    with pytest.raises(ValidationError, match="featurizer hashes with dims"):
+        train_pass(init_params(1024, 2), d, "look", 0.1, hash_seed=3, featurizer=featurizer)
+
+
+def test_train_pass_accepts_a_featurizer_whose_seed_is_congruent_modulo_2_64():
+    d = synth_generate(2, 20, 60, 0.1, 4)
+    p = init_params(1024, 2)
+    featurizer = student.Featurizer(1024, 3 - 2**64, [ex.text for ex in d.examples])
+    a, la = train_pass(p, d, "look", 0.1, hash_seed=3, shuffle_seed=9, featurizer=featurizer)
+    b, lb = train_pass(p, d, "look", 0.1, hash_seed=3, shuffle_seed=9)
+    assert np.array_equal(a.weights, b.weights)
+    assert la == lb
+
+
 def test_train_pass_learns_synthetic():
     d = synth_generate(2, 200, 120, 0.0, 13)
     p = init_params(4096, 2)

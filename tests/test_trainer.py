@@ -22,7 +22,6 @@ from gpta import (
     synth_generate,
     write_jsonl,
 )
-from gpta import history as history_mod
 from gpta import student as student_mod
 from gpta import trainer as trainer_mod
 from gpta.history import RoundStats
@@ -161,6 +160,15 @@ class TestConfig:
             )
         assert cfg.finetune_cap == 200
         assert any("150" in r.message for r in caplog.records)
+
+    def test_cap_above_soft_limit_warns_once_per_run(self, caplog, desk_config, tmp_path):
+        with caplog.at_level(logging.WARNING):
+            run(desk_config(epochs=2, finetune_cap=200), tmp_path / "run")
+        assert sum("exceeds 150" in r.getMessage() for r in caplog.records) == 1
+
+    def test_negative_hash_seed_allowed(self, desk_dataset_path):
+        cfg = RunConfig.from_dict({"data_path": str(desk_dataset_path), "hash_seed": -5})
+        assert cfg.hash_seed == -5
 
     def test_round_trips_through_dict(self, desk_config):
         cfg = desk_config()
@@ -389,7 +397,6 @@ class TestFeaturizerRuns:
         score_prefix = trainer_mod.score_prefix
         scored = counting(score_prefix, lambda student, prefix, eval_set, *a, **k: eval_set)
         monkeypatch.setattr(trainer_mod, "score_prefix", scored)
-        monkeypatch.setattr(history_mod, "score_prefix", scored)
         run(desk_config(epochs=1), tmp_path / "run")
         run(desk_config(epochs=2), tmp_path / "run", resume_from=tmp_path / "run" / "state_epoch0.json")
         assert counts["examples"] > 0
