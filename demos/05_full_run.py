@@ -12,8 +12,8 @@ from pathlib import Path
 
 from gpta import RunConfig, run, synth_generate, write_jsonl
 from gpta.cli import emit_report
+from gpta.fileio import record_from_json
 from gpta.ta import SimState, softmax_pool_mass
-from gpta.trainer import record_from_json
 
 workdir = Path("demo_out_run")
 workdir.mkdir(exist_ok=True)

@@ -5,7 +5,6 @@ Exit codes are a stable scripting contract: 0 success, 1 usage error,
 """
 
 import argparse
-import json
 import logging
 import sys
 from pathlib import Path
@@ -13,10 +12,10 @@ from pathlib import Path
 from . import student as student_mod
 from .dataset import load_jsonl, synth_generate, write_jsonl
 from .errors import GptaError, ValidationError
-from .fileio import write_atomic
+from .fileio import decoding, read_json, record_from_json, write_atomic
 from .history import score_prefix
 from .metrics import MetricKind
-from .trainer import EpochRecord, RunConfig, decoding, record_from_json, run, write_metrics_csv
+from .trainer import EpochRecord, RunConfig, run, write_metrics_csv
 
 logger = logging.getLogger(__name__)
 
@@ -77,12 +76,7 @@ def build_parser() -> _Parser:
 def load_config(path: str | Path) -> RunConfig:
     """Load and strictly validate a run config; unset keys resolve to the
     shipped defaults."""
-    path = Path(path)
-    try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid JSON: {exc.msg}") from exc
-    return RunConfig.from_dict(obj)
+    return RunConfig.from_dict(read_json(path))
 
 
 def _scale(values: list[float], lo: float, hi: float) -> list[float]:
@@ -158,16 +152,14 @@ def render_curves_svg(epochs: list[dict]) -> str:
 
 def emit_report(run_dir: str | Path, out_dir: str | Path) -> None:
     """Render metrics.csv and curves.svg from a run directory's report.json."""
-    run_dir = Path(run_dir)
     out_dir = Path(out_dir)
-    report_path = run_dir / "report.json"
-    if not report_path.exists():
-        raise OSError(f"missing {report_path}")
+    report_path = Path(run_dir) / "report.json"
+    report = read_json(report_path)
     with decoding(str(report_path)):
-        epochs = json.loads(report_path.read_text(encoding="utf-8"))["epochs"]
+        epochs = report["epochs"]
         records = [record_from_json(EpochRecord, e, f"epochs[{i}]") for i, e in enumerate(epochs)]
     if not records:
-        raise ValidationError(f"{report_path} contains no epoch records")
+        raise ValidationError(f"malformed {report_path}: no epoch records")
 
     out_dir.mkdir(parents=True, exist_ok=True)
     write_metrics_csv(records, out_dir / "metrics.csv")

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, ValidationError
+from .fileio import jsonl_objects
 
 
 @dataclass(frozen=True)
@@ -84,36 +85,20 @@ def load_jsonl(path: str | Path) -> Dataset:
     class_names: tuple[str, ...] | None = None
     declared_count: int | None = None
 
-    with open(path, encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON ({exc.msg})", lineno) from exc
-            if not isinstance(obj, dict):
-                raise ParseError("expected a JSON object", lineno)
-            if lineno == 1 and "classes" in obj:
-                names = obj["classes"]
-                if (
-                    not isinstance(names, list)
-                    or not names
-                    or not all(isinstance(n, str) for n in names)
-                ):
-                    raise ParseError("'classes' must be a non-empty list of strings", lineno)
-                class_names = tuple(names)
-                declared_count = len(names)
-                continue
-            if "text" not in obj or "label" not in obj:
-                raise ParseError("missing required field 'text' or 'label'", lineno)
-            ex = _validate_example(obj["text"], obj["label"], lineno)
-            if declared_count is not None and ex.label >= declared_count:
-                raise ParseError(
-                    f"label {ex.label} out of range for {declared_count} classes", lineno
-                )
-            examples.append(ex)
+    for lineno, obj in jsonl_objects(path.read_text(encoding="utf-8")):
+        if lineno == 1 and "classes" in obj:
+            names = obj["classes"]
+            if not isinstance(names, list) or not names or not all(isinstance(n, str) for n in names):
+                raise ParseError("'classes' must be a non-empty list of strings", lineno)
+            class_names = tuple(names)
+            declared_count = len(names)
+            continue
+        if "text" not in obj or "label" not in obj:
+            raise ParseError("missing required field 'text' or 'label'", lineno)
+        ex = _validate_example(obj["text"], obj["label"], lineno)
+        if declared_count is not None and ex.label >= declared_count:
+            raise ParseError(f"label {ex.label} out of range for {declared_count} classes", lineno)
+        examples.append(ex)
 
     if not examples:
         raise ValidationError(f"no examples in {path}")
@@ -129,6 +114,8 @@ def split(
     Shuffles under the seed, then slices contiguously; the three parts
     partition the input exactly.
     """
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     if len(fractions) != 3:
         raise ValidationError("fractions must have exactly three entries")
     if any(not (0.0 < f < 1.0) for f in fractions):
@@ -160,6 +147,8 @@ def split(
 def make_exemplars(train: Dataset, count: int, seed: int) -> ExemplarSet:
     """Sample `count` training examples without replacement. Count 0 is
     valid and yields an empty set (exemplars are optional)."""
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     if not 0 <= count <= EXEMPLAR_CAP:
         raise ValidationError(f"exemplar count must be in [0, {EXEMPLAR_CAP}], got {count}")
     if count > len(train):
@@ -168,19 +157,6 @@ def make_exemplars(train: Dataset, count: int, seed: int) -> ExemplarSet:
         return ExemplarSet()
     idx = np.random.default_rng(seed).choice(len(train), size=count, replace=False)
     return ExemplarSet(examples=tuple(train.examples[i] for i in idx))
-
-
-def synth_keyword_class(token: str) -> int | None:
-    """Planted class of a synthetic token, or None for noise tokens.
-
-    Kept in the shipping artifact so independent checkers (tests, demos)
-    can score generated corpora without touching generator internals.
-    """
-    if token.startswith("k") and "w" in token:
-        head = token[1 : token.index("w")]
-        if head.isdigit():
-            return int(head)
-    return None
 
 
 def synth_generate(

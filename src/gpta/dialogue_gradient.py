@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import ParseError, ValidationError
+from .fileio import jsonl_objects
 from .ta import ChatMessage, MetaPrompt, render_history_lines, render_system_content
 
 if TYPE_CHECKING:
@@ -118,15 +119,8 @@ def serialize_jsonl(examples: list[FinetuneExample]) -> bytes:
 
 def parse_jsonl(data: bytes) -> list[FinetuneExample]:
     """Inverse of serialize_jsonl, validating structure line by line."""
-    text = data.decode("utf-8")
     examples = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip():
-            continue
-        try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON ({exc.msg})", lineno) from exc
+    for lineno, obj in jsonl_objects(data.decode("utf-8")):
         msgs = obj.get("messages")
         if not isinstance(msgs, list) or len(msgs) != 3:
             raise ParseError("expected exactly 3 messages", lineno)

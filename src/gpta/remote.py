@@ -2,7 +2,7 @@
 service. Works against api.openai.com or any local server exposing the
 same routes; the API key comes from the GPTA_API_KEY environment variable.
 
-Every call sends at most max_attempts requests. Transport failures
+Every call sends at most MAX_ATTEMPTS requests. Transport failures
 (connection errors, timeouts, 5xx), rate limits (429) and, for chat,
 malformed or unparseable replies are retried with exponential backoff,
 waiting at least as long as a failed response's Retry-After header asks.
@@ -25,6 +25,8 @@ API_KEY_ENV = "GPTA_API_KEY"
 
 TERMINAL_JOB_STATES = ("succeeded", "failed", "cancelled")
 
+MAX_ATTEMPTS = 3
+
 
 def _retry_after_s(resp: requests.Response) -> float:
     """Seconds a response's Retry-After header asks to wait; 0 when the
@@ -41,7 +43,6 @@ class RemoteClient:
         base_url: str,
         api_key: str | None = None,
         timeout: float = 60.0,
-        max_attempts: int = 3,
         backoff_base: float = 0.5,
         poll_interval: float = 2.0,
         finetune_timeout: float = 600.0,
@@ -49,7 +50,6 @@ class RemoteClient:
         self.base_url = base_url.rstrip("/")
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
         self.timeout = timeout
-        self.max_attempts = max_attempts
         self.backoff_base = backoff_base
         self.poll_interval = poll_interval
         self.finetune_timeout = finetune_timeout
@@ -64,11 +64,11 @@ class RemoteClient:
     def _request(self, method: str, path: str, parse=None, **kwargs):
         """Issue one HTTP request and return its JSON body, or parse(body).
         Transport failures, rate limits and bodies parse rejects with
-        ProtocolError are retried with backoff, max_attempts requests in
+        ProtocolError are retried with backoff, MAX_ATTEMPTS requests in
         all. A Retry-After wait is capped at the request timeout."""
         url = f"{self.base_url}{path}"
         last_exc: Exception | None = None
-        for attempt in range(self.max_attempts):
+        for attempt in range(MAX_ATTEMPTS):
             if attempt:
                 backoff = self.backoff_base * 2 ** (attempt - 1)
                 time.sleep(max(backoff, min(retry_after, self.timeout)))
@@ -80,13 +80,13 @@ class RemoteClient:
             except requests.RequestException as exc:
                 last_exc = exc
                 logger.warning("attempt %d/%d %s %s failed: %s",
-                               attempt + 1, self.max_attempts, method, path, exc)
+                               attempt + 1, MAX_ATTEMPTS, method, path, exc)
                 continue
             if resp.status_code >= 500 or resp.status_code == 429:
                 last_exc = TransportError(f"{method} {path} -> HTTP {resp.status_code}")
                 retry_after = _retry_after_s(resp)
                 logger.warning("attempt %d/%d %s %s -> HTTP %d",
-                               attempt + 1, self.max_attempts, method, path, resp.status_code)
+                               attempt + 1, MAX_ATTEMPTS, method, path, resp.status_code)
                 continue
             if resp.status_code >= 400:
                 raise TransportError(
@@ -103,10 +103,10 @@ class RemoteClient:
             except ProtocolError as exc:
                 last_exc = exc
                 logger.warning("attempt %d/%d %s %s: %s",
-                               attempt + 1, self.max_attempts, method, path, exc)
+                               attempt + 1, MAX_ATTEMPTS, method, path, exc)
         error = ProtocolError if isinstance(last_exc, ProtocolError) else TransportError
         raise error(
-            f"{method} {path} failed after {self.max_attempts} attempts: {last_exc}"
+            f"{method} {path} failed after {MAX_ATTEMPTS} attempts: {last_exc}"
         ) from last_exc
 
     def chat(self, model_id: str, messages: list, temperature: float, parse=None):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import StateError, ValidationError
-from .fileio import write_atomic
+from .fileio import read_json, record_from_json, write_atomic
 
 FeatureVector = dict[int, float]
 
@@ -318,59 +318,40 @@ def save_checkpoint(params: StudentParams, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> StudentParams:
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
-    return params_from_dict(obj)
+    return params_from_dict(read_json(path))
 
 
-def _flat_array(obj: dict, key: str, dtype) -> np.ndarray:
-    try:
-        arr = np.asarray(obj[key], dtype=dtype)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"student {key}: expected a list of numbers") from exc
-    if arr.ndim != 1:
-        raise ValidationError(f"student {key}: expected a flat list")
-    if not np.isfinite(arr).all():
-        raise ValidationError(f"student {key}: expected finite numbers")
-    return arr
+@dataclass(frozen=True)
+class _Checkpoint:
+    """The JSON object params_to_dict writes, as the typed reader reads it."""
+
+    dims: int
+    class_count: int
+    bias: tuple[float, ...]
+    columns: tuple[int, ...]
+    weights: tuple[float, ...]
 
 
 def params_from_dict(obj: dict) -> StudentParams:
-    """Inverse of params_to_dict, validating the layout. A dense layout
-    (`weights` without `columns`) is rejected, not read."""
-    if not isinstance(obj, dict):
-        raise ValidationError("student params must be a JSON object")
-    if "weights" in obj and "columns" not in obj:
+    """Inverse of params_to_dict. The five keys are read by the typed
+    reader, so errors name the value, e.g. $.student.weights[1]. A dense
+    layout (`weights` without `columns`) is rejected, not read."""
+    if isinstance(obj, dict) and "weights" in obj and "columns" not in obj:
         raise ValidationError(
             "dense student format (weights without columns) is not supported; "
             "checkpoints now store only the non-zero weight columns"
         )
-    keys = ("dims", "class_count", "bias", "columns", "weights")
-    missing = [k for k in keys if k not in obj]
-    if missing:
-        raise ValidationError(f"student params missing keys {missing}")
-    unknown = sorted(set(obj) - set(keys))
-    if unknown:
-        raise ValidationError(f"student params have unknown keys {unknown}")
-    dims, class_count = obj["dims"], obj["class_count"]
-    if type(dims) is not int or type(class_count) is not int:
-        raise ValidationError("student dims and class_count must be integers")
+    saved = record_from_json(_Checkpoint, obj, "student")
+    dims, class_count, columns = saved.dims, saved.class_count, saved.columns
     weights = init_params(dims, class_count).weights
-    if not isinstance(obj["columns"], list) or any(type(c) is not int for c in obj["columns"]):
-        raise ValidationError("student columns must be a list of integers")
-    columns = _flat_array(obj, "columns", np.int64)
-    if len(columns) and (columns[0] < 0 or columns[-1] >= dims or np.any(np.diff(columns) <= 0)):
+    if columns and (columns[0] < 0 or columns[-1] >= dims or any(a >= b for a, b in zip(columns, columns[1:]))):
         raise ValidationError(f"student columns must be strictly increasing within [0, {dims})")
-    values = _flat_array(obj, "weights", np.float64)
-    if len(values) != class_count * len(columns):
+    if len(saved.weights) != class_count * len(columns):
         raise ValidationError(
-            f"student weights length {len(values)} != class_count x columns "
+            f"student weights length {len(saved.weights)} != class_count x columns "
             f"= {class_count} x {len(columns)}"
         )
-    bias = _flat_array(obj, "bias", np.float64)
-    if bias.shape != (class_count,):
+    if len(saved.bias) != class_count:
         raise ValidationError("bias length does not match class_count")
-    weights[:, columns] = values.reshape(class_count, len(columns))
-    return StudentParams(weights=weights, bias=bias, dims=dims, class_count=class_count)
+    weights[:, list(columns)] = np.array(saved.weights).reshape(class_count, len(columns))
+    return StudentParams(weights=weights, bias=np.array(saved.bias), dims=dims, class_count=class_count)

@@ -11,12 +11,9 @@ import csv
 import io
 import json
 import logging
-import sys
 from collections.abc import Callable, Iterable
-from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import get_args, get_origin
 
 import numpy as np
 
@@ -25,7 +22,7 @@ from . import ta as ta_mod
 from .dataset import Dataset, DatasetDescription, load_jsonl, make_exemplars, split
 from .dialogue_gradient import DEFAULT_FINETUNE_CAP, FINETUNE_SOFT_LIMIT, build_windows, cap, enrich, serialize_jsonl
 from .errors import FinetuneError, TransportError, ValidationError
-from .fileio import write_atomic
+from .fileio import _fields_from_json, _from_json, decoding, write_atomic
 from .history import Origin, PrefixHistory, RoundStats, ScoredPrefix, collect, insert_sorted, score_prefix, seed_history
 from .metrics import MetricKind
 from .remote import RemoteClient
@@ -159,6 +156,9 @@ class RunConfig:
                 raise ValidationError(f"unknown config key $.{key}")
             if key == "sim_pool" and isinstance(value, list):
                 value = [[v, 0.0] if isinstance(v, str) else v for v in value]  # a bare prefix has weight 0
+                for i, v in enumerate(value):
+                    if not (isinstance(v, list) and len(v) == 2):
+                        raise ValidationError(f"$.sim_pool[{i}]: expected a string or [prefix, weight] pair")
             kwargs[key] = _from_json(key, types[key], value)
         if "data_path" not in kwargs:
             raise ValidationError("missing required config key $.data_path")
@@ -167,74 +167,6 @@ class RunConfig:
 
 def _to_json(value):
     return [_to_json(v) for v in value] if isinstance(value, tuple) else value
-
-
-_SCALARS = {str: ("string", str), int: ("integer", int), float: ("number", (int, float)), bool: ("boolean", bool)}
-
-# What a sequence-typed value must be, for the error when it is not.
-_SEQUENCE_EXPECTED = {
-    tuple[float, float, float]: "a list of three numbers",
-    tuple[str, ...]: "a list of strings",
-    tuple[str, float]: "a [prefix, weight] pair",
-}
-
-
-def _from_json(path: str, tp, value):
-    """Check a JSON value against a type annotation and return it as that
-    type; errors name the JSON path, e.g. $.sim_pool[3][1]. Scalars,
-    `X | None`, tuples, lists and dataclasses (via record_from_json) are
-    understood."""
-    if tp in _SCALARS:
-        name, accepted = _SCALARS[tp]
-        if isinstance(value, bool) != (tp is bool) or not isinstance(value, accepted):
-            raise ValidationError(f"$.{path}: expected {name}, got {type(value).__name__}")
-        # JSON readers accept NaN and Infinity; this also catches ints too large for a float.
-        if tp is float and not abs(value) <= sys.float_info.max:
-            raise ValidationError(f"$.{path}: expected a finite number, got {value}")
-        return tp(value)
-    if is_dataclass(tp):
-        return record_from_json(tp, value, path)
-    items = get_args(tp)
-    if type(None) in items:
-        return None if value is None else _from_json(path, items[0], value)
-    if isinstance(value, list) and (get_origin(tp) is list or items[-1] is Ellipsis):
-        items = items[:1] * len(value)
-    if not isinstance(value, list) or len(value) != len(items):
-        expected = _SEQUENCE_EXPECTED.get(tp, "a list")
-        if path.startswith("sim_pool["):  # a config's pool, unlike a state's, takes bare prefixes
-            expected = "a string or [prefix, weight] pair"
-        raise ValidationError(f"$.{path}: expected {expected}")
-    return get_origin(tp)(_from_json(f"{path}[{i}]", t, v) for i, (t, v) in enumerate(zip(items, value)))
-
-
-def _fields_from_json(cls, obj, path: str, names=None) -> dict:
-    """Typed keyword arguments for dataclass cls from a JSON object holding
-    the fields `names` (default: all); a field whose default is None may be
-    left out."""
-    if not isinstance(obj, dict):
-        raise ValidationError(f"$.{path}: expected object, got {type(obj).__name__}")
-    named = {f.name: f for f in fields(cls) if names is None or f.name in names}
-    missing = {name for name, f in named.items() if f.default is not None} - obj.keys()
-    unknown = obj.keys() - named.keys()
-    if missing or unknown:
-        raise ValidationError(f"$.{path}: missing keys {sorted(missing)}, unknown keys {sorted(unknown)}")
-    return {key: _from_json(f"{path}.{key}", named[key].type, value) for key, value in obj.items()}
-
-
-def record_from_json(cls, obj, path: str):
-    """Build a run record dataclass from its JSON object, each field from
-    its annotation. A missing (unless its default is None), unknown or
-    mistyped key raises ValidationError naming $.<path>.<field>."""
-    return cls(**_fields_from_json(cls, obj, path))
-
-
-@contextmanager
-def decoding(what: str):
-    """Turn any failure to decode `what` into ValidationError (exit 2)."""
-    try:
-        yield
-    except (ValueError, KeyError, TypeError, ValidationError) as exc:
-        raise ValidationError(f"malformed {what}: {type(exc).__name__}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -498,9 +430,9 @@ def state_to_json(state: RunState) -> str:
 
 
 def state_from_json(text: str, cfg: RunConfig) -> RunState:
-    """Inverse of state_to_json. Every part but the student is read by the
-    typed reader, and the saved assistant fields are set onto build_ta(cfg).
-    Invalid JSON, a missing, unknown or mistyped value, an epoch other than
+    """Inverse of state_to_json. Every part is read by the typed reader,
+    and the saved assistant fields are set onto build_ta(cfg). Invalid
+    JSON, a missing, unknown or mistyped value, an epoch other than
     the number of records (numbered 0, 1, ...), and a state saved under
     another backend or with a student of other dims raise ValidationError."""
     ta = build_ta(cfg)
@@ -511,6 +443,9 @@ def state_from_json(text: str, cfg: RunConfig) -> RunState:
         raise ValidationError(f"cannot resume: the state was saved under the {saved!r} "
                               f"assistant backend, but the config selects {ta.backend!r}")
     with decoding("run state"):
+        unknown = obj.keys() - {"epoch", "student", "student_frozen", "ta", "history", "best", "records"}
+        if unknown:
+            raise ValidationError(f"$: unknown keys {sorted(unknown)}")
         saved_ta = {key: value for key, value in obj["ta"].items() if key != "backend"}
         ta = replace(ta, **_fields_from_json(type(ta), saved_ta, "ta", ta.to_dict().keys() - {"backend"}))
         history = PrefixHistory()
@@ -563,13 +498,13 @@ def run(cfg: RunConfig, out_dir: str | Path, resume_from: str | Path | None = No
     state and reproduces exactly what an uninterrupted run would have done.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     ctx = prepare(cfg)
     if resume_from is not None:
         state = state_from_json(Path(resume_from).read_text(encoding="utf-8"), cfg)
         logger.info("resuming from %s at epoch %d", resume_from, state.epoch)
     else:
         state = init_state(cfg, ctx)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_atomic(out_dir / "config.json", config_to_json(cfg))
 
     while state.epoch < cfg.epochs:

@@ -28,6 +28,14 @@ DESK_POOL = tuple((p, 2.0) for p in FAMILY_PREFIXES) + tuple(
 )
 
 
+def pytest_collection_modifyitems(items):
+    """Fail a test that leaks a file handle or socket: the leak surfaces as
+    a ResourceWarning, or as an unraisable one when raised in __del__."""
+    for item in items:
+        item.add_marker(pytest.mark.filterwarnings("error::ResourceWarning"))
+        item.add_marker(pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning"))
+
+
 @pytest.fixture(scope="session")
 def desk_dataset_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "synth.jsonl"

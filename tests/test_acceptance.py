@@ -32,10 +32,10 @@ from gpta import (
     synth_generate,
     train_pass,
 )
+from gpta.fileio import record_from_json
 from gpta.remote import RemoteClient
 from gpta.student import StudentParams, forward, grad, loss
 from gpta.ta import remote_handle, render_generation_request, SimState
-from gpta.trainer import record_from_json
 
 from conftest import DESK_POOL, FAMILY_PREFIXES
 from mock_openai import MockOpenAIServer

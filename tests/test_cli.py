@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -194,8 +195,12 @@ MALFORMED_STUDENTS = {
     "column-past-dims": (_student(columns=[1, 8]), "strictly increasing"),
     "short-weights": (_student(weights=[0.1, 0.2, 0.3]), "weights length"),
     "short-bias": (_student(bias=[0.0]), "bias length"),
-    "nan-weight": (_student(weights=[0.1, float("nan"), 0.3, 0.4]), "weights: expected finite numbers"),
-    "inf-bias": (_student(bias=[float("-inf"), 0.5]), "bias: expected finite numbers"),
+    "nan-weight": (_student(weights=[0.1, float("nan"), 0.3, 0.4]), "$.student.weights[1]: expected a finite number"),
+    "inf-bias": (_student(bias=[float("-inf"), 0.5]), "$.student.bias[0]: expected a finite number"),
+    "string-weight": (_student(weights=["0.1", 0.2, 0.3, 0.4]), "$.student.weights[0]: expected number, got str"),
+    "bool-weight": (_student(weights=[0.1, True, 0.3, 0.4]), "$.student.weights[1]: expected number, got bool"),
+    "string-bias": (_student(bias=["0", 0.5]), "$.student.bias[0]: expected number, got str"),
+    "bool-bias": (_student(bias=[0.0, True]), "$.student.bias[1]: expected number, got bool"),
     "legacy-dense": (
         {"dims": 8, "class_count": 2, "bias": [0.0, 0.5], "weights": [0.0] * 16},
         "dense student format",
@@ -204,8 +209,8 @@ MALFORMED_STUDENTS = {
 
 
 @pytest.mark.parametrize("payload,message", MALFORMED_STUDENTS.values(), ids=MALFORMED_STUDENTS)
-def test_malformed_checkpoint_rejected(payload, message, tmp_path, desk_dataset_path, capsys):
-    with pytest.raises(ValidationError, match=message):
+def test_malformed_checkpoint_rejected(payload, message, tmp_path, desk_config, desk_dataset_path, capsys):
+    with pytest.raises(ValidationError, match=re.escape(message)):
         params_from_dict(payload)
     ckpt = tmp_path / "student.json"
     ckpt.write_text(json.dumps(payload))
@@ -213,6 +218,22 @@ def test_malformed_checkpoint_rejected(payload, message, tmp_path, desk_dataset_
                     "--metric", "accuracy"])
     assert code == EXIT_VALIDATION
     assert message in capsys.readouterr().err
+    assert _resume_from(_set("student", value=payload), tmp_path, desk_config) == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "resumed").exists()
+
+
+def _resume_from(corrupt, tmp_path, desk_config):
+    """Exit code of `gpta train --resume` into tmp_path/resumed from a
+    one-epoch desk run's state, rewritten by corrupt(text)."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(desk_config(epochs=1).to_dict()))
+    out = tmp_path / "run"
+    assert run_cli(["train", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+    state = tmp_path / "bad_state.json"
+    state.write_text(corrupt((out / "state_epoch0.json").read_text()))
+    return run_cli(["train", "--config", str(cfg_path), "--out", str(tmp_path / "resumed"),
+                    "--resume", str(state)])
 
 
 def _set(*path, value):
@@ -241,22 +262,15 @@ MALFORMED_STATES = {
     "negative-sim-rng-seed": _set("ta", "sim", "rng_seed", value=-1),
     "number-history-prefix": _set("history", 0, "prefix", value=3),
     "generated-origin-without-place": _set("history", 0, "origin", value={"kind": "generated"}),
+    "unknown-top-level-key": _set("extra", value=1),
 }
 
 
 @pytest.mark.parametrize("corrupt", MALFORMED_STATES.values(), ids=MALFORMED_STATES)
 def test_resume_from_malformed_state_exits_2(corrupt, tmp_path, desk_config, capsys):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(desk_config(epochs=1).to_dict()))
-    out = tmp_path / "run"
-    assert run_cli(["train", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
-    state = tmp_path / "bad_state.json"
-    state.write_text(corrupt((out / "state_epoch0.json").read_text()))
-    code = run_cli(["train", "--config", str(cfg_path), "--out", str(tmp_path / "resumed"),
-                    "--resume", str(state)])
-    assert code == EXIT_VALIDATION
+    assert _resume_from(corrupt, tmp_path, desk_config) == EXIT_VALIDATION
     assert "malformed run state" in capsys.readouterr().err
-    assert not (tmp_path / "resumed" / "config.json").exists()
+    assert not (tmp_path / "resumed").exists()
 
 
 def test_underflowing_train_loss_stays_finite(tmp_path, desk_config):
@@ -324,6 +338,7 @@ MALFORMED_REPORTS = {
     "null-prefix": json.dumps({"epochs": [_RECORD, {**_RECORD, "train_prefix": None}]}),
     "bool-epoch": json.dumps({"epochs": [{**_RECORD, "epoch": True}]}),
     "number-error": json.dumps({"epochs": [{**_RECORD, "finetune_error": 3}]}),
+    "no-records": json.dumps({"epochs": []}),
 }
 
 
@@ -356,6 +371,10 @@ INVALID_CONFIG_VALUES = {
     "negative-shuffle-seed": ('"shuffle_seed": -1', "shuffle_seed must be >= 0, got -1"),
     "negative-sim-seed": ('"sim_seed": -1', "sim_seed must be >= 0, got -1"),
     "negative-exemplar-seed": ('"exemplar_seed": -1', "exemplar_seed must be >= 0, got -1"),
+    "not-json": ('"lr": }', "invalid JSON"),
+    "fractions-past-one": ('"split_fractions": [0.5, 0.6, 0.1]', "fractions must sum to 1"),
+    "exemplar-count-past-cap": ('"exemplar_count": 9', "exemplar count must be in [0, 8], got 9"),
+    "zero-sim-temperature-scale": ('"sim_temperature_scale": 0', "temperature_scale must be positive"),
 }
 
 
@@ -366,4 +385,13 @@ def test_invalid_config_value_exits_2(entry, message, tmp_path, desk_dataset_pat
     code = run_cli(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
     assert code == EXIT_VALIDATION
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_missing_data_path_exits_3_without_a_run_dir(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"data_path": str(tmp_path / "nope.jsonl")}))
+    code = run_cli(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+    assert code == EXIT_RUNTIME
+    assert "nope.jsonl" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()

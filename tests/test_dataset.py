@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from gpta import ParseError, ValidationError, load_jsonl, make_exemplars, split, synth_generate
+from gpta import Dataset, ParseError, TextExample, ValidationError, load_jsonl, make_exemplars, split, synth_generate
 from gpta.dataset import write_jsonl
 
 
@@ -49,9 +49,24 @@ def test_load_jsonl_negative_label_names_line(tmp_path):
         load_jsonl(path)
 
 
-def test_load_jsonl_malformed_line(tmp_path):
-    path = write_lines(tmp_path, ['{"text":"ok","label":0}', "{not json"])
-    with pytest.raises(ParseError, match="line 2"):
+_OK = '{"text":"ok","label":0}'
+MALFORMED_FILES = {
+    "not-json": ([_OK, "{not json"], "line 2: invalid JSON"),
+    "not-object": ([_OK, "[1, 2]"], "line 2: expected a JSON object"),
+    "blank-text": ([_OK, '{"text":"  ","label":0}'], "line 2: field 'text' must be a non-empty string"),
+    "number-text": ([_OK, '{"text":3,"label":0}'], "line 2: field 'text' must be a non-empty string"),
+    "bool-label": ([_OK, '{"text":"x","label":true}'], "line 2: field 'label' must be an integer"),
+    "missing-label": ([_OK, '{"text":"x"}'], "line 2: missing required field 'text' or 'label'"),
+    "empty-classes": (['{"classes":[]}', _OK], "line 1: 'classes' must be a non-empty list of strings"),
+    "string-classes": (['{"classes":"ab"}', _OK], "line 1: 'classes' must be a non-empty list of strings"),
+    "number-class": (['{"classes":["a",1]}', _OK], "line 1: 'classes' must be a non-empty list of strings"),
+}
+
+
+@pytest.mark.parametrize("lines,message", MALFORMED_FILES.values(), ids=MALFORMED_FILES)
+def test_load_jsonl_malformed_line(lines, message, tmp_path):
+    path = write_lines(tmp_path, lines)
+    with pytest.raises(ParseError, match=re.escape(message)):
         load_jsonl(path)
 
 
@@ -69,6 +84,14 @@ def test_write_jsonl_round_trip(tmp_path):
     write_jsonl(d, path)
     back = load_jsonl(path)
     assert back == d
+
+
+@pytest.mark.parametrize("text", ["a\x85b", "a\u2028b", "a\u2029b"], ids=["NEL", "LS", "PS"])
+def test_write_jsonl_round_trips_unicode_line_breaks(text, tmp_path):
+    d = Dataset(examples=(TextExample(text, 0), TextExample("plain", 1)), class_count=2, class_names=(text, "b"))
+    path = tmp_path / "rt.jsonl"
+    write_jsonl(d, path)
+    assert load_jsonl(path) == d
 
 
 def test_split_sizes_and_determinism():
@@ -90,6 +113,28 @@ def test_split_too_small():
     d = synth_generate(2, 1, 20, 0.0, 0)  # n=2
     with pytest.raises(ValidationError):
         split(d, (0.8, 0.1, 0.1), seed=0)
+
+
+INVALID_SPLITS = {
+    "two-fractions": ((0.5, 0.5), 0, "fractions must have exactly three entries"),
+    "zero-fraction": ((0.0, 0.5, 0.5), 0, "each fraction must lie in (0, 1)"),
+    "fraction-past-one": ((1.2, -0.1, -0.1), 0, "each fraction must lie in (0, 1)"),
+    "sum-past-one": ((0.5, 0.6, 0.1), 0, "fractions must sum to 1"),
+    "negative-seed": ((0.8, 0.1, 0.1), -1, "seed must be >= 0, got -1"),
+}
+
+
+@pytest.mark.parametrize("fractions,seed,message", INVALID_SPLITS.values(), ids=INVALID_SPLITS)
+def test_split_rejects_invalid_arguments(fractions, seed, message):
+    d = synth_generate(2, 10, 40, 0.0, 1)
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        split(d, fractions, seed)
+
+
+def test_make_exemplars_negative_seed():
+    d = synth_generate(2, 10, 40, 0.0, 2)
+    with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+        make_exemplars(d, 2, seed=-1)
 
 
 def test_split_empty_part_rejected():

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from gpta import (
     DatasetDescription,
     ExemplarSet,
     MetaPrompt,
+    ParseError,
     ScoredPrefix,
     TextExample,
     ValidationError,
@@ -24,6 +26,9 @@ from gpta.dialogue_gradient import FinetuneExample
 from gpta.history import PrefixHistory, insert_sorted
 
 GOLDEN = Path(__file__).parent / "data" / "golden_gradients.jsonl"
+
+# Non-empty message contents rich in the characters str.splitlines() breaks at.
+LINE_BREAK_TEXT = st.text(st.sampled_from("ab \n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029") | st.characters(), min_size=1)
 
 
 def history_of_scores(scores, prefix_fmt="p{i}"):
@@ -193,7 +198,20 @@ class TestWireFormat:
         with pytest.raises(ValidationError):
             serialize_jsonl([])
 
-    def test_parse_rejects_wrong_message_count(self):
-        bad = b'{"messages":[{"role":"system","content":"x"}]}\n'
-        with pytest.raises(ValidationError):
+    @pytest.mark.parametrize("bad,message", [
+        (b'{"messages":[{"role":"system","content":"x"}]}\n', "line 1: expected exactly 3 messages"),
+        (b'{"messages":[\n', "line 1: invalid JSON"),
+        (b"[1, 2]\n", "line 1: expected a JSON object"),
+    ], ids=["wrong-message-count", "not-json", "not-object"])
+    def test_parse_rejects_malformed_line(self, bad, message):
+        with pytest.raises(ParseError, match=re.escape(message)):
             parse_jsonl(bad)
+
+    @settings(max_examples=50, deadline=None)
+    @given(contents=st.lists(st.lists(LINE_BREAK_TEXT, min_size=3, max_size=3), min_size=1, max_size=4))
+    def test_parse_inverts_serialize(self, contents):
+        examples = [
+            FinetuneExample(messages=tuple(ChatMessage(role, c) for role, c in zip(("system", "user", "assistant"), cs)))
+            for cs in contents
+        ]
+        assert parse_jsonl(serialize_jsonl(examples)) == examples

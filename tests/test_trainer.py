@@ -413,6 +413,15 @@ class TestRun:
         assert (tmp_path / "run" / "report.json").exists()
         assert (tmp_path / "run" / "metrics.csv").exists()
 
+    @pytest.mark.parametrize("char", ["\x85", "\u2028", "\u2029"], ids=["NEL", "LS", "PS"])
+    def test_unicode_line_break_in_the_system_prompt_runs(self, char, desk_config, tmp_path):
+        """str.splitlines() breaks at these; the tuning file's lines must not."""
+        summary = f"Classify each text{char}into one of two classes."
+        report = run(desk_config(epochs=1, task_summary=summary), tmp_path / "run")
+        assert report.records[0].finetune_error is None
+        examples = parse_jsonl((tmp_path / "run" / "gradients_epoch0.jsonl").read_bytes())
+        assert all(summary in ex.messages[0].content for ex in examples)
+
     def test_metrics_csv_shape(self, desk_config, tmp_path):
         run(desk_config(epochs=3), tmp_path / "run")
         lines = (tmp_path / "run" / "metrics.csv").read_text().strip().splitlines()
