@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .fileio import jsonl_objects
+from .fileio import encodes, jsonl_objects, read_text
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,8 @@ class ExemplarSet:
 
 
 def _validate_example(text: str, label: int, line: int) -> TextExample:
-    if not isinstance(text, str) or not text.strip():
-        raise ParseError("field 'text' must be a non-empty string", line)
+    if not isinstance(text, str) or not text.strip() or not encodes(text):
+        raise ParseError("field 'text' must be a non-empty string that encodes as UTF-8", line)
     if isinstance(label, bool) or not isinstance(label, int):
         raise ParseError("field 'label' must be an integer", line)
     if label < 0:
@@ -85,11 +85,11 @@ def load_jsonl(path: str | Path) -> Dataset:
     class_names: tuple[str, ...] | None = None
     declared_count: int | None = None
 
-    for lineno, obj in jsonl_objects(path.read_text(encoding="utf-8")):
+    for lineno, obj in jsonl_objects(read_text(path)):
         if lineno == 1 and "classes" in obj:
             names = obj["classes"]
-            if not isinstance(names, list) or not names or not all(isinstance(n, str) for n in names):
-                raise ParseError("'classes' must be a non-empty list of strings", lineno)
+            if not isinstance(names, list) or not names or not all(isinstance(n, str) and encodes(n) for n in names):
+                raise ParseError("'classes' must be a non-empty list of strings that encode as UTF-8", lineno)
             class_names = tuple(names)
             declared_count = len(names)
             continue

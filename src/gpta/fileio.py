@@ -35,10 +35,27 @@ def write_atomic(path: str | Path, data: str | bytes) -> None:
         raise
 
 
-def read_json(path: str | Path):
-    """The JSON value in the UTF-8 file `path`. Invalid JSON raises
+def read_text(path: str | Path) -> str:
+    """The text of the UTF-8 file `path`. Bytes that are not UTF-8 raise
     ValidationError naming the path; a missing file raises OSError."""
-    text = Path(path).read_text(encoding="utf-8")
+    with decoding(str(path)):
+        return Path(path).read_text(encoding="utf-8")
+
+
+def encodes(text: str) -> bool:
+    """Whether `text` encodes as UTF-8, i.e. holds no lone surrogate (which
+    JSON's \\ud800 escapes can produce)."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def read_json(path: str | Path):
+    """The JSON value in the UTF-8 file `path`. Invalid JSON or UTF-8 raises
+    ValidationError naming the path; a missing file raises OSError."""
+    text = read_text(path)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -93,6 +110,8 @@ def _from_json(path: str, tp, value):
         # JSON readers accept NaN and Infinity; this also catches ints too large for a float.
         if tp is float and not abs(value) <= sys.float_info.max:
             raise ValidationError(f"$.{path}: expected a finite number, got {value}")
+        if tp is str and not encodes(value):
+            raise ValidationError(f"$.{path}: expected a string that encodes as UTF-8")
         return tp(value)
     if is_dataclass(tp):
         return record_from_json(tp, value, path)

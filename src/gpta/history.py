@@ -170,8 +170,6 @@ def collect(
         raise ValidationError("initial history must be non-empty")
     if k <= len(h0):
         raise ValidationError(f"k={k} must exceed initial history size {len(h0)}")
-    if l < 1:
-        raise ValidationError(f"l must be >= 1, got {l}")
 
     h = h0
     rounds: list[RoundStats] = []

@@ -37,6 +37,8 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _PAIR_SEP = "\x01"
 
 DEFAULT_DIMS = 1 << 18
+# A student allocates a dense class_count x dims weight matrix, so dims is bounded.
+MAX_DIMS = 1 << 24
 
 
 def _fold(h: int, data: str) -> int:
@@ -57,8 +59,8 @@ def tokenize(text: str) -> list[str]:
 
 
 def _check_dims(dims: int) -> None:
-    if dims < 2 or dims & (dims - 1):
-        raise ValidationError(f"dims must be a power of two >= 2, got {dims}")
+    if not 2 <= dims <= MAX_DIMS or dims & (dims - 1):
+        raise ValidationError(f"dims must be a power of two in [2, {MAX_DIMS}], got {dims}")
 
 
 def _count(indices: list[int]) -> FeatureVector:
@@ -83,7 +85,7 @@ def featurize(prefix: str, text: str, dims: int, hash_seed: int = 0) -> FeatureV
 
     Unigram counts over the concatenated prefix+text token stream, plus a
     count for every (prefix token, text token) pair. dims must be a power
-    of two >= 2.
+    of two in [2, MAX_DIMS].
     """
     _check_dims(dims)
     return _featurize(prefix, text, dims, hash_seed)
@@ -343,6 +345,8 @@ def params_from_dict(obj: dict) -> StudentParams:
         )
     saved = record_from_json(_Checkpoint, obj, "student")
     dims, class_count, columns = saved.dims, saved.class_count, saved.columns
+    if len(saved.bias) != class_count:
+        raise ValidationError("bias length does not match class_count")
     weights = init_params(dims, class_count).weights
     if columns and (columns[0] < 0 or columns[-1] >= dims or any(a >= b for a, b in zip(columns, columns[1:]))):
         raise ValidationError(f"student columns must be strictly increasing within [0, {dims})")
@@ -351,7 +355,5 @@ def params_from_dict(obj: dict) -> StudentParams:
             f"student weights length {len(saved.weights)} != class_count x columns "
             f"= {class_count} x {len(columns)}"
         )
-    if len(saved.bias) != class_count:
-        raise ValidationError("bias length does not match class_count")
     weights[:, list(columns)] = np.array(saved.weights).reshape(class_count, len(columns))
     return StudentParams(weights=weights, bias=np.array(saved.bias), dims=dims, class_count=class_count)

@@ -18,6 +18,7 @@ import numpy as np
 
 from .dataset import DatasetDescription, ExemplarSet
 from .errors import ProtocolError, ValidationError
+from .fileio import encodes
 
 if TYPE_CHECKING:
     from .history import PrefixHistory
@@ -31,6 +32,8 @@ PREFIX_WORD_CAP = 10
 # ascending, so truncation keeps the best-scoring tail.
 HISTORY_RENDER_CAP = 60
 
+LINEAGES = ("continual", "from_base")  # see RemoteTA
+
 
 @dataclass(frozen=True)
 class ChatMessage:
@@ -42,6 +45,8 @@ class ChatMessage:
             raise ValidationError(f"invalid chat role {self.role!r}")
         if not self.content:
             raise ValidationError("chat message content must be non-empty")
+        if not encodes(self.content):
+            raise ValidationError("chat message content must encode as UTF-8")
 
 
 @dataclass(frozen=True)
@@ -145,7 +150,7 @@ class RemoteTA:
     backend: ClassVar[str] = "remote"
 
     def __post_init__(self):
-        if self.lineage not in ("continual", "from_base"):
+        if self.lineage not in LINEAGES:
             raise ValidationError(f"unknown lineage {self.lineage!r}")
 
     def generate(self, request: list[ChatMessage], l: int, temperature: float) -> list[str]:
@@ -243,12 +248,13 @@ def _clean_line(line: str) -> str:
 def parse_prefixes(completion_text: str, l: int) -> list[str]:
     """Extract up to l unique prefixes from a completion, one per line.
     List markers and surrounding quotes are stripped; each prefix is
-    clipped to the word cap. Raises if nothing parseable remains."""
+    clipped to the word cap. A prefix that does not encode as UTF-8 is
+    dropped. Raises if nothing parseable remains."""
     out: list[str] = []
     seen: set[str] = set()
     for raw in completion_text.splitlines():
         prefix = _clean_line(raw)
-        if not prefix or prefix in seen:
+        if not prefix or prefix in seen or not encodes(prefix):
             continue
         seen.add(prefix)
         out.append(prefix)

@@ -11,18 +11,19 @@ import csv
 import io
 import json
 import logging
+import operator
 from collections.abc import Callable, Iterable
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import student as student_mod
 from . import ta as ta_mod
-from .dataset import Dataset, DatasetDescription, load_jsonl, make_exemplars, split
+from .dataset import EXEMPLAR_CAP, Dataset, DatasetDescription, load_jsonl, make_exemplars, split
 from .dialogue_gradient import DEFAULT_FINETUNE_CAP, FINETUNE_SOFT_LIMIT, build_windows, cap, enrich, serialize_jsonl
 from .errors import FinetuneError, TransportError, ValidationError
-from .fileio import _fields_from_json, _from_json, decoding, write_atomic
+from .fileio import _fields_from_json, _from_json, decoding, read_text, write_atomic
 from .history import Origin, PrefixHistory, RoundStats, ScoredPrefix, collect, insert_sorted, score_prefix, seed_history
 from .metrics import MetricKind
 from .remote import RemoteClient
@@ -54,55 +55,63 @@ DEFAULT_SIM_POOL: tuple[str, ...] = (
 )
 
 
+# Each RunConfig metadata limit but "choices": the test a value must pass, and its sign in messages.
+_COMPARISONS = {"min": (operator.ge, ">="), "gt": (operator.gt, ">"), "max": (operator.le, "<=")}
+
+
 @dataclass
 class RunConfig:
-    """Resolved run configuration. Field defaults are the shipped defaults;
-    see from_dict for the strict JSON loader."""
+    """Resolved run configuration. Field defaults are the shipped defaults
+    and field metadata their limits; see from_dict for the strict JSON loader."""
 
     data_path: str
     split_fractions: tuple[float, float, float] = (0.8, 0.1, 0.1)
-    split_seed: int = 13
-    metric: str = "accuracy"
-    epochs: int = 5
+    split_seed: int = field(default=13, metadata={"min": 0})
+    metric: str = field(default="accuracy", metadata={"choices": tuple(k.value for k in MetricKind)})
+    epochs: int = field(default=5, metadata={"min": 1})
     # k - 2 < l: the history never holds enough of the 12-prefix default
     # pool for a round of l distinct draws to be all known, so collect
     # cannot stall on the defaults.
     k: int = 9
-    w: int = 5
-    l: int = 8
-    temperature: float = 1.0
-    finetune_cap: int = DEFAULT_FINETUNE_CAP
+    w: int = field(default=5, metadata={"min": 1})
+    l: int = field(default=8, metadata={"min": 1})
+    temperature: float = field(default=1.0, metadata={"min": 0})
+    finetune_cap: int = field(default=DEFAULT_FINETUNE_CAP, metadata={"min": 1})
     instruction: str = DEFAULT_INSTRUCTION
-    exemplar_count: int = 0
-    exemplar_seed: int = 17
+    exemplar_count: int = field(default=0, metadata={"min": 0, "max": EXEMPLAR_CAP})
+    exemplar_seed: int = field(default=17, metadata={"min": 0})
     task_name: str = ""
     task_summary: str = ""
     label_semantics: tuple[str, ...] = ()
-    lr: float = 0.1
+    lr: float = field(default=0.1, metadata={"min": 0})
     dims: int = student_mod.DEFAULT_DIMS
-    hash_seed: int = 0
-    shuffle_seed: int = 29
-    ta_backend: str = "simulated"
+    hash_seed: int = 0  # any integer: hashing masks it to 64 bits
+    shuffle_seed: int = field(default=29, metadata={"min": 0})
+    ta_backend: str = field(
+        default="simulated", metadata={"choices": (ta_mod.SimulatedTA.backend, ta_mod.RemoteTA.backend)})
     sim_pool: tuple[tuple[str, float], ...] = tuple((p, 0.0) for p in DEFAULT_SIM_POOL)
-    sim_seed: int = 0
-    sim_temperature_scale: float = 1.0
+    sim_seed: int = field(default=0, metadata={"min": 0})
+    sim_temperature_scale: float = field(default=1.0, metadata={"gt": 0})
     base_url: str = "https://api.openai.com"
     model_id: str = "gpt-3.5-turbo"
-    request_timeout_s: float = 60.0
-    retry_backoff_s: float = 0.5
-    poll_interval_s: float = 2.0
-    finetune_timeout_s: float = 600.0
-    ta_lineage: str = "continual"
+    request_timeout_s: float = field(default=60.0, metadata={"gt": 0})
+    retry_backoff_s: float = field(default=0.5, metadata={"min": 0})
+    poll_interval_s: float = field(default=2.0, metadata={"min": 0})
+    finetune_timeout_s: float = field(default=600.0, metadata={"min": 0})
+    ta_lineage: str = field(default="continual", metadata={"choices": ta_mod.LINEAGES})
 
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type in (float, tuple[float, float, float]) and not np.isfinite(value).all():
                 raise ValidationError(f"{f.name} must be finite, got {value}")
-        if self.epochs < 1:
-            raise ValidationError("epochs must be >= 1")
-        if self.w < 1:
-            raise ValidationError("w must be >= 1")
+            for kind, limit in f.metadata.items():
+                if kind == "choices":
+                    if value not in limit:
+                        raise ValidationError(f"unknown {f.name} {value!r}; expected one of {list(limit)}")
+                elif not _COMPARISONS[kind][0](value, limit):
+                    raise ValidationError(f"{f.name} must be {_COMPARISONS[kind][1]} {limit}, got {value}")
+        student_mod._check_dims(self.dims)
         if not self.w < self.k:
             raise ValidationError(f"w < k required, got w={self.w}, k={self.k}")
         if self.ta_backend == "simulated":
@@ -112,32 +121,11 @@ class RunConfig:
                     f"k={self.k} is unreachable: the simulated backend knows only {reachable} "
                     "distinct prefixes (those of sim_pool and the empty prefix)"
                 )
-        if self.l < 1:
-            raise ValidationError("l must be >= 1")
-        if self.temperature < 0:
-            raise ValidationError("temperature must be >= 0")
-        if self.finetune_cap < 1:
-            raise ValidationError("finetune_cap must be >= 1")
-        # hash_seed may be any integer: hashing masks it to 64 bits.
-        for name in ("lr", "retry_backoff_s", "poll_interval_s", "finetune_timeout_s",
-                     "split_seed", "shuffle_seed", "sim_seed", "exemplar_seed"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.request_timeout_s <= 0:
-            raise ValidationError(f"request_timeout_s must be > 0, got {self.request_timeout_s}")
-        MetricKind.from_name(self.metric)
-        if self.ta_backend not in ("simulated", "remote"):
-            raise ValidationError(f"unknown ta_backend {self.ta_backend!r}")
-        if self.ta_lineage not in ("continual", "from_base"):
-            raise ValidationError(f"unknown ta_lineage {self.ta_lineage!r}")
         if self.ta_backend == "remote" and not (self.base_url and self.model_id):
             raise ValidationError("remote backend requires base_url and model_id")
         if self.finetune_cap > FINETUNE_SOFT_LIMIT:
-            logger.warning(
-                "finetune_cap=%d exceeds %d; tuning quality degrades past that many examples",
-                self.finetune_cap,
-                FINETUNE_SOFT_LIMIT,
-            )
+            logger.warning("finetune_cap=%d exceeds %d; tuning quality degrades past that many examples",
+                           self.finetune_cap, FINETUNE_SOFT_LIMIT)
 
     def to_dict(self) -> dict:
         return {f.name: _to_json(getattr(self, f.name)) for f in fields(self)}
@@ -477,15 +465,7 @@ def write_metrics_csv(records: Iterable[EpochRecord], path: Path) -> None:
     writer = csv.writer(buf)
     writer.writerow(["epoch", "train_loss", "val_best", "val_empty", "improvement_rate"])
     for r in records:
-        writer.writerow(
-            [
-                r.epoch,
-                f"{r.train_loss:.6f}",
-                f"{r.val_best:.6f}",
-                f"{r.val_empty:.6f}",
-                f"{r.improvement_rate:.6f}",
-            ]
-        )
+        writer.writerow([r.epoch] + [f"{v:.6f}" for v in (r.train_loss, r.val_best, r.val_empty, r.improvement_rate)])
     write_atomic(path, buf.getvalue())
 
 
@@ -500,7 +480,7 @@ def run(cfg: RunConfig, out_dir: str | Path, resume_from: str | Path | None = No
     out_dir = Path(out_dir)
     ctx = prepare(cfg)
     if resume_from is not None:
-        state = state_from_json(Path(resume_from).read_text(encoding="utf-8"), cfg)
+        state = state_from_json(read_text(resume_from), cfg)
         logger.info("resuming from %s at epoch %d", resume_from, state.epoch)
     else:
         state = init_state(cfg, ctx)
@@ -514,14 +494,8 @@ def run(cfg: RunConfig, out_dir: str | Path, resume_from: str | Path | None = No
             write_atomic(out_dir / f"gradients_epoch{epoch}.jsonl", gradients)
         write_atomic(out_dir / f"state_epoch{epoch}.json", state_to_json(state))
         rec = state.records[-1]
-        logger.info(
-            "epoch %d: train_loss=%.4f val_best=%.4f val_empty=%.4f rate=%.3f",
-            epoch,
-            rec.train_loss,
-            rec.val_best,
-            rec.val_empty,
-            rec.improvement_rate,
-        )
+        logger.info("epoch %d: train_loss=%.4f val_best=%.4f val_empty=%.4f rate=%.3f",
+                    epoch, rec.train_loss, rec.val_best, rec.val_empty, rec.improvement_rate)
 
     report = RunReport(best=state.best, records=state.records)
     write_atomic(

@@ -205,6 +205,9 @@ MALFORMED_STUDENTS = {
         {"dims": 8, "class_count": 2, "bias": [0.0, 0.5], "weights": [0.0] * 16},
         "dense student format",
     ),
+    # Both are refused before the class_count x dims matrix is allocated.
+    "dims-past-max": (_student(dims=2**62), "dims must be a power of two in [2, 16777216], got 4611686018427387904"),
+    "class-count-past-bias": (_student(class_count=2**62), "bias length does not match class_count"),
 }
 
 
@@ -225,13 +228,15 @@ def test_malformed_checkpoint_rejected(payload, message, tmp_path, desk_config, 
 
 def _resume_from(corrupt, tmp_path, desk_config):
     """Exit code of `gpta train --resume` into tmp_path/resumed from a
-    one-epoch desk run's state, rewritten by corrupt(text)."""
+    one-epoch desk run's state, rewritten by corrupt(text); the surrogate
+    escape \\udcXX writes the byte XX, so the text need not stay UTF-8."""
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(desk_config(epochs=1).to_dict()))
     out = tmp_path / "run"
     assert run_cli(["train", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
     state = tmp_path / "bad_state.json"
-    state.write_text(corrupt((out / "state_epoch0.json").read_text()))
+    text = corrupt((out / "state_epoch0.json").read_text(encoding="utf-8"))
+    state.write_text(text, encoding="utf-8", errors="surrogateescape")
     return run_cli(["train", "--config", str(cfg_path), "--out", str(tmp_path / "resumed"),
                     "--resume", str(state)])
 
@@ -373,8 +378,10 @@ INVALID_CONFIG_VALUES = {
     "negative-exemplar-seed": ('"exemplar_seed": -1', "exemplar_seed must be >= 0, got -1"),
     "not-json": ('"lr": }', "invalid JSON"),
     "fractions-past-one": ('"split_fractions": [0.5, 0.6, 0.1]', "fractions must sum to 1"),
-    "exemplar-count-past-cap": ('"exemplar_count": 9', "exemplar count must be in [0, 8], got 9"),
-    "zero-sim-temperature-scale": ('"sim_temperature_scale": 0', "temperature_scale must be positive"),
+    "exemplar-count-past-cap": ('"exemplar_count": 9', "exemplar_count must be <= 8, got 9"),
+    "zero-sim-temperature-scale": ('"sim_temperature_scale": 0', "sim_temperature_scale must be > 0, got 0.0"),
+    "dims-past-max": ('"dims": 4611686018427387904', "dims must be a power of two in [2, 16777216]"),
+    "lone-surrogate": ('"task_summary": "x\\ud800"', "$.task_summary: expected a string that encodes as UTF-8"),
 }
 
 
@@ -386,6 +393,22 @@ def test_invalid_config_value_exits_2(entry, message, tmp_path, desk_dataset_pat
     assert code == EXIT_VALIDATION
     assert message in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(b'{"data_path": "caf\xe9.jsonl"}')
+    code = run_cli(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+    assert code == EXIT_VALIDATION
+    assert f"malformed {cfg_path}: UnicodeDecodeError" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_resume_state_that_is_not_utf8_exits_2(tmp_path, desk_config, capsys):
+    code = _resume_from(lambda text: text.replace('"epoch"', '"\udce9poch"'), tmp_path, desk_config)
+    assert code == EXIT_VALIDATION
+    assert "bad_state.json: UnicodeDecodeError" in capsys.readouterr().err
+    assert not (tmp_path / "resumed").exists()
 
 
 def test_missing_data_path_exits_3_without_a_run_dir(tmp_path, capsys):

@@ -60,6 +60,14 @@ MALFORMED_FILES = {
     "empty-classes": (['{"classes":[]}', _OK], "line 1: 'classes' must be a non-empty list of strings"),
     "string-classes": (['{"classes":"ab"}', _OK], "line 1: 'classes' must be a non-empty list of strings"),
     "number-class": (['{"classes":["a",1]}', _OK], "line 1: 'classes' must be a non-empty list of strings"),
+    # JSON's \ud800 escape decodes to a lone surrogate, which no tokenizer or writer can encode.
+    "surrogate-text": (
+        [_OK, '{"text":"x \\ud800","label":0}'], "line 2: field 'text' must be a non-empty string that encodes as UTF-8"
+    ),
+    "surrogate-class": (
+        ['{"classes":["a","\\udfff"]}', _OK],
+        "line 1: 'classes' must be a non-empty list of strings that encode as UTF-8",
+    ),
 }
 
 
@@ -67,6 +75,13 @@ MALFORMED_FILES = {
 def test_load_jsonl_malformed_line(lines, message, tmp_path):
     path = write_lines(tmp_path, lines)
     with pytest.raises(ParseError, match=re.escape(message)):
+        load_jsonl(path)
+
+
+def test_load_jsonl_not_utf8_names_file(tmp_path):
+    path = tmp_path / "latin1.jsonl"
+    path.write_bytes(b'{"text":"caf\xe9","label":0}\n')
+    with pytest.raises(ValidationError, match=re.escape(f"malformed {path}: UnicodeDecodeError")):
         load_jsonl(path)
 
 
@@ -154,7 +169,7 @@ def test_make_exemplars_empty_and_deterministic():
 
 def test_make_exemplars_cap():
     d = synth_generate(2, 10, 40, 0.0, 2)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=re.escape("exemplar count must be in [0, 8], got 9")):
         make_exemplars(d, 9, seed=0)
 
 

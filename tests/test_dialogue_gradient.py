@@ -27,8 +27,13 @@ from gpta.history import PrefixHistory, insert_sorted
 
 GOLDEN = Path(__file__).parent / "data" / "golden_gradients.jsonl"
 
-# Non-empty message contents rich in the characters str.splitlines() breaks at.
-LINE_BREAK_TEXT = st.text(st.sampled_from("ab \n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029") | st.characters(), min_size=1)
+# Non-empty message contents rich in the characters str.splitlines() breaks at,
+# drawn from the text ChatMessage accepts: no lone surrogates (category Cs).
+LINE_BREAK_TEXT = st.text(
+    st.sampled_from("ab \n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+    | st.characters(exclude_categories=("Cs",)),
+    min_size=1,
+)
 
 
 def history_of_scores(scores, prefix_fmt="p{i}"):

@@ -107,7 +107,8 @@ class TestGenerate:
                 generate(handle, request, 1, 1.0)
             assert len(server.requests_for("/v1/chat/completions")) == 3
 
-    @pytest.mark.parametrize("bad", ["  ", None], ids=["blank", "null-content"])
+    # A lone surrogate survives the reply's JSON escapes, but featurize could not encode it.
+    @pytest.mark.parametrize("bad", ["  ", None, "focus \ud800"], ids=["blank", "null-content", "lone-surrogate"])
     def test_bad_completion_retried_once(self, bad):
         with MockOpenAIServer(completions=[bad, "good prefix"]) as server:
             handle = remote_handle(make_client(server), "base-model")

@@ -7,6 +7,7 @@ from gpta import (
     MetaPrompt,
     ProtocolError,
     ScoredPrefix,
+    SimState,
     TextExample,
     ValidationError,
     finetune,
@@ -111,6 +112,18 @@ class TestParsePrefixes:
         with pytest.raises(ProtocolError):
             parse_prefixes("   \n\t\n", 3)
 
+    def test_line_that_is_not_utf8_dropped(self):
+        # A reply's JSON can carry a lone surrogate, which featurize could not encode.
+        assert parse_prefixes("focus \ud800\nlook closely", 2) == ["look closely"]
+        with pytest.raises(ProtocolError):
+            parse_prefixes("focus \ud800", 1)
+
+
+class TestChatMessage:
+    def test_lone_surrogate_rejected(self):
+        with pytest.raises(ValidationError, match="chat message content must encode as UTF-8"):
+            ChatMessage("user", "ok \udc80")
+
 
 class TestSimulatedGenerate:
     def test_full_pool_when_l_equals_size(self):
@@ -156,6 +169,10 @@ class TestSimulatedGenerate:
     def test_duplicate_pool_prefix_rejected(self):
         with pytest.raises(ValidationError):
             simulated_handle([("a", 0.0), ("a", 1.0)])
+
+    def test_nonpositive_temperature_scale_rejected(self):
+        with pytest.raises(ValidationError, match="temperature_scale must be positive"):
+            SimState([("a", 0.0)], temperature_scale=0)
 
 
 def finetune_file(targets):

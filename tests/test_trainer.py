@@ -128,7 +128,64 @@ CONFIG_ERRORS = {
     "finetune-timeout-negative": (
         {"data_path": "x", "finetune_timeout_s": -1}, "finetune_timeout_s must be >= 0, got -1.0"
     ),
+    "epochs-zero": ({"data_path": "x", "epochs": 0}, "epochs must be >= 1, got 0"),
+    "w-zero": ({"data_path": "x", "w": 0}, "w must be >= 1, got 0"),
+    "l-zero": ({"data_path": "x", "l": 0}, "l must be >= 1, got 0"),
+    "temperature-negative": ({"data_path": "x", "temperature": -1}, "temperature must be >= 0, got -1.0"),
+    "finetune-cap-zero": ({"data_path": "x", "finetune_cap": 0}, "finetune_cap must be >= 1, got 0"),
+    "exemplar-count-negative": ({"data_path": "x", "exemplar_count": -1}, "exemplar_count must be >= 0, got -1"),
+    "exemplar-count-past-cap": ({"data_path": "x", "exemplar_count": 9}, "exemplar_count must be <= 8, got 9"),
+    "sim-temperature-scale-zero": (
+        {"data_path": "x", "sim_temperature_scale": 0}, "sim_temperature_scale must be > 0, got 0.0"
+    ),
+    "metric-unknown": (
+        {"data_path": "x", "metric": "f1"}, "unknown metric 'f1'; expected one of ['accuracy', 'macro_f1', 'neg_loss']"
+    ),
+    "ta-backend-unknown": (
+        {"data_path": "x", "ta_backend": "local"}, "unknown ta_backend 'local'; expected one of ['simulated', 'remote']"
+    ),
+    "ta-lineage-unknown": (
+        {"data_path": "x", "ta_lineage": "fresh"},
+        "unknown ta_lineage 'fresh'; expected one of ['continual', 'from_base']",
+    ),
+    "remote-without-base-url": (
+        {"data_path": "x", "ta_backend": "remote", "base_url": ""}, "remote backend requires base_url and model_id"
+    ),
+    "dims-not-power-of-two": ({"data_path": "x", "dims": 12}, "dims must be a power of two in [2, 16777216], got 12"),
+    "dims-past-max": (
+        {"data_path": "x", "dims": 2**25}, "dims must be a power of two in [2, 16777216], got 33554432"
+    ),
+    "lone-surrogate": (
+        {"data_path": "x", "sim_pool": ["ok", "bad \ud800"]},
+        "$.sim_pool[1][0]: expected a string that encodes as UTF-8",
+    ),
 }
+
+
+LIMIT_SIGNS = {"min": ">=", "gt": ">", "max": "<="}
+PROSE = object()
+
+
+def readme_config_rows() -> list[tuple[list[str], str, str]]:
+    """(keys, default cell, whole row) for each row of README's Configuration table."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    rows = []
+    for row in section.splitlines():
+        if row.startswith("| `"):
+            key_cell, default_cell = row.split(" | ", 2)[:2]
+            rows.append((re.findall(r"`(\w+)`", key_cell), default_cell, row))
+    return rows
+
+
+def readme_literal(text: str):
+    """The value a default cell states: JSON, or a backticked word such as
+    `gpt-3.5-turbo`; PROSE for a description such as "built-in pool"."""
+    code = re.fullmatch(r"`(.*)`", text)
+    try:
+        return json.loads(code[1] if code else text)
+    except json.JSONDecodeError:
+        return code[1] if code else PROSE
 
 
 class TestConfig:
@@ -247,14 +304,21 @@ class TestConfig:
         assert config_to_json(cfg).encode("utf-8") == golden.read_bytes()
 
     def test_readme_table_lists_every_key(self):
-        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
-        section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
-        listed = set()
-        for row in section.splitlines():
-            if row.startswith("| `"):
-                listed.update(re.findall(r"`(\w+)`", row.split(" | ", 1)[0]))
-        missing = [f.name for f in dataclasses.fields(RunConfig) if f.name not in listed]
-        assert not missing
+        listed = [key for keys, _, _ in readme_config_rows() for key in keys]
+        assert sorted(listed) == sorted(f.name for f in dataclasses.fields(RunConfig))
+
+    def test_readme_table_states_defaults_and_limits(self):
+        defaults = RunConfig(data_path="x").to_dict()
+        field_by_name = {f.name: f for f in dataclasses.fields(RunConfig)}
+        for keys, default_cell, row in readme_config_rows():
+            stated = re.split(r",\s*(?![^\[]*\])", default_cell)  # commas outside [...]
+            assert len(stated) == len(keys), row
+            for key, text in zip(keys, stated):
+                value = readme_literal(text)
+                assert value is PROSE or value == defaults[key], (key, text)
+                for kind, limit in field_by_name[key].metadata.items():
+                    wanted = [f"`{c}`" for c in limit] if kind == "choices" else [f"{LIMIT_SIGNS[kind]} {limit}"]
+                    assert all(w in row for w in wanted), (key, kind, limit)
 
 
 class TestRunEpoch:
