@@ -184,7 +184,7 @@ def _cmd_eval(args) -> int:
             f"dataset label {max_label} out of range for a "
             f"{params.class_count}-class checkpoint"
         )
-    kind = MetricKind.from_name(args.metric)
+    kind = MetricKind(args.metric)
     score = score_prefix(params, args.prefix, data, kind, hash_seed=args.hash_seed)
     print(f"{score:.6f}")
     return EXIT_OK

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .fileio import encodes, jsonl_objects, read_text
+from .fileio import encodes, jsonl_objects, read_text, write_atomic
 
 
 @dataclass(frozen=True)
@@ -214,13 +214,8 @@ def synth_generate(
 
 
 def write_jsonl(d: Dataset, path: str | Path) -> None:
-    """Write a dataset in the JSONL format load_jsonl reads, including
-    the classes header line when class names are known."""
-    path = Path(path)
-    with open(path, "w", encoding="utf-8") as f:
-        if d.class_names is not None:
-            f.write(json.dumps({"classes": list(d.class_names)}, ensure_ascii=False) + "\n")
-        for ex in d.examples:
-            f.write(
-                json.dumps({"text": ex.text, "label": ex.label}, ensure_ascii=False) + "\n"
-            )
+    """Write a dataset atomically in the JSONL format load_jsonl reads,
+    including the classes header line when class names are known."""
+    header = [] if d.class_names is None else [{"classes": list(d.class_names)}]
+    rows = header + [{"text": ex.text, "label": ex.label} for ex in d.examples]
+    write_atomic(path, "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows))

@@ -18,6 +18,8 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import student as student_mod
 from . import ta as ta_mod
 from .dataset import Dataset
@@ -117,18 +119,17 @@ def score_prefix(
     """Metric of the frozen student over eval_set with `prefix` prepended
     to every input. A given `featurizer` must hash with student.dims and
     hash_seed, else ValidationError; by default a new one over eval_set's
-    texts is used."""
+    texts is used. The examples' logits, one row each, go to `evaluate`."""
     if not student.frozen:
         raise StateError("scoring requires a frozen student")
     if not len(eval_set):
         raise ValidationError("eval_set must be non-empty")
     featurizer = student_mod._featurizer_for(featurizer, student.dims, hash_seed, eval_set)
-    features = (featurizer.featurize(prefix, ex.text) for ex in eval_set.examples)
-    if kind is MetricKind.NEG_MEAN_LOSS:
-        preds = [student_mod.forward(student, f) for f in features]
-    else:
-        preds = [int(student_mod._logits(student.weights, student.bias, f)[0].argmax()) for f in features]
-    return evaluate(kind, preds, eval_set.labels(), class_count=eval_set.class_count)
+    logits = np.array([
+        student_mod._logits(student.weights, student.bias, featurizer.featurize(prefix, ex.text))[0]
+        for ex in eval_set.examples
+    ])
+    return evaluate(kind, logits, eval_set.labels(), class_count=eval_set.class_count)
 
 
 def insert_sorted(h: PrefixHistory, sp: ScoredPrefix) -> PrefixHistory:

@@ -7,8 +7,10 @@ Every call sends at most MAX_ATTEMPTS requests. Transport failures
 malformed or unparseable replies are retried with exponential backoff,
 waiting at least as long as a failed response's Retry-After header asks.
 After the budget the last error surfaces: ProtocolError for an
-unparseable reply, else TransportError. Nothing here mutates local state,
-so a failed call leaves the caller exactly where it started.
+unparseable reply, else TransportError. A fine-tune reply without the id
+or job object the next step needs raises FinetuneError at once, unretried.
+Nothing here mutates local state, so a failed call leaves the caller
+exactly where it started.
 """
 
 import logging
@@ -18,6 +20,7 @@ import time
 import requests
 
 from .errors import FinetuneError, ProtocolError, TransportError
+from .fileio import encodes
 
 logger = logging.getLogger(__name__)
 
@@ -35,6 +38,17 @@ def _retry_after_s(resp: requests.Response) -> float:
         return max(0.0, float(resp.headers.get("Retry-After", 0)))
     except ValueError:
         return 0.0
+
+
+def _reply_id(reply, route: str, key: str) -> str:
+    """reply[key], which must be a non-empty string that encodes as UTF-8,
+    since it goes into the next request and the run state. Anything else
+    raises FinetuneError naming the route and key; it is not retried, as
+    the request has already taken effect."""
+    value = reply.get(key) if isinstance(reply, dict) else None
+    if not (isinstance(value, str) and value and encodes(value)):
+        raise FinetuneError(f"{route} replied without a usable {key!r}: expected a non-empty UTF-8 string")
+    return value
 
 
 class RemoteClient:
@@ -137,7 +151,7 @@ class RemoteClient:
             files={"file": ("training.jsonl", data, "application/jsonl")},
             data={"purpose": "fine-tune"},
         )
-        return resp["id"]
+        return _reply_id(resp, "POST /v1/files", "id")
 
     def create_job(self, model_id: str, file_id: str) -> str:
         resp = self._request(
@@ -145,10 +159,14 @@ class RemoteClient:
             "/v1/fine_tuning/jobs",
             json={"model": model_id, "training_file": file_id},
         )
-        return resp["id"]
+        return _reply_id(resp, "POST /v1/fine_tuning/jobs", "id")
 
     def get_job(self, job_id: str) -> dict:
-        return self._request("GET", f"/v1/fine_tuning/jobs/{job_id}")
+        path = f"/v1/fine_tuning/jobs/{job_id}"
+        job = self._request("GET", path)
+        if not isinstance(job, dict):
+            raise FinetuneError(f"GET {path} replied with a JSON {type(job).__name__}, not an object")
+        return job
 
     def run_finetune(self, model_id: str, data: bytes) -> str:
         """Upload the training file, create a job, poll to a terminal
@@ -160,10 +178,7 @@ class RemoteClient:
             job = self.get_job(job_id)
             status = job.get("status")
             if status == "succeeded":
-                tuned = job.get("fine_tuned_model")
-                if not tuned:
-                    raise FinetuneError(f"job {job_id} succeeded without a model id")
-                return tuned
+                return _reply_id(job, f"GET /v1/fine_tuning/jobs/{job_id}", "fine_tuned_model")
             if status in TERMINAL_JOB_STATES:
                 raise FinetuneError(f"job {job_id} ended with status {status!r}: {job}")
             if time.monotonic() >= deadline:

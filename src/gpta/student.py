@@ -13,6 +13,7 @@ basis; everything here is bit-stable across runs and platforms.
 """
 
 import json
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
@@ -63,18 +64,11 @@ def _check_dims(dims: int) -> None:
         raise ValidationError(f"dims must be a power of two in [2, {MAX_DIMS}], got {dims}")
 
 
-def _count(indices: list[int]) -> FeatureVector:
-    features: FeatureVector = {}
-    for idx in indices:
-        features[idx] = features.get(idx, 0.0) + 1.0
-    return features
-
-
 def _featurize(prefix: str, text: str, dims: int, hash_seed: int) -> FeatureVector:
     prefix_tokens, text_tokens = tokenize(prefix), tokenize(text)
     # FNV-1a folds bytewise: a pair's hash continues prefix token + _PAIR_SEP over the text token.
     starts = [_fold(_FNV_OFFSET ^ hash_seed, p_tok + _PAIR_SEP) for p_tok in prefix_tokens]
-    return _count(
+    return Counter(
         [fnv1a64(tok, hash_seed) % dims for tok in prefix_tokens + text_tokens]
         + [_fold(start, x_tok) % dims for start in starts for x_tok in text_tokens]
     )
@@ -139,7 +133,7 @@ class Featurizer:
             unigrams = [_fold(seeded, p_tok) % self.dims for p_tok in p_toks]
             self._prefix = (prefix, unigrams, np.array([self._unigrams] + [self._rows[p_tok] for p_tok in p_toks]))
         _, unigrams, table = self._prefix
-        return _count(unigrams + table[:, ids].ravel().tolist())
+        return Counter(unigrams + table[:, ids].ravel().tolist())
 
 
 def _featurizer_for(featurizer: Featurizer | None, dims: int, hash_seed: int, data: Dataset) -> Featurizer:
@@ -209,10 +203,11 @@ def _logits(
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    """softmax(z), shifting z in place by its maximum."""
-    z -= z.max()
+    """softmax over the last axis of z (a logits vector, or one row per
+    example), shifting z in place by its maximum."""
+    z -= z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def forward(params: StudentParams, f: FeatureVector) -> np.ndarray:

@@ -241,7 +241,7 @@ def prepare(cfg: RunConfig) -> RunContext:
         train=train,
         val=val,
         test=test,
-        kind=MetricKind.from_name(cfg.metric),
+        kind=MetricKind(cfg.metric),
         mp=mp,
         featurizer=student_mod.Featurizer(cfg.dims, cfg.hash_seed, [ex.text for ex in train.examples + val.examples]),
     )

@@ -1,8 +1,8 @@
 """In-process mock of an OpenAI-compatible service for protocol tests.
 
 Serves chat completions, file upload, and fine-tuning job routes on a
-loopback port, records every request, and can be scripted to fail or to
-walk a job through status transitions.
+loopback port, records every request, and can be scripted to fail, to
+walk a job through status transitions, or to give a route a fixed reply.
 """
 
 import json
@@ -34,6 +34,8 @@ class MockOpenAIServer:
     # job statuses returned by successive polls (last one repeats)
     job_statuses: list = field(default_factory=lambda: ["running", "succeeded"])
     fine_tuned_model: str = "ft:mock-model:v1"
+    # request path -> JSON body answered (HTTP 200) in place of the route's own reply
+    replies: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.requests: list[RecordedRequest] = []
@@ -84,7 +86,10 @@ class MockOpenAIServer:
                 self.end_headers()
                 self.wfile.write(data)
 
-            def _record_and_maybe_fail(self, method: str) -> bool:
+            def _record_and_script(self, method: str) -> bool:
+                """Record the request, and answer it from the script (a
+                scripted failure, else a scripted reply for its path):
+                True if it was answered."""
                 body = self._read_body()
                 with server_self._lock:
                     server_self.requests.append(
@@ -104,10 +109,13 @@ class MockOpenAIServer:
                             {"Retry-After": retry} if retry is not None else None,
                         )
                         return True
+                if self.path in server_self.replies:
+                    self._reply(200, server_self.replies[self.path])
+                    return True
                 return False
 
             def do_POST(self):
-                if self._record_and_maybe_fail("POST"):
+                if self._record_and_script("POST"):
                     return
                 if self.path == "/v1/chat/completions":
                     with server_self._lock:
@@ -125,7 +133,7 @@ class MockOpenAIServer:
                     self._reply(404, {"error": f"no such route {self.path}"})
 
             def do_GET(self):
-                if self._record_and_maybe_fail("GET"):
+                if self._record_and_script("GET"):
                     return
                 if self.path.startswith("/v1/fine_tuning/jobs/"):
                     with server_self._lock:

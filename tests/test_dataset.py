@@ -101,6 +101,17 @@ def test_write_jsonl_round_trip(tmp_path):
     assert back == d
 
 
+def test_failed_write_jsonl_keeps_the_old_file(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    write_jsonl(synth_generate(2, 10, 50, 0.0, 3), path)
+    before = path.read_bytes()
+    lone_surrogate = Dataset(examples=(TextExample("ok", 0), TextExample("\ud800", 1)), class_count=2)
+    with pytest.raises(UnicodeEncodeError):
+        write_jsonl(lone_surrogate, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
+
+
 @pytest.mark.parametrize("text", ["a\x85b", "a\u2028b", "a\u2029b"], ids=["NEL", "LS", "PS"])
 def test_write_jsonl_round_trips_unicode_line_breaks(text, tmp_path):
     d = Dataset(examples=(TextExample(text, 0), TextExample("plain", 1)), class_count=2, class_names=(text, "b"))

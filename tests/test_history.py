@@ -13,9 +13,11 @@ from gpta import (
     StateError,
     ValidationError,
     collect,
+    evaluate,
     freeze,
     init_params,
     insert_sorted,
+    predict,
     score_prefix,
     seed_history,
     simulated_handle,
@@ -24,9 +26,33 @@ from gpta import (
     unfreeze,
 )
 from gpta.history import Origin, RoundStats
-from gpta.student import Featurizer
+from gpta.student import Featurizer, featurize, forward, loss
 
+from test_metrics import macro_f1_loop, rows
 from test_ta import make_mp
+
+# Prefixes of synthetic-corpus tokens (k<class>w<j>, noise<j>) and of tokens
+# no corpus text holds, mixed case included (tokenize lowercases).
+PREFIXES = st.lists(
+    st.one_of(
+        st.sampled_from(["k0w0", "k1w1", "K0W2", "noise0", "noise3"]),
+        st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+    ),
+    max_size=4,
+).map(" ".join)
+
+
+def oracle_score(frozen, prefix, data, kind, hash_seed):
+    """The metric from the reference per-example path, computed here and
+    not by evaluate."""
+    labels = data.labels()
+    if kind is MetricKind.NEG_MEAN_LOSS:
+        features = (featurize(prefix, ex.text, frozen.dims, hash_seed) for ex in data.examples)
+        return -sum(loss(forward(frozen, f), y) for f, y in zip(features, labels)) / len(labels)
+    preds = [predict(frozen, prefix, ex.text, hash_seed) for ex in data.examples]
+    if kind is MetricKind.ACCURACY:
+        return sum(p == y for p, y in zip(preds, labels)) / len(labels)
+    return macro_f1_loop(preds, labels, data.class_count)
 
 
 @pytest.fixture(scope="module")
@@ -65,16 +91,43 @@ class TestScorePrefix:
 
     def test_empty_prefix_is_the_raw_input_baseline(self, trained_student):
         """Concatenating the empty prefix is the identity on inputs."""
-        from gpta import evaluate, predict
-
         frozen, data = trained_student
+        preds = [predict(frozen, "", ex.text) for ex in data.examples]
         direct = evaluate(
             MetricKind.ACCURACY,
-            [predict(frozen, "", ex.text) for ex in data.examples],
+            rows(preds, data.class_count),
             data.labels(),
             class_count=data.class_count,
         )
         assert score_prefix(frozen, "", data, MetricKind.ACCURACY) == direct
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        world=st.tuples(st.integers(2, 4), st.integers(2, 8), st.integers(4, 30), st.integers(0, 2**16)),
+        log_dims=st.integers(1, 12),
+        hash_seed=st.integers(-(2**31), 2**31),
+        lr=st.sampled_from([0.0, 0.5]),
+        train_prefix=PREFIXES,
+        prefixes=st.lists(PREFIXES, min_size=1, max_size=3),
+        tables_cover=st.floats(0.0, 1.0),
+    )
+    def test_equals_the_per_example_oracle(self, world, log_dims, hash_seed, lr, train_prefix, prefixes, tables_cover):
+        """Under every metric, score_prefix gives exactly the score of the
+        reference path: featurize each example, then predict, or forward
+        and loss. Prefix tokens may lie outside the data's texts, the
+        featurizer's tables may cover only some of them, and an untrained
+        student (lr 0) ties every class."""
+        classes, per_class, vocab, seed = world
+        data = synth_generate(classes, per_class, vocab, 0.2, seed)
+        dims = 2**log_dims
+        params, _ = train_pass(init_params(dims, classes), data, train_prefix, lr, hash_seed, shuffle_seed=seed)
+        frozen = freeze(params)
+        texts = [ex.text for ex in data.examples]
+        featurizer = Featurizer(dims, hash_seed, texts[: round(tables_cover * len(texts))])
+        for prefix in prefixes:
+            for kind in MetricKind:
+                expected = oracle_score(frozen, prefix, data, kind, hash_seed)
+                assert score_prefix(frozen, prefix, data, kind, hash_seed, featurizer) == expected
 
     @pytest.mark.parametrize("dims,hash_seed", [(512, 0), (1024, 1), (2048, 0)])
     def test_rejects_a_featurizer_that_hashes_otherwise(self, trained_student, dims, hash_seed):

@@ -197,6 +197,24 @@ class TestFinetune:
                 "ft:mock-model:v1",
             ]
 
+    @pytest.mark.parametrize("replies,route,key", [
+        ({"/v1/files": {"purpose": "fine-tune"}}, "POST /v1/files", "'id'"),
+        ({"/v1/fine_tuning/jobs": {"id": 7, "status": "queued"}}, "POST /v1/fine_tuning/jobs", "'id'"),
+        ({"/v1/fine_tuning/jobs/ftjob-mock-1": ["succeeded"]}, "GET /v1/fine_tuning/jobs/ftjob-mock-1",
+         "not an object"),
+        ({"/v1/fine_tuning/jobs/ftjob-mock-1": {"status": "succeeded", "fine_tuned_model": ""}},
+         "GET /v1/fine_tuning/jobs/ftjob-mock-1", "'fine_tuned_model'"),
+    ], ids=["upload-without-id", "job-id-not-a-string", "job-not-an-object", "empty-model"])
+    def test_unusable_reply_raises_unretried(self, replies, route, key):
+        with MockOpenAIServer(replies=replies) as server:
+            handle = remote_handle(make_client(server), "base-model")
+            with pytest.raises(FinetuneError) as info:
+                finetune(handle, finetune_file(["x"]))
+            assert route in str(info.value) and key in str(info.value)
+            method, path = route.split(" ")
+            assert len([r for r in server.requests_for(path) if r.method == method]) == 1
+            assert handle.model_id == "base-model"
+
 
 class TestCollectOverRemote:
     def test_one_chat_call_per_round(self):
@@ -215,22 +233,24 @@ class TestCollectOverRemote:
             assert len(server.requests_for("/v1/chat/completions")) == 2
 
 
+# Every chat reply holds 8 prefixes no earlier reply had, so collection never stalls.
+FRESH_COMPLETIONS = ["\n".join(f"remote candidate {i} {j}" for j in range(8)) for i in range(40)]
+
+
+def remote_config(desk_config, server, epochs):
+    return desk_config(epochs=epochs, ta_backend="remote", base_url=server.base_url,
+                       model_id="base-model", retry_backoff_s=0.01, poll_interval_s=0.01)
+
+
 class TestResumeOverRemote:
     def test_resumed_run_continues_the_model_lineage(self, desk_config, tmp_path):
-        # Every chat reply holds 8 prefixes no earlier reply had, so collection never stalls.
-        completions = ["\n".join(f"remote candidate {i} {j}" for j in range(8)) for i in range(40)]
-
-        def remote_config(server, epochs):
-            return desk_config(epochs=epochs, ta_backend="remote", base_url=server.base_url,
-                               model_id="base-model", retry_backoff_s=0.01, poll_interval_s=0.01)
-
-        with MockOpenAIServer(completions=completions) as server:
-            run(remote_config(server, 2), tmp_path / "straight")
-            run(remote_config(server, 1), tmp_path / "first")
+        with MockOpenAIServer(completions=FRESH_COMPLETIONS) as server:
+            run(remote_config(desk_config, server, 2), tmp_path / "straight")
+            run(remote_config(desk_config, server, 1), tmp_path / "first")
         saved = (tmp_path / "first" / "state_epoch0.json").read_text(encoding="utf-8")
 
-        with MockOpenAIServer(completions=completions) as server:
-            cfg = remote_config(server, 2)
+        with MockOpenAIServer(completions=FRESH_COMPLETIONS) as server:
+            cfg = remote_config(desk_config, server, 2)
             assert state_from_json(saved, cfg).ta.client.base_url == server.base_url
             run(cfg, tmp_path / "resumed", resume_from=tmp_path / "first" / "state_epoch0.json")
             assert server.requests_for("/v1/chat/completions")
@@ -247,6 +267,25 @@ class TestResumeOverRemote:
             "base_model_id": "base-model",
             "lineage": "continual",
         }
+
+
+@pytest.mark.parametrize("server_kwargs,field", [
+    (dict(fine_tuned_model="ft:\ud800"), "'fine_tuned_model'"),
+    (dict(fine_tuned_model=123), "'fine_tuned_model'"),
+    (dict(replies={"/v1/files": {"purpose": "fine-tune"}}), "POST /v1/files replied without a usable 'id'"),
+], ids=["lone-surrogate-model", "integer-model", "upload-without-id"])
+def test_unusable_finetune_reply_keeps_the_base_model(desk_config, tmp_path, server_kwargs, field):
+    """A reply the run cannot use is a failed fine-tune: the run completes
+    on the base model, the record names the field, and the state resumes."""
+    with MockOpenAIServer(completions=FRESH_COMPLETIONS, **server_kwargs) as server:
+        report = run(remote_config(desk_config, server, 2), tmp_path / "run")
+        assert all(field in rec.finetune_error for rec in report.records)
+        middle = tmp_path / "run" / "state_epoch0.json"
+        assert json.loads(middle.read_text(encoding="utf-8"))["ta"]["model_id"] == "base-model"
+        resumed = run(remote_config(desk_config, server, 2), tmp_path / "resumed", resume_from=middle)
+    assert [rec.finetune_error for rec in resumed.records] == [rec.finetune_error for rec in report.records]
+    final = json.loads((tmp_path / "resumed" / "state_epoch1.json").read_text(encoding="utf-8"))
+    assert (final["ta"]["model_id"], final["ta"]["generation"]) == ("base-model", 0)
 
 
 def _history():
