@@ -3,6 +3,7 @@ artifacts and checkpoints, JSON and JSONL reads, and the typed reader that
 checks decoded JSON against dataclass field annotations."""
 
 import json
+import math
 import os
 import sys
 from collections.abc import Iterator
@@ -98,11 +99,23 @@ _SEQUENCE_EXPECTED = {
 }
 
 
+# The number lists states are mostly made of, checked in one pass: each one's
+# element type and the JSON types it accepts (bool is a type of its own).
+_NUMBER_LISTS = {tuple[float, ...]: (float, {int, float}), tuple[int, ...]: (int, {int})}
+
+
 def _from_json(path: str, tp, value):
     """Check a JSON value against a type annotation and return it as that
     type; errors name the JSON path, e.g. $.sim_pool[3][1]. Scalars,
     `X | None`, tuples, lists and dataclasses (via record_from_json) are
     understood."""
+    if tp in _NUMBER_LISTS and isinstance(value, list):
+        number, accepted = _NUMBER_LISTS[tp]
+        try:
+            if set(map(type, value)) <= accepted and (number is int or all(map(math.isfinite, value))):
+                return tuple(map(number, value))
+        except OverflowError:  # an int too large for a float; the element walk below names it
+            pass
     if tp in _SCALARS:
         name, accepted = _SCALARS[tp]
         if isinstance(value, bool) != (tp is bool) or not isinstance(value, accepted):

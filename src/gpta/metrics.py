@@ -28,6 +28,7 @@ def evaluate(
     the lowest class); NEG_MEAN_LOSS takes the mean cross-entropy of each
     row's softmax, as training does. class_count widens the macro-F1 class
     universe beyond what appears in the data (absent classes score 0).
+    Every label must index a column of `logits`, whatever the metric.
     `logits` is not modified.
     """
     if np.ndim(logits) != 2 or len(logits) != len(labels):
@@ -36,6 +37,10 @@ def evaluate(
         )
     if not labels:
         raise ValidationError("cannot evaluate empty prediction set")
+    y = np.asarray(labels)
+    bad = y[(y < 0) | (y >= np.shape(logits)[1])]
+    if bad.size:
+        raise ValidationError(f"label {bad[0]} out of range: expected class indices >= 0 and < {np.shape(logits)[1]}")
 
     if kind is MetricKind.NEG_MEAN_LOSS:
         probs = _softmax(np.array(logits, dtype=np.float64))
@@ -43,13 +48,10 @@ def evaluate(
 
     preds = np.argmax(logits, axis=1)
     if kind is MetricKind.ACCURACY:
-        return int(np.count_nonzero(preds == labels)) / len(labels)
+        return int(np.count_nonzero(preds == y)) / len(labels)
 
     if kind is MetricKind.MACRO_F1:
-        if min(labels) < 0:
-            raise ValidationError("macro_f1 needs class indices >= 0")
-        y = np.asarray(labels)
-        n_classes = max(class_count or 0, preds.max() + 1, max(labels) + 1)
+        n_classes = max(class_count or 0, preds.max() + 1, y.max() + 1)
         tp = np.bincount(preds[preds == y], minlength=n_classes)
         # Per class, 2tp + fp + fn is its predicted count plus its true count.
         denom = np.bincount(preds, minlength=n_classes) + np.bincount(y, minlength=n_classes)

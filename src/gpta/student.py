@@ -343,7 +343,8 @@ def params_from_dict(obj: dict) -> StudentParams:
     if len(saved.bias) != class_count:
         raise ValidationError("bias length does not match class_count")
     weights = init_params(dims, class_count).weights
-    if columns and (columns[0] < 0 or columns[-1] >= dims or any(a >= b for a, b in zip(columns, columns[1:]))):
+    # Columns past int64 make np.diff use floats or Python ints; rounding keeps their order.
+    if columns and (columns[0] < 0 or columns[-1] >= dims or (np.diff(columns) <= 0).any()):
         raise ValidationError(f"student columns must be strictly increasing within [0, {dims})")
     if len(saved.weights) != class_count * len(columns):
         raise ValidationError(

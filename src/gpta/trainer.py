@@ -26,7 +26,7 @@ from .errors import FinetuneError, TransportError, ValidationError
 from .fileio import _fields_from_json, _from_json, decoding, read_text, write_atomic
 from .history import Origin, PrefixHistory, RoundStats, ScoredPrefix, collect, insert_sorted, score_prefix, seed_history
 from .metrics import MetricKind
-from .remote import RemoteClient
+from .remote import RemoteClient, _check_base_url
 
 logger = logging.getLogger(__name__)
 
@@ -123,6 +123,8 @@ class RunConfig:
                 )
         if self.ta_backend == "remote" and not (self.base_url and self.model_id):
             raise ValidationError("remote backend requires base_url and model_id")
+        if self.ta_backend == "remote":
+            _check_base_url(self.base_url)
         if self.finetune_cap > FINETUNE_SOFT_LIMIT:
             logger.warning("finetune_cap=%d exceeds %d; tuning quality degrades past that many examples",
                            self.finetune_cap, FINETUNE_SOFT_LIMIT)

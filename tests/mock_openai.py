@@ -3,23 +3,40 @@
 Serves chat completions, file upload, and fine-tuning job routes on a
 loopback port, records every request, and can be scripted to fail, to
 walk a job through status transitions, or to give a route a fixed reply.
+A request sent through it as a proxy, in absolute form, is served too.
 """
 
 import json
+import re
 import threading
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from urllib.parse import urlsplit
 
 
 @dataclass
 class RecordedRequest:
     method: str
-    path: str
+    path: str  # the target's path, without any scheme and host
+    target: str  # the request target as sent, absolute when sent to a proxy
     headers: dict
     body: bytes
 
     def json(self):
         return json.loads(self.body)
+
+    def form(self) -> dict[str, tuple[bytes, bytes]]:
+        """The parts of a multipart/form-data body: name -> (part headers,
+        content), split at the boundary exactly, so content is byte-exact."""
+        boundary = re.fullmatch(r"multipart/form-data; boundary=(\S+)", self.headers["Content-Type"])[1]
+        *parts, end = self.body.split(b"--" + boundary.encode())
+        assert parts.pop(0) == b"" and end == b"--\r\n", "malformed multipart framing"
+        form = {}
+        for part in parts:
+            head, sep, content = part.partition(b"\r\n\r\n")
+            assert head.startswith(b"\r\n") and sep and content.endswith(b"\r\n"), "malformed part"
+            form[re.search(rb' name="([^"]*)"', head)[1].decode()] = (head[2:], content[:-2])
+        return form
 
 
 @dataclass
@@ -91,11 +108,14 @@ class MockOpenAIServer:
                 scripted failure, else a scripted reply for its path):
                 True if it was answered."""
                 body = self._read_body()
+                target = self.path
+                self.path = urlsplit(target)._replace(scheme="", netloc="").geturl()
                 with server_self._lock:
                     server_self.requests.append(
                         RecordedRequest(
                             method=method,
                             path=self.path,
+                            target=target,
                             headers=dict(self.headers),
                             body=body,
                         )

@@ -193,6 +193,12 @@ MALFORMED_STUDENTS = {
     "duplicate-columns": (_student(columns=[4, 4]), "strictly increasing"),
     "negative-column": (_student(columns=[-1, 4]), "strictly increasing"),
     "column-past-dims": (_student(columns=[1, 8]), "strictly increasing"),
+    # numpy holds the first as float64 and the second as Python ints.
+    "column-past-int64": (_student(columns=[1, 2**63, 4]), "strictly increasing"),
+    "column-past-float": (_student(columns=[1, 2**1100, 4]), "strictly increasing"),
+    "bool-column": (_student(columns=[1, True]), "$.student.columns[1]: expected integer, got bool"),
+    "float-column": (_student(columns=[1, 4.0]), "$.student.columns[1]: expected integer, got float"),
+    "int-weight-past-float": (_student(weights=[0.1, 10**400, 0.3, 0.4]), "$.student.weights[1]: expected a finite number"),
     "short-weights": (_student(weights=[0.1, 0.2, 0.3]), "weights length"),
     "short-bias": (_student(bias=[0.0]), "bias length"),
     "nan-weight": (_student(weights=[0.1, float("nan"), 0.3, 0.4]), "$.student.weights[1]: expected a finite number"),
@@ -382,6 +388,8 @@ INVALID_CONFIG_VALUES = {
     "zero-sim-temperature-scale": ('"sim_temperature_scale": 0', "sim_temperature_scale must be > 0, got 0.0"),
     "dims-past-max": ('"dims": 4611686018427387904', "dims must be a power of two in [2, 16777216]"),
     "lone-surrogate": ('"task_summary": "x\\ud800"', "$.task_summary: expected a string that encodes as UTF-8"),
+    "base-url-without-scheme": ('"ta_backend": "remote", "base_url": "api.openai.com"',
+                                "base_url must be an absolute http or https URL with a host"),
 }
 
 

@@ -140,7 +140,7 @@ def test_macro_f1_equals_the_per_class_loop_exactly(pairs, class_count):
     preds = [p for p, _ in pairs]
     labels = [y for _, y in pairs]
     expected = macro_f1_loop(preds, labels, class_count)
-    assert evaluate(MetricKind.MACRO_F1, rows(preds), labels, class_count=class_count) == expected
+    assert evaluate(MetricKind.MACRO_F1, rows(preds, 7), labels, class_count=class_count) == expected
 
 
 # A negative prediction cannot be written as logits (argmax is never
@@ -149,3 +149,16 @@ def test_macro_f1_equals_the_per_class_loop_exactly(pairs, class_count):
 def test_macro_f1_rejects_negative_class_index(preds, labels):
     with pytest.raises(ValidationError, match="class indices >= 0"):
         evaluate(MetricKind.MACRO_F1, rows(preds), labels)
+
+
+@pytest.mark.parametrize("kind", MetricKind, ids=lambda kind: kind.value)
+@pytest.mark.parametrize("labels,bad", [([0, 2], 2), ([0, 7], 7), ([-1, 0], -1), ([1, -3], -3)])
+def test_every_metric_refuses_a_label_outside_the_logits_columns(kind, labels, bad):
+    with pytest.raises(ValidationError, match=rf"^label {bad} out of range: expected class indices >= 0 and < 2$"):
+        evaluate(kind, rows([0, 1]), labels)
+
+
+@pytest.mark.parametrize("kind", MetricKind, ids=lambda kind: kind.value)
+def test_every_metric_accepts_each_column_as_a_label(kind):
+    # Class 2 has a column but is never predicted.
+    assert np.isfinite(evaluate(kind, rows([0, 1, 1], 3), [2, 1, 0]))

@@ -1,12 +1,20 @@
 import json
+import os
+import socket
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
+from urllib.error import HTTPError
 
 import pytest
 
+import gpta
 from gpta import (
     FinetuneError,
     ProtocolError,
     TransportError,
+    ValidationError,
     collect,
     finetune,
     freeze,
@@ -286,6 +294,122 @@ def test_unusable_finetune_reply_keeps_the_base_model(desk_config, tmp_path, ser
     assert [rec.finetune_error for rec in resumed.records] == [rec.finetune_error for rec in report.records]
     final = json.loads((tmp_path / "resumed" / "state_epoch1.json").read_text(encoding="utf-8"))
     assert (final["ta"]["model_id"], final["ta"]["generation"]) == ("base-model", 0)
+
+
+def _python(code: str, *args: str) -> str:
+    """stdout of `code` run by a fresh interpreter that finds this gpta."""
+    src = str(Path(gpta.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestTransport:
+    def test_import_loads_only_the_standard_library_and_numpy(self):
+        # The site may preload packages, so only what the import adds counts.
+        added = json.loads(_python(
+            "import json, sys; before = set(sys.modules); import gpta; "
+            "print(json.dumps(sorted({m.split('.')[0] for m in set(sys.modules) - before})))"
+        ))
+        assert "gpta" in added
+        assert set(added) - set(sys.stdlib_module_names) <= {"gpta", "numpy"}
+
+    def test_full_flow_without_requests(self):
+        code = (
+            "import sys; sys.modules['requests'] = None\n"
+            "from gpta.remote import RemoteClient\n"
+            "client = RemoteClient(sys.argv[1], api_key='k', backoff_base=0.01, poll_interval=0.01)\n"
+            "print(client.chat('base-model', [], 1.0))\n"
+            "print(client.run_finetune('base-model', b'{}'))\n"
+        )
+        with MockOpenAIServer() as server:
+            out = _python(code, server.base_url)
+            routes = [(r.method, r.path) for r in server.requests]
+        assert out.splitlines() == ["Think step by step", "ft:mock-model:v1"]
+        assert routes == [
+            ("POST", "/v1/chat/completions"),
+            ("POST", "/v1/files"),
+            ("POST", "/v1/fine_tuning/jobs"),
+            ("GET", "/v1/fine_tuning/jobs/ftjob-mock-1"),
+            ("GET", "/v1/fine_tuning/jobs/ftjob-mock-1"),
+        ]
+
+    @pytest.mark.parametrize("url", ["file:///tmp", "data:,{}", "api.openai.com", "http://localhost:port", "http://[::1"])
+    def test_client_refuses_a_base_url_that_is_not_http(self, url):
+        with pytest.raises(ValidationError, match="base_url must be an absolute http or https URL with a host"):
+            RemoteClient(url)
+
+    def test_refused_connection_uses_the_attempt_budget(self, caplog):
+        with socket.create_server(("127.0.0.1", 0)) as closed:
+            port = closed.getsockname()[1]
+        client = RemoteClient(f"http://127.0.0.1:{port}", timeout=5.0, backoff_base=0.01)
+        with pytest.raises(TransportError, match="3 attempts.*refused"):
+            client.chat("base-model", [], 1.0)
+        assert [r.getMessage()[:12] for r in caplog.records] == ["attempt 1/3 ", "attempt 2/3 ", "attempt 3/3 "]
+
+    def test_read_timeout_uses_the_attempt_budget(self):
+        # The kernel accepts connections into the listen queue; nothing replies.
+        with socket.create_server(("127.0.0.1", 0)) as silent:
+            client = RemoteClient(f"http://127.0.0.1:{silent.getsockname()[1]}", timeout=0.1, backoff_base=0.01)
+            with pytest.raises(TransportError, match="3 attempts.*timed out"):
+                client.chat("base-model", [], 1.0)
+            silent.setblocking(False)
+            connections = []
+            try:
+                while True:
+                    connections.append(silent.accept()[0])
+            except BlockingIOError:
+                pass
+            for conn in connections:
+                conn.close()
+        assert len(connections) == 3
+
+    def test_uploaded_file_reaches_the_server_byte_exact(self):
+        data = b'{"a": "--"}\r\n--\r\n--\n\r\n\r\n\x00\xff' + bytes(range(256)) + b"\r\n"
+        with MockOpenAIServer() as server:
+            assert make_client(server).upload_file(data) == "file-mock-1"
+            (upload,) = server.requests_for("/v1/files")
+        form = upload.form()
+        assert list(form) == ["purpose", "file"]
+        assert form["purpose"][1] == b"fine-tune"
+        assert b'filename="training.jsonl"' in form["file"][0]
+        assert b"Content-Type: application/jsonl" in form["file"][0]
+        assert form["file"][1] == data
+
+    def test_http_proxy_from_the_environment(self, monkeypatch):
+        for name in ("http_proxy", "no_proxy", "NO_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        with MockOpenAIServer() as server:
+            monkeypatch.setenv("HTTP_PROXY", server.base_url)
+            client = make_client(server, base_url="http://gpta.invalid")
+            assert client.chat("base-model", [], 1.0) == "Think step by step"
+            (chat,) = server.requests
+        assert chat.target == "http://gpta.invalid/v1/chat/completions"
+        assert chat.path == "/v1/chat/completions"
+        assert chat.headers["Host"] == "gpta.invalid"
+
+    def test_every_reply_is_closed(self, monkeypatch):
+        replies = []
+        with MockOpenAIServer(fail_first=1) as server:
+            client = make_client(server)
+            opened = client._opener.open
+
+            def spy(*args, **kwargs):
+                try:
+                    replies.append(opened(*args, **kwargs))
+                except HTTPError as exc:
+                    replies.append(exc)
+                    raise
+                return replies[-1]
+
+            monkeypatch.setattr(client._opener, "open", spy)
+            assert client.chat("base-model", [], 1.0) == "Think step by step"  # a 500, then a 200
+            with pytest.raises(TransportError, match="HTTP 404: .*no such route /v1/nope"):
+                client._request("GET", "/v1/nope")
+            assert len(server.requests) == 3  # the 404 is not retried
+        assert [getattr(r, "code", 200) for r in replies] == [500, 200, 404]
+        assert all(r.closed for r in replies)
 
 
 def _history():

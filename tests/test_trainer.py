@@ -151,6 +151,14 @@ CONFIG_ERRORS = {
     "remote-without-base-url": (
         {"data_path": "x", "ta_backend": "remote", "base_url": ""}, "remote backend requires base_url and model_id"
     ),
+    "remote-base-url-without-scheme": (
+        {"data_path": "x", "ta_backend": "remote", "base_url": "api.openai.com"},
+        "base_url must be an absolute http or https URL with a host, got 'api.openai.com'",
+    ),
+    "remote-base-url-bad-port": (
+        {"data_path": "x", "ta_backend": "remote", "base_url": "http://localhost:port"},
+        "base_url must be an absolute http or https URL with a host, got 'http://localhost:port'",
+    ),
     "dims-not-power-of-two": ({"data_path": "x", "dims": 12}, "dims must be a power of two in [2, 16777216], got 12"),
     "dims-past-max": (
         {"data_path": "x", "dims": 2**25}, "dims must be a power of two in [2, 16777216], got 33554432"
@@ -630,3 +638,10 @@ class TestAtomicWrites:
         with file_size_limit(len(before["student.json"]) + 1), pytest.raises(OSError):
             save_checkpoint(dense, path)
         assert _dir_bytes(tmp_path) == before
+
+
+def test_number_lists_are_read_as_their_element_type():
+    floats = trainer_mod._from_json("w", tuple[float, ...], [1, 2.5, -0.0])
+    assert floats == (1.0, 2.5, -0.0) and [type(v) for v in floats] == [float] * 3
+    assert trainer_mod._from_json("c", tuple[int, ...], [3, -1, 2**70]) == (3, -1, 2**70)
+    assert trainer_mod._from_json("w", tuple[float, ...], []) == ()
