@@ -36,7 +36,7 @@ print(f"split sizes: train={len(train)} val={len(val)} test={len(test)}")
 
 exemplars = make_exemplars(train, count=3, seed=17)
 print("exemplars for the assistant model's prompt:")
-for ex in exemplars.examples:
+for ex in exemplars:
     print(f"  {ex.text[:40]}... -> {ex.label}")
 
 write_jsonl(data, "demo_out_synth.jsonl")

@@ -8,7 +8,6 @@ next candidates, so it always sees the best results last.
 """
 
 from gpta import (
-    DatasetDescription,
     MetaPrompt,
     MetricKind,
     collect,
@@ -38,11 +37,9 @@ ta = simulated_handle(pool, rng_seed=5)
 
 mp = MetaPrompt(
     instruction="Propose short prefixes that raise the validation score.",
-    description=DatasetDescription(
-        name="synth-demo",
-        task_summary="Classify each input text into one of 2 classes.",
-        label_semantics=("0: class0", "1: class1"),
-    ),
+    name="synth-demo",
+    task_summary="Classify each input text into one of 2 classes.",
+    label_semantics=("0: class0", "1: class1"),
 )
 
 
@@ -59,8 +56,8 @@ for entry in h.entries:
     print(f"  {entry.score:.4f}  {entry.prefix!r}")
 
 print("\nper-round improvement events:")
-for r in rounds:
-    print(f"  round {r.round_index}: {r.generated} candidates, "
+for i, r in enumerate(rounds):
+    print(f"  round {i}: {r.generated} candidates, "
           f"{r.exceeded_max} beat the pre-round best")
 
 print("\nwhat the assistant model would see next:")

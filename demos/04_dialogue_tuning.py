@@ -8,7 +8,6 @@ scored well.
 """
 
 from gpta import (
-    DatasetDescription,
     MetaPrompt,
     ScoredPrefix,
     build_windows,
@@ -37,10 +36,8 @@ print(f"targets: {[g.target for g in windows]}")
 
 mp = MetaPrompt(
     instruction="Propose short prefixes that raise the validation score.",
-    description=DatasetDescription(
-        name="synth-demo",
-        task_summary="Classify each input text into one of 2 classes.",
-    ),
+    name="synth-demo",
+    task_summary="Classify each input text into one of 2 classes.",
 )
 examples = cap(enrich(windows, mp), max_n=50)
 data = serialize_jsonl(examples)

@@ -8,8 +8,6 @@ dialogue-formatted slices of that history.
 
 from .dataset import (
     Dataset,
-    DatasetDescription,
-    ExemplarSet,
     TextExample,
     load_jsonl,
     make_exemplars,

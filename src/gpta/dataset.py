@@ -7,7 +7,7 @@ must map them before loading.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,30 +37,9 @@ class Dataset:
         return [ex.label for ex in self.examples]
 
 
-@dataclass(frozen=True)
-class DatasetDescription:
-    """Human-readable task context handed to the assistant model."""
-
-    name: str
-    task_summary: str
-    label_semantics: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if not self.task_summary.strip():
-            raise ValidationError("task_summary must be non-empty")
-
-
 # Exemplar sets are deliberately tiny: they end up verbatim inside
 # assistant-model prompts, so a hard cap keeps those prompts short.
 EXEMPLAR_CAP = 8
-
-
-@dataclass(frozen=True)
-class ExemplarSet:
-    examples: tuple[TextExample, ...] = field(default_factory=tuple)
-
-    def __len__(self) -> int:
-        return len(self.examples)
 
 
 def _validate_example(text: str, label: int, line: int) -> TextExample:
@@ -144,9 +123,9 @@ def split(
     )
 
 
-def make_exemplars(train: Dataset, count: int, seed: int) -> ExemplarSet:
+def make_exemplars(train: Dataset, count: int, seed: int) -> tuple[TextExample, ...]:
     """Sample `count` training examples without replacement. Count 0 is
-    valid and yields an empty set (exemplars are optional)."""
+    valid and yields no exemplars (they are optional)."""
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     if not 0 <= count <= EXEMPLAR_CAP:
@@ -154,9 +133,9 @@ def make_exemplars(train: Dataset, count: int, seed: int) -> ExemplarSet:
     if count > len(train):
         raise ValidationError(f"exemplar count {count} exceeds train size {len(train)}")
     if count == 0:
-        return ExemplarSet()
+        return ()
     idx = np.random.default_rng(seed).choice(len(train), size=count, replace=False)
-    return ExemplarSet(examples=tuple(train.examples[i] for i in idx))
+    return tuple(train.examples[i] for i in idx)
 
 
 def synth_generate(

@@ -31,11 +31,11 @@ FINETUNE_SOFT_LIMIT = 150
 
 @dataclass(frozen=True)
 class DialogueGradient:
-    """One window of the history plus the next entry's prefix as target."""
+    """One window of the history plus the next entry's prefix as target.
+    A window's index is its position in build_windows' list."""
 
     window: tuple  # w ScoredPrefix entries, ascending
     target: str
-    window_index: int
 
 
 @dataclass(frozen=True)
@@ -62,11 +62,7 @@ def build_windows(h: "PrefixHistory", w: int) -> list[DialogueGradient]:
             f"history of size {len(entries)} is too short for window size {w}"
         )
     return [
-        DialogueGradient(
-            window=tuple(entries[i : i + w]),
-            target=entries[i + w].prefix,
-            window_index=i,
-        )
+        DialogueGradient(window=tuple(entries[i : i + w]), target=entries[i + w].prefix)
         for i in range(len(entries) - w)
     ]
 
@@ -81,9 +77,9 @@ def enrich(gs: list[DialogueGradient], mp: MetaPrompt) -> list[FinetuneExample]:
     """
     system = render_system_content(mp)
     out = []
-    for g in gs:
+    for i, g in enumerate(gs):
         if not g.target:
-            logger.debug("skipping window %d: empty target prefix", g.window_index)
+            logger.debug("skipping window %d: empty target prefix", i)
             continue
         out.append(
             FinetuneExample(

@@ -97,9 +97,9 @@ class PrefixHistory:
 @dataclass(frozen=True)
 class RoundStats:
     """Per-round collection stats: how many candidates the assistant model
-    produced and how many strictly beat the pre-round best score."""
+    produced and how many strictly beat the pre-round best score. A round's
+    index is its position in collect's list."""
 
-    round_index: int
     generated: int
     exceeded_max: int
 
@@ -175,7 +175,6 @@ def collect(
     h = h0
     rounds: list[RoundStats] = []
     stalled = 0
-    round_index = 0
     while len(h) < k:
         request = ta_mod.render_generation_request(mp, h, l, temperature)
         candidates = ta_mod.generate(ta, request, l, temperature)
@@ -188,16 +187,13 @@ def collect(
             if value > pre_round_max:
                 exceeded += 1
             if len(h) < k:
-                origin = Origin(kind="generated", epoch=epoch, round=round_index)
+                origin = Origin(kind="generated", epoch=epoch, round=len(rounds))
                 h = insert_sorted(h, ScoredPrefix(prefix=candidate, score=value, origin=origin))
-        rounds.append(
-            RoundStats(round_index=round_index, generated=len(candidates), exceeded_max=exceeded)
-        )
+        rounds.append(RoundStats(generated=len(candidates), exceeded_max=exceeded))
         stalled = stalled + 1 if not fresh else 0
         if stalled >= STALL_LIMIT:
             raise StallError(
                 f"{STALL_LIMIT} consecutive rounds added no new prefixes "
                 f"(history at {len(h)}/{k})"
             )
-        round_index += 1
     return h, rounds

@@ -156,9 +156,15 @@ class StudentParams:
 
     weights: np.ndarray  # (class_count, dims)
     bias: np.ndarray  # (class_count,)
-    dims: int
-    class_count: int
     frozen: bool = False
+
+    @property
+    def class_count(self) -> int:
+        return self.weights.shape[0]
+
+    @property
+    def dims(self) -> int:
+        return self.weights.shape[1]
 
 
 @dataclass(frozen=True)
@@ -172,12 +178,7 @@ def init_params(dims: int, class_count: int) -> StudentParams:
     _check_dims(dims)
     if class_count < 2:
         raise ValidationError(f"class_count must be >= 2, got {class_count}")
-    return StudentParams(
-        weights=np.zeros((class_count, dims)),
-        bias=np.zeros(class_count),
-        dims=dims,
-        class_count=class_count,
-    )
+    return StudentParams(weights=np.zeros((class_count, dims)), bias=np.zeros(class_count))
 
 
 def freeze(params: StudentParams) -> StudentParams:
@@ -352,4 +353,4 @@ def params_from_dict(obj: dict) -> StudentParams:
             f"= {class_count} x {len(columns)}"
         )
     weights[:, list(columns)] = np.array(saved.weights).reshape(class_count, len(columns))
-    return StudentParams(weights=weights, bias=np.array(saved.bias), dims=dims, class_count=class_count)
+    return StudentParams(weights=weights, bias=np.array(saved.bias))

@@ -11,12 +11,12 @@ prefixes.
 """
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, ClassVar, Sequence
 
 import numpy as np
 
-from .dataset import DatasetDescription, ExemplarSet
+from .dataset import TextExample
 from .errors import ProtocolError, ValidationError
 from .fileio import encodes
 
@@ -52,14 +52,18 @@ class ChatMessage:
 @dataclass(frozen=True)
 class MetaPrompt:
     """Everything the assistant model is conditioned on besides the
-    history: its standing instruction, the dataset description, and an
-    optional handful of exemplars."""
+    history: its standing instruction, the task's name, summary and label
+    meanings, and an optional handful of exemplars."""
 
     instruction: str
-    description: DatasetDescription
-    exemplars: ExemplarSet = field(default_factory=ExemplarSet)
+    name: str
+    task_summary: str
+    label_semantics: tuple[str, ...] = ()
+    exemplars: tuple[TextExample, ...] = ()
 
     def __post_init__(self):
+        if not self.task_summary.strip():
+            raise ValidationError("task_summary must be non-empty")
         if not self.instruction.strip():
             raise ValidationError("meta-prompt instruction must be non-empty")
 
@@ -192,15 +196,15 @@ def render_system_content(mp: MetaPrompt) -> str:
     fine-tune examples, so the tuned model sees the same conditioning at
     train and inference time."""
     parts = [mp.instruction, ""]
-    parts.append(f"DATASET: {mp.description.name}")
-    parts.append(mp.description.task_summary)
-    if mp.description.label_semantics:
+    parts.append(f"DATASET: {mp.name}")
+    parts.append(mp.task_summary)
+    if mp.label_semantics:
         parts.append("LABELS:")
-        parts.extend(mp.description.label_semantics)
-    if mp.exemplars.examples:
+        parts.extend(mp.label_semantics)
+    if mp.exemplars:
         parts.append("")
         parts.append("EXEMPLARS:")
-        parts.extend(f"{ex.text}→{ex.label}" for ex in mp.exemplars.examples)
+        parts.extend(f"{ex.text}→{ex.label}" for ex in mp.exemplars)
     return "\n".join(parts)
 
 

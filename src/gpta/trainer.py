@@ -20,7 +20,7 @@ import numpy as np
 
 from . import student as student_mod
 from . import ta as ta_mod
-from .dataset import EXEMPLAR_CAP, Dataset, DatasetDescription, load_jsonl, make_exemplars, split
+from .dataset import EXEMPLAR_CAP, Dataset, load_jsonl, make_exemplars, split
 from .dialogue_gradient import DEFAULT_FINETUNE_CAP, FINETUNE_SOFT_LIMIT, build_windows, cap, enrich, serialize_jsonl
 from .errors import FinetuneError, TransportError, ValidationError
 from .fileio import _fields_from_json, _from_json, decoding, read_text, write_atomic
@@ -179,14 +179,18 @@ class EpochRecord:
 
 @dataclass(frozen=True)
 class RunState:
-    """Everything needed to continue a run: epoch counts completed epochs."""
+    """Everything needed to continue a run: one record per completed epoch."""
 
-    epoch: int
     student: student_mod.StudentParams
     ta: ta_mod.TAHandle
     history: PrefixHistory
     best: BestRecord | None
     records: tuple[EpochRecord, ...]
+
+    @property
+    def epoch(self) -> int:
+        """The number of completed epochs, which is the next epoch's index."""
+        return len(self.records)
 
 
 @dataclass(frozen=True)
@@ -216,34 +220,32 @@ class RunContext:
     train: Dataset
     val: Dataset
     test: Dataset
-    kind: MetricKind
     mp: ta_mod.MetaPrompt
     featurizer: student_mod.Featurizer
+
+    @property
+    def kind(self) -> MetricKind:
+        return MetricKind(self.cfg.metric)
 
 
 def prepare(cfg: RunConfig) -> RunContext:
     data = load_jsonl(cfg.data_path)
     train, val, test = split(data, cfg.split_fractions, cfg.split_seed)
-    exemplars = make_exemplars(train, cfg.exemplar_count, cfg.exemplar_seed)
-    name = cfg.task_name or Path(cfg.data_path).stem
-    summary = cfg.task_summary or (
-        f"Classify each input text into one of {data.class_count} classes."
-    )
     semantics = cfg.label_semantics
     if not semantics and data.class_names:
         semantics = tuple(f"{i}: {n}" for i, n in enumerate(data.class_names))
-    description = DatasetDescription(
-        name=name, task_summary=summary, label_semantics=semantics
-    )
     mp = ta_mod.MetaPrompt(
-        instruction=cfg.instruction, description=description, exemplars=exemplars
+        instruction=cfg.instruction,
+        name=cfg.task_name or Path(cfg.data_path).stem,
+        task_summary=cfg.task_summary or f"Classify each input text into one of {data.class_count} classes.",
+        label_semantics=semantics,
+        exemplars=make_exemplars(train, cfg.exemplar_count, cfg.exemplar_seed),
     )
     return RunContext(
         cfg=cfg,
         train=train,
         val=val,
         test=test,
-        kind=MetricKind(cfg.metric),
         mp=mp,
         featurizer=student_mod.Featurizer(cfg.dims, cfg.hash_seed, [ex.text for ex in train.examples + val.examples]),
     )
@@ -265,10 +267,8 @@ def build_ta(cfg: RunConfig) -> ta_mod.TAHandle:
 
 
 def init_state(cfg: RunConfig, ctx: RunContext) -> RunState:
-    data_class_count = ctx.train.class_count
     return RunState(
-        epoch=0,
-        student=student_mod.init_params(cfg.dims, data_class_count),
+        student=student_mod.init_params(cfg.dims, ctx.train.class_count),
         ta=build_ta(cfg),
         history=PrefixHistory(),
         best=None,
@@ -385,7 +385,6 @@ def run_epoch(state: RunState, ctx: RunContext) -> tuple[RunState, bytes | None]
     if best is None or val_best > best.score:
         best = BestRecord(prefix=history.best().prefix, score=val_best, epoch=e)
     new_state = RunState(
-        epoch=e + 1,
         student=student,
         ta=ta_handle,
         history=history,
@@ -423,8 +422,12 @@ def state_from_json(text: str, cfg: RunConfig) -> RunState:
     """Inverse of state_to_json. Every part is read by the typed reader,
     and the saved assistant fields are set onto build_ta(cfg). Invalid
     JSON, a missing, unknown or mistyped value, an epoch other than
-    the number of records (numbered 0, 1, ...), and a state saved under
-    another backend or with a student of other dims raise ValidationError."""
+    the number of records (numbered 0, 1, ...), a history with a repeated
+    prefix, a descending score or (once it or the records are non-empty)
+    without the empty prefix, a best record other than the first record
+    with the highest val_best (null with no records), and a state saved
+    under another backend or with a student of other dims raise
+    ValidationError."""
     ta = build_ta(cfg)
     with decoding("run state"):
         obj = json.loads(text)
@@ -438,23 +441,28 @@ def state_from_json(text: str, cfg: RunConfig) -> RunState:
             raise ValidationError(f"$: unknown keys {sorted(unknown)}")
         saved_ta = {key: value for key, value in obj["ta"].items() if key != "backend"}
         ta = replace(ta, **_fields_from_json(type(ta), saved_ta, "ta", ta.to_dict().keys() - {"backend"}))
-        history = PrefixHistory()
-        # insert_sorted re-checks finiteness, order and uniqueness
-        for entry in _from_json("history", list[ScoredPrefix], obj["history"]):
-            history = insert_sorted(history, entry)
+        entries = _from_json("history", tuple[ScoredPrefix, ...], obj["history"])
         best = _from_json("best", BestRecord | None, obj["best"])
         records = _from_json("records", tuple[EpochRecord, ...], obj["records"])
         epoch = _from_json("epoch", int, obj["epoch"])
         frozen = _from_json("student_frozen", bool, obj["student_frozen"])
         if epoch != len(records) or any(r.epoch != i for i, r in enumerate(records)):
             raise ValidationError(f"epoch {epoch} does not follow records of epochs {[r.epoch for r in records]}")
+        prefixes = [e.prefix for e in entries]
+        if len(set(prefixes)) < len(prefixes) or any(a.score > b.score for a, b in zip(entries, entries[1:])):
+            raise ValidationError("$.history: prefixes must be distinct and scores ascending")
+        if (entries or records) and "" not in prefixes:
+            raise ValidationError("$.history: the empty prefix is missing")
+        top = max(records, key=operator.attrgetter("val_best"), default=None)  # the first of equals
+        if (best and (best.score, best.epoch)) != (top and (top.val_best, top.epoch)):
+            raise ValidationError("$.best: expected null with no records, else the first record with the highest val_best")
         student = obj["student"]
     params = student_mod.params_from_dict(student)
     if params.dims != cfg.dims:
         raise ValidationError(f"cannot resume: the state's student has dims {params.dims}, the config {cfg.dims}")
     if frozen:
         params = student_mod.freeze(params)
-    return RunState(epoch=epoch, student=params, ta=ta, history=history, best=best, records=records)
+    return RunState(student=params, ta=ta, history=PrefixHistory(entries), best=best, records=records)
 
 
 def config_to_json(cfg: RunConfig) -> str:
@@ -483,6 +491,9 @@ def run(cfg: RunConfig, out_dir: str | Path, resume_from: str | Path | None = No
     ctx = prepare(cfg)
     if resume_from is not None:
         state = state_from_json(read_text(resume_from), cfg)
+        if state.student.class_count != ctx.train.class_count:
+            raise ValidationError(f"cannot resume: the state's student has {state.student.class_count} "
+                                  f"classes, the data {ctx.train.class_count}")
         logger.info("resuming from %s at epoch %d", resume_from, state.epoch)
     else:
         state = init_state(cfg, ctx)

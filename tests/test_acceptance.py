@@ -63,12 +63,7 @@ def test_criterion_1_gradient_correctness():
         for _ in range(100):
             dims = 16
             classes = int(rng.integers(2, 6))
-            params = StudentParams(
-                weights=rng.normal(0, 1, (classes, dims)),
-                bias=rng.normal(0, 1, classes),
-                dims=dims,
-                class_count=classes,
-            )
+            params = StudentParams(weights=rng.normal(0, 1, (classes, dims)), bias=rng.normal(0, 1, classes))
             nnz = int(rng.integers(2, 6))
             f = {
                 int(i): float(rng.integers(1, 4))
@@ -80,7 +75,7 @@ def test_criterion_1_gradient_correctness():
             def loss_at(w, b):
                 return loss(
                     forward(
-                        StudentParams(weights=w, bias=b, dims=dims, class_count=classes), f
+                        StudentParams(weights=w, bias=b), f
                     ),
                     label,
                 )

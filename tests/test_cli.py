@@ -247,16 +247,22 @@ def _resume_from(corrupt, tmp_path, desk_config):
                     "--resume", str(state)])
 
 
-def _set(*path, value):
-    """A state corruption that sets the value at `path` in the JSON object."""
+def _edit(change):
+    """A state corruption that applies change(obj) to the JSON object."""
     def corrupt(text):
         obj = json.loads(text)
-        target = obj
-        for key in path[:-1]:
-            target = target[key]
-        target[path[-1]] = value
+        change(obj)
         return json.dumps(obj)
     return corrupt
+
+
+def _set(*path, value):
+    """A state corruption that sets the value at `path` in the JSON object."""
+    def change(obj):
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = value
+    return _edit(change)
 
 
 MALFORMED_STATES = {
@@ -274,6 +280,13 @@ MALFORMED_STATES = {
     "number-history-prefix": _set("history", 0, "prefix", value=3),
     "generated-origin-without-place": _set("history", 0, "origin", value={"kind": "generated"}),
     "unknown-top-level-key": _set("extra", value=1),
+    "history-without-empty-prefix": _edit(lambda obj: obj.update(history=[e for e in obj["history"] if e["prefix"]])),
+    "duplicated-history-entry": _edit(lambda obj: obj["history"].insert(0, obj["history"][0])),
+    "unsorted-history": _edit(lambda obj: obj["history"].reverse()),
+    "empty-history": _set("history", value=[]),
+    "null-best": _set("best", value=None),
+    "best-score-above-records": _set("best", "score", value=1.45),
+    "best-without-records": _edit(lambda obj: obj.update(epoch=0, records=[])),
 }
 
 
@@ -281,6 +294,22 @@ MALFORMED_STATES = {
 def test_resume_from_malformed_state_exits_2(corrupt, tmp_path, desk_config, capsys):
     assert _resume_from(corrupt, tmp_path, desk_config) == EXIT_VALIDATION
     assert "malformed run state" in capsys.readouterr().err
+    assert not (tmp_path / "resumed").exists()
+
+
+@pytest.mark.parametrize("saved,data", [(2, 4), (4, 2)])
+def test_resume_against_data_of_other_class_count_exits_2(saved, data, tmp_path, desk_config, capsys):
+    paths = {n: tmp_path / f"synth{n}.jsonl" for n in (saved, data)}
+    for n, path in paths.items():
+        write_jsonl(synth_generate(n, 60, 80, 0.1, 3), path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(desk_config(data_path=str(paths[saved]), epochs=1).to_dict()))
+    assert run_cli(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == EXIT_OK
+    cfg_path.write_text(json.dumps(desk_config(data_path=str(paths[data]), epochs=2).to_dict()))
+    code = run_cli(["train", "--config", str(cfg_path), "--out", str(tmp_path / "resumed"),
+                    "--resume", str(tmp_path / "run" / "state_epoch0.json")])
+    assert code == EXIT_VALIDATION
+    assert f"the state's student has {saved} classes, the data {data}" in capsys.readouterr().err
     assert not (tmp_path / "resumed").exists()
 
 

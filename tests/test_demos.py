@@ -1,5 +1,5 @@
-"""Each demo script, and the README quickstart, must run cleanly from an
-empty working directory."""
+"""Each demo script, the README quickstart and the README's "Library use"
+blocks must run cleanly from an empty working directory."""
 
 import re
 import runpy
@@ -53,3 +53,18 @@ def test_readme_quickstart_runs(tmp_path, monkeypatch, capsys):
             commands.append(step[1][0])
             assert main(step[1]) == EXIT_OK, step[1]
     assert commands == ["gen-synth", "train", "report", "eval"]
+
+
+def test_readme_library_use_runs(tmp_path, monkeypatch, capsys):
+    """Each block runs alone, in a fresh namespace, next to the dataset the
+    quickstart's gen-synth step writes."""
+    monkeypatch.chdir(tmp_path)
+    gen_synth = next(step[1] for step in _quickstart_steps() if step[0] == "gpta")
+    assert gen_synth[0] == "gen-synth" and main(gen_synth) == EXIT_OK
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = re.search(r"\n## Library use\n(.*?)\n## ", readme, re.S).group(1)
+    blocks = re.findall(r"```python\n(.*?)```", section, re.S)
+    assert len(blocks) == 2
+    for block in blocks:
+        exec(block, {})
+    assert Path("my_run", "report.json").exists()

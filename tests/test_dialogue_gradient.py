@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 from gpta import (
     ChatMessage,
-    DatasetDescription,
-    ExemplarSet,
     MetaPrompt,
     ParseError,
     ScoredPrefix,
@@ -54,12 +52,10 @@ def golden_inputs():
         h = insert_sorted(h, ScoredPrefix(prefix=p, score=s))
     mp = MetaPrompt(
         instruction="Propose useful prefixes.",
-        description=DatasetDescription(
-            name="toy",
-            task_summary="Classify each input into one of 2 classes.",
-            label_semantics=("0: negative", "1: positive"),
-        ),
-        exemplars=ExemplarSet(examples=(TextExample("great stuff", 1),)),
+        name="toy",
+        task_summary="Classify each input into one of 2 classes.",
+        label_semantics=("0: negative", "1: positive"),
+        exemplars=(TextExample("great stuff", 1),),
     )
     return h, mp
 
@@ -103,7 +99,7 @@ class TestBuildWindows:
         gs = build_windows(h, w)
         assert len(gs) == n - w
         for i, g in enumerate(gs):
-            assert g.window_index == i
+            assert g.window == h.entries[i : i + w]  # window i starts at entry i
             assert len(g.window) == w
             # target dominates its window
             assert all(

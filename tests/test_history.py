@@ -336,7 +336,7 @@ class TestCollectScoring:
         # Known prefixes (from h0 or inserted earlier) and repeats within a round go unscored.
         assert calls == ["b", "c", "d", "e", "f"]
         assert [e.prefix for e in h.entries] == ["d", "a", "", "b", "c"]
-        assert rounds == [RoundStats(0, 4, 1), RoundStats(1, 3, 1), RoundStats(2, 4, 2)]
+        assert rounds == [RoundStats(4, 1), RoundStats(3, 1), RoundStats(4, 2)]
 
     def test_final_round_surplus_is_scored_and_counted_but_not_inserted(self):
         """Pins current behaviour: once k entries are held, the final round's
@@ -348,7 +348,7 @@ class TestCollectScoring:
         h, rounds = collect(ScriptedTA([["d", "e", "f"]]), make_mp(), score, h0, k=2, l=3)
         assert calls == ["d", "e", "f"]
         assert [e.prefix for e in h.entries] == ["d", ""]
-        assert rounds == [RoundStats(0, 3, 2)]
+        assert rounds == [RoundStats(3, 2)]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_never_scores_a_prefix_in_the_history(self, seed):

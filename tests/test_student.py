@@ -179,12 +179,7 @@ def test_forward_uniform_for_zero_params():
 
 
 def test_forward_two_class_cases():
-    p = StudentParams(
-        weights=np.array([[math.log(3.0)], [0.0]]),
-        bias=np.zeros(2),
-        dims=1,
-        class_count=2,
-    )
+    p = StudentParams(weights=np.array([[math.log(3.0)], [0.0]]), bias=np.zeros(2))
     # dims=1 is not constructible through init_params; exercise the math directly
     probs = forward(p, {0: 1.0})
     assert np.allclose(probs, [0.75, 0.25])
@@ -216,7 +211,7 @@ def finite_difference(params, f, label, h=1e-5):
     gb = np.zeros_like(params.bias)
 
     def loss_at(w, b):
-        p = StudentParams(weights=w, bias=b, dims=params.dims, class_count=params.class_count)
+        p = StudentParams(weights=w, bias=b)
         return loss(forward(p, f), label)
 
     for c in range(params.class_count):
@@ -237,12 +232,7 @@ def test_grad_matches_finite_differences():
     for _ in range(20):
         dims = 8
         classes = int(rng.integers(2, 5))
-        params = StudentParams(
-            weights=rng.normal(0, 1, (classes, dims)),
-            bias=rng.normal(0, 1, classes),
-            dims=dims,
-            class_count=classes,
-        )
+        params = StudentParams(weights=rng.normal(0, 1, (classes, dims)), bias=rng.normal(0, 1, classes))
         f = {int(i): float(rng.integers(1, 4)) for i in rng.choice(dims, 3, replace=False)}
         label = int(rng.integers(classes))
         analytic = grad(params, f, label)
@@ -255,12 +245,7 @@ def test_grad_matches_finite_differences():
 
 def test_sgd_step_arithmetic():
     p = init_params(2, 2)
-    p = StudentParams(
-        weights=np.array([[1.0, 0.0], [0.0, 0.0]]),
-        bias=np.zeros(2),
-        dims=2,
-        class_count=2,
-    )
+    p = StudentParams(weights=np.array([[1.0, 0.0], [0.0, 0.0]]), bias=np.zeros(2))
     g = Gradient(weights=np.array([[0.5, 0.0], [0.0, 0.0]]), bias=np.zeros(2))
     stepped = sgd_step(p, g, 0.1)
     assert stepped.weights[0, 0] == pytest.approx(0.95)
@@ -352,7 +337,7 @@ def test_predict_follows_planted_weights():
     idx = fnv1a64("win") % dims
     w = np.zeros((2, dims))
     w[1, idx] = 5.0
-    p = StudentParams(weights=w, bias=np.zeros(2), dims=dims, class_count=2)
+    p = StudentParams(weights=w, bias=np.zeros(2))
     assert predict(p, "", "win") == 1
     assert predict(p, "", "other") == 0
 
@@ -363,7 +348,7 @@ def test_prefix_changes_prediction_by_construction():
     idx = fnv1a64("cue\x01thing") % dims
     w = np.zeros((2, dims))
     w[1, idx] = 5.0
-    p = StudentParams(weights=w, bias=np.zeros(2), dims=dims, class_count=2)
+    p = StudentParams(weights=w, bias=np.zeros(2))
     assert predict(p, "cue", "thing") == 1
     assert predict(p, "", "thing") == 0
 
@@ -379,12 +364,7 @@ def test_featurize_and_predict_are_pure():
 
 def test_checkpoint_round_trip(tmp_path):
     rng = np.random.default_rng(8)
-    p = StudentParams(
-        weights=rng.normal(0, 1, (3, 32)),
-        bias=rng.normal(0, 1, 3),
-        dims=32,
-        class_count=3,
-    )
+    p = StudentParams(weights=rng.normal(0, 1, (3, 32)), bias=rng.normal(0, 1, 3))
     path = tmp_path / "ckpt.json"
     save_checkpoint(p, path)
     back = load_checkpoint(path)
@@ -414,7 +394,7 @@ def sparse_params(draw):
     weights = np.zeros((class_count, dims))
     weights[:, mask] = rng.choice(values, size=(class_count, int(mask.sum())))
     bias = np.array(draw(st.lists(FINITE, min_size=class_count, max_size=class_count)))
-    return StudentParams(weights=weights, bias=bias, dims=dims, class_count=class_count)
+    return StudentParams(weights=weights, bias=bias)
 
 
 @settings(max_examples=200, deadline=None)

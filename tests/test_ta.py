@@ -2,8 +2,6 @@ import pytest
 
 from gpta import (
     ChatMessage,
-    DatasetDescription,
-    ExemplarSet,
     MetaPrompt,
     ProtocolError,
     ScoredPrefix,
@@ -24,18 +22,13 @@ from gpta.ta import render_history_lines, render_system_content
 
 
 def make_mp(with_exemplars=False):
-    description = DatasetDescription(
+    return MetaPrompt(
+        instruction="Propose useful prefixes.",
         name="toy",
         task_summary="Classify each input into one of 2 classes.",
         label_semantics=("0: negative", "1: positive"),
+        exemplars=(TextExample("great stuff", 1), TextExample("awful", 0)) if with_exemplars else (),
     )
-    exemplars = ExemplarSet()
-    if with_exemplars:
-        exemplars = ExemplarSet(
-            examples=(TextExample("great stuff", 1), TextExample("awful", 0))
-        )
-    return MetaPrompt(instruction="Propose useful prefixes.", description=description,
-                      exemplars=exemplars)
 
 
 def history_of(*pairs):

@@ -38,11 +38,11 @@ from gpta.student import DEFAULT_DIMS
 
 class TestImprovementRate:
     def test_zero_and_one(self):
-        assert improvement_rate([RoundStats(0, 8, 0)]) == 0.0
-        assert improvement_rate([RoundStats(0, 8, 8)]) == 1.0
+        assert improvement_rate([RoundStats(8, 0)]) == 0.0
+        assert improvement_rate([RoundStats(8, 8)]) == 1.0
 
     def test_weighted_across_rounds(self):
-        rounds = [RoundStats(0, 8, 2), RoundStats(1, 8, 1)]
+        rounds = [RoundStats(8, 2), RoundStats(8, 1)]
         assert improvement_rate(rounds) == pytest.approx(3 / 16)
 
     def test_empty_rejected(self):
@@ -632,9 +632,7 @@ class TestAtomicWrites:
         save_checkpoint(init_params(64, 2), path)
         before = _dir_bytes(tmp_path)
         rng = np.random.default_rng(5)
-        dense = StudentParams(
-            weights=rng.normal(size=(2, 4096)), bias=np.zeros(2), dims=4096, class_count=2
-        )
+        dense = StudentParams(weights=rng.normal(size=(2, 4096)), bias=np.zeros(2))
         with file_size_limit(len(before["student.json"]) + 1), pytest.raises(OSError):
             save_checkpoint(dense, path)
         assert _dir_bytes(tmp_path) == before
