@@ -2,8 +2,9 @@
 ascending score order for the assistant model's in-context consumption.
 
 The search takes the score of a prefix as a function, `score(prefix) ->
-float`; the training loop passes one per frozen checkpoint that calls
-`score_prefix` on the validation split:
+float`; the training loop passes one per frozen checkpoint that scores
+the validation split's `student.batch_logits` with `evaluate`, as
+`score_prefix` does:
 
     h = seed_history(score)
     h, rounds = collect(ta, mp, score, h, k, l, temperature, epoch)
@@ -18,12 +19,10 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import student as student_mod
 from . import ta as ta_mod
 from .dataset import Dataset
-from .errors import StallError, StateError, ValidationError
+from .errors import StallError, ValidationError
 from .metrics import MetricKind, evaluate
 
 logger = logging.getLogger(__name__)
@@ -117,18 +116,10 @@ def score_prefix(
     featurizer: student_mod.Featurizer | None = None,
 ) -> float:
     """Metric of the frozen student over eval_set with `prefix` prepended
-    to every input. A given `featurizer` must hash with student.dims and
-    hash_seed, else ValidationError; by default a new one over eval_set's
-    texts is used. The examples' logits, one row each, go to `evaluate`."""
-    if not student.frozen:
-        raise StateError("scoring requires a frozen student")
-    if not len(eval_set):
-        raise ValidationError("eval_set must be non-empty")
-    featurizer = student_mod._featurizer_for(featurizer, student.dims, hash_seed, eval_set)
-    logits = np.array([
-        student_mod._logits(student.weights, student.bias, featurizer.featurize(prefix, ex.text))[0]
-        for ex in eval_set.examples
-    ])
+    to every input: `batch_logits` builds the examples' logits matrix
+    (from `featurizer`'s tables, or new ones over eval_set's texts) and
+    `evaluate` scores it."""
+    logits = student_mod.batch_logits(student, eval_set, hash_seed, featurizer)(prefix)
     return evaluate(kind, logits, eval_set.labels(), class_count=eval_set.class_count)
 
 

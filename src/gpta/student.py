@@ -8,12 +8,14 @@ priors, so the prefix search has something real to optimize. Hashing is
 FNV-1a 64-bit over UTF-8 token bytes with the seed XORed into the offset
 basis; everything here is bit-stable across runs and platforms.
 
-`featurize` is the from-scratch reference; training and scoring use a
-`Featurizer`, which gives the same features from per-run token tables.
+`featurize` is the from-scratch reference; training uses a `Featurizer`,
+which gives the same features from per-run token tables, and scoring uses
+`batch_logits`, which factors a whole split's logits through those tables.
 """
 
 import json
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
@@ -127,13 +129,24 @@ class Featurizer:
         if ids is None:
             return _featurize(prefix, text, self.dims, self.hash_seed)
         if self._prefix[0] != prefix:
-            p_toks, seeded = tokenize(prefix), _FNV_OFFSET ^ self.hash_seed
-            for p_tok in set(p_toks) - self._rows.keys():
-                self._rows[p_tok] = self._fold_vocab(_fold(seeded, p_tok + _PAIR_SEP))
-            unigrams = [_fold(seeded, p_tok) % self.dims for p_tok in p_toks]
-            self._prefix = (prefix, unigrams, np.array([self._unigrams] + [self._rows[p_tok] for p_tok in p_toks]))
+            unigrams, rows = self._prefix_indices(prefix)
+            self._prefix = (prefix, unigrams, np.array([self._unigrams] + rows))
         _, unigrams, table = self._prefix
         return Counter(unigrams + table[:, ids].ravel().tolist())
+
+    def _prefix_indices(self, prefix: str) -> tuple[list[int], list[np.ndarray]]:
+        """The unigram index and the pair-index row of each token of `prefix`, in order."""
+        p_toks, seeded = tokenize(prefix), _FNV_OFFSET ^ self.hash_seed
+        for p_tok in set(p_toks) - self._rows.keys():
+            self._rows[p_tok] = self._fold_vocab(_fold(seeded, p_tok + _PAIR_SEP))
+        return [_fold(seeded, p_tok) % self.dims for p_tok in p_toks], [self._rows[p_tok] for p_tok in p_toks]
+
+    def _text_ids(self, texts: list[str]) -> list[np.ndarray] | None:
+        """Each of `texts` as vocabulary ids, or None when one is not in the tables."""
+        if self._ids is None:
+            self._build()
+        ids = [self._ids.get(text) for text in texts]
+        return None if any(i is None for i in ids) else ids
 
 
 def _featurizer_for(featurizer: Featurizer | None, dims: int, hash_seed: int, data: Dataset) -> Featurizer:
@@ -286,6 +299,57 @@ def train_pass(
         bias -= lr * coef
     new_params = replace(params, weights=weights, bias=bias)
     return new_params, float(total_loss / len(train))
+
+
+def _segment_sums(columns: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Per run of `lengths` consecutive columns, their sum: one column per
+    run, zero for an empty run (np.add.reduceat would give the next run's
+    first column)."""
+    sums = np.zeros((len(columns), len(lengths)))
+    nonempty = lengths > 0
+    sums[:, nonempty] = np.add.reduceat(columns, (np.cumsum(lengths) - lengths)[nonempty], axis=1)
+    return sums
+
+
+def batch_logits(
+    params: StudentParams, data: Dataset, hash_seed: int = 0, featurizer: Featurizer | None = None
+) -> Callable[[str], np.ndarray]:
+    """The frozen student's logits on every example of `data` as a
+    function of the prefix: an examples x classes matrix whose row for
+    text x equals `_logits` of featurize(prefix, x) up to summation order.
+
+    Logits are linear in the hashed counts, so a row splits into b + W·u(x),
+    computed here once, plus per prefix p the columns of p's unigrams and
+    x's tokens gathered from M_p = sum over q in p of W[:, rows[q]], where
+    rows[q] is q's pair index with each vocabulary token. Both gathers are
+    summed per example with np.add.reduceat. The tables come from
+    `featurizer`, which must hash with params.dims and hash_seed, else
+    ValidationError; when it is None or lacks one of data's texts, from a
+    new one over data's texts.
+    """
+    if not params.frozen:
+        raise StateError("scoring requires a frozen student")
+    if not len(data):
+        raise ValidationError("cannot score an empty dataset")
+    texts = [ex.text for ex in data.examples]
+    featurizer = _featurizer_for(featurizer, params.dims, hash_seed, data)
+    ids = featurizer._text_ids(texts)
+    if ids is None:
+        featurizer = Featurizer(params.dims, hash_seed, texts)
+        ids = featurizer._text_ids(texts)
+    lengths, flat = np.array([len(i) for i in ids]), np.concatenate(ids)
+    weights = params.weights
+    base = params.bias[:, None] + _segment_sums(weights[:, featurizer._unigrams[flat]], lengths)
+
+    def logits(prefix: str) -> np.ndarray:
+        unigrams, rows = featurizer._prefix_indices(prefix)
+        z = base + weights[:, unigrams].sum(axis=1, keepdims=True)
+        if rows:
+            pairs = sum(weights[:, row] for row in rows)
+            z += _segment_sums(pairs[:, flat], lengths)
+        return z.T
+
+    return logits
 
 
 def predict(params: StudentParams, prefix: str, text: str, hash_seed: int = 0) -> int:

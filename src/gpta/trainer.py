@@ -24,8 +24,8 @@ from .dataset import EXEMPLAR_CAP, Dataset, load_jsonl, make_exemplars, split
 from .dialogue_gradient import DEFAULT_FINETUNE_CAP, FINETUNE_SOFT_LIMIT, build_windows, cap, enrich, serialize_jsonl
 from .errors import FinetuneError, TransportError, ValidationError
 from .fileio import _fields_from_json, _from_json, decoding, read_text, write_atomic
-from .history import Origin, PrefixHistory, RoundStats, ScoredPrefix, collect, insert_sorted, score_prefix, seed_history
-from .metrics import MetricKind
+from .history import Origin, PrefixHistory, RoundStats, ScoredPrefix, collect, insert_sorted, seed_history
+from .metrics import MetricKind, evaluate
 from .remote import RemoteClient, _check_base_url
 
 logger = logging.getLogger(__name__)
@@ -282,10 +282,12 @@ def _epoch_shuffle_seed(base: int, epoch: int) -> int:
 
 def _scorer(frozen: student_mod.StudentParams, ctx: RunContext) -> Callable[[str], float]:
     """The search's score function for one frozen checkpoint: a prefix's
-    metric on the validation split. Private: the benchmark's tracer wraps
-    public functions, and a wrapped scorer would become the parent of every
-    score_prefix span in place of collect, seed_history or run_epoch."""
-    return lambda prefix: score_prefix(frozen, prefix, ctx.val, ctx.kind, ctx.cfg.hash_seed, ctx.featurizer)
+    metric on the validation split, from `batch_logits` over the run's
+    tables, so the part of the logits that no prefix changes is computed
+    once per checkpoint."""
+    logits = student_mod.batch_logits(frozen, ctx.val, ctx.cfg.hash_seed, ctx.featurizer)
+    labels = ctx.val.labels()
+    return lambda prefix: evaluate(ctx.kind, logits(prefix), labels, class_count=ctx.val.class_count)
 
 
 def _rescore(history: PrefixHistory, score: Callable[[str], float], k: int) -> PrefixHistory:
@@ -425,7 +427,8 @@ def state_from_json(text: str, cfg: RunConfig) -> RunState:
     the number of records (numbered 0, 1, ...), a history with a repeated
     prefix, a descending score or (once it or the records are non-empty)
     without the empty prefix, a best record other than the first record
-    with the highest val_best (null with no records), and a state saved
+    with the highest val_best (null with no records) or, when that record is
+    the last, naming another prefix than the history's best, and a state saved
     under another backend or with a student of other dims raise
     ValidationError."""
     ta = build_ta(cfg)
@@ -456,6 +459,9 @@ def state_from_json(text: str, cfg: RunConfig) -> RunState:
         top = max(records, key=operator.attrgetter("val_best"), default=None)  # the first of equals
         if (best and (best.score, best.epoch)) != (top and (top.val_best, top.epoch)):
             raise ValidationError("$.best: expected null with no records, else the first record with the highest val_best")
+        # The last epoch's best record was made from the history saved with it.
+        if best and best.epoch == epoch - 1 and best.prefix != prefixes[-1]:
+            raise ValidationError(f"$.best.prefix: {best.prefix!r} is not the best history entry {prefixes[-1]!r}")
         student = obj["student"]
     params = student_mod.params_from_dict(student)
     if params.dims != cfg.dims:

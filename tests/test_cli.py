@@ -287,6 +287,9 @@ MALFORMED_STATES = {
     "null-best": _set("best", value=None),
     "best-score-above-records": _set("best", "score", value=1.45),
     "best-without-records": _edit(lambda obj: obj.update(epoch=0, records=[])),
+    # The state's one epoch is its best, so best.prefix must be that epoch's best history entry.
+    "best-prefix-not-in-history": _set("best", "prefix", value="never proposed by anyone"),
+    "best-prefix-not-the-history-best": _edit(lambda obj: obj["best"].update(prefix="")),
 }
 
 

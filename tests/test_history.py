@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +27,8 @@ from gpta import (
     unfreeze,
 )
 from gpta.history import Origin, RoundStats
-from gpta.student import Featurizer, featurize, forward, loss
+from gpta.dataset import Dataset, TextExample
+from gpta.student import Featurizer, StudentParams, _logits, batch_logits, featurize, forward, loss
 
 from test_metrics import macro_f1_loop, rows
 from test_ta import make_mp
@@ -40,6 +42,11 @@ PREFIXES = st.lists(
     ),
     max_size=4,
 ).map(" ".join)
+
+
+def oracle_logits(frozen, prefix, text, hash_seed):
+    """One text's logits from the reference per-example path."""
+    return _logits(frozen.weights, frozen.bias, featurize(prefix, text, frozen.dims, hash_seed))[0]
 
 
 def oracle_score(frozen, prefix, data, kind, hash_seed):
@@ -67,8 +74,6 @@ class TestScorePrefix:
     def test_zero_params_all_class_zero(self):
         d = synth_generate(2, 10, 40, 0.0, 1)
         labels_zero = [ex for ex in d.examples if ex.label == 0]
-        from gpta.dataset import Dataset
-
         eval_set = Dataset(examples=tuple(labels_zero), class_count=2)
         frozen = freeze(init_params(64, 2))
         assert score_prefix(frozen, "", eval_set, MetricKind.ACCURACY) == 1.0
@@ -104,6 +109,49 @@ class TestScorePrefix:
     @settings(max_examples=40, deadline=None)
     @given(
         world=st.tuples(st.integers(2, 4), st.integers(2, 8), st.integers(4, 30), st.integers(0, 2**16)),
+        log_dims=st.integers(1, 18),
+        hash_seed=st.integers(-(2**70), 2**70),
+        prefixes=st.lists(PREFIXES, min_size=1, max_size=3),
+        tables_cover=st.floats(0.0, 1.0),
+        blank_at=st.none() | st.integers(0, 2**16),
+    )
+    def test_batch_logits_match_the_per_example_oracle(
+        self, world, log_dims, hash_seed, prefixes, tables_cover, blank_at
+    ):
+        """Each row of batch_logits is within 1e-12 of _logits over
+        featurize for its text alone. The weights are random, prefix tokens
+        may lie outside the texts, the featurizer's tables may cover only
+        some texts, and a text without tokens may sit anywhere."""
+        classes, per_class, vocab, seed = world
+        examples = list(synth_generate(classes, per_class, vocab, 0.2, seed).examples)
+        if blank_at is not None:
+            examples.insert(blank_at % (len(examples) + 1), TextExample(text=" \t ", label=0))
+        dims, rng = 2**log_dims, np.random.default_rng(seed)
+        frozen = StudentParams(rng.standard_normal((classes, dims)), rng.standard_normal(classes), frozen=True)
+        texts = [ex.text for ex in examples]
+        featurizer = Featurizer(dims, hash_seed, texts[: round(tables_cover * len(texts))])
+        logits = batch_logits(frozen, Dataset(tuple(examples), classes), hash_seed, featurizer)
+        for prefix in prefixes:
+            expected = [oracle_logits(frozen, prefix, text, hash_seed) for text in texts]
+            np.testing.assert_allclose(logits(prefix), expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("blank", [[0], [4], [0, 1, 2, 3, 4]])
+    def test_a_text_without_tokens_gets_only_the_bias_and_prefix_terms(self, trained_student, blank):
+        """np.add.reduceat gives an empty run the next run's first column,
+        so a whitespace-only text, first, last or everywhere, is checked
+        on its own."""
+        frozen, data = trained_student
+        examples = list(data.examples[:5])
+        for i in blank:
+            examples[i] = TextExample(text="  \n ", label=examples[i].label)
+        logits = batch_logits(frozen, Dataset(tuple(examples), data.class_count))
+        for prefix in ("", "focus here"):
+            expected = [oracle_logits(frozen, prefix, ex.text, 0) for ex in examples]
+            np.testing.assert_allclose(logits(prefix), expected, rtol=0, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        world=st.tuples(st.integers(2, 4), st.integers(2, 8), st.integers(4, 30), st.integers(0, 2**16)),
         log_dims=st.integers(1, 12),
         hash_seed=st.integers(-(2**31), 2**31),
         lr=st.sampled_from([0.0, 0.5]),
@@ -111,12 +159,15 @@ class TestScorePrefix:
         prefixes=st.lists(PREFIXES, min_size=1, max_size=3),
         tables_cover=st.floats(0.0, 1.0),
     )
-    def test_equals_the_per_example_oracle(self, world, log_dims, hash_seed, lr, train_prefix, prefixes, tables_cover):
-        """Under every metric, score_prefix gives exactly the score of the
-        reference path: featurize each example, then predict, or forward
-        and loss. Prefix tokens may lie outside the data's texts, the
-        featurizer's tables may cover only some of them, and an untrained
-        student (lr 0) ties every class."""
+    def test_scores_match_the_per_example_oracle(
+        self, world, log_dims, hash_seed, lr, train_prefix, prefixes, tables_cover
+    ):
+        """score_prefix against the reference path (featurize each example,
+        then predict, or forward and loss). The two paths sum the logits in
+        different orders, so neg_loss agrees within 1e-12, and accuracy and
+        macro-F1 agree exactly when every example's top two reference
+        logits lie more than 1e-9 apart, or the student is untrained (lr 0)
+        and both paths tie every class at exactly 0."""
         classes, per_class, vocab, seed = world
         data = synth_generate(classes, per_class, vocab, 0.2, seed)
         dims = 2**log_dims
@@ -125,9 +176,15 @@ class TestScorePrefix:
         texts = [ex.text for ex in data.examples]
         featurizer = Featurizer(dims, hash_seed, texts[: round(tables_cover * len(texts))])
         for prefix in prefixes:
+            top_two = np.sort([oracle_logits(frozen, prefix, text, hash_seed) for text in texts])[:, -2:]
+            clear = lr == 0 or (top_two[:, 1] - top_two[:, 0]).min() > 1e-9
             for kind in MetricKind:
+                got = score_prefix(frozen, prefix, data, kind, hash_seed, featurizer)
                 expected = oracle_score(frozen, prefix, data, kind, hash_seed)
-                assert score_prefix(frozen, prefix, data, kind, hash_seed, featurizer) == expected
+                if kind is MetricKind.NEG_MEAN_LOSS:
+                    assert abs(got - expected) <= 1e-12
+                elif clear:
+                    assert got == expected
 
     @pytest.mark.parametrize("dims,hash_seed", [(512, 0), (1024, 1), (2048, 0)])
     def test_rejects_a_featurizer_that_hashes_otherwise(self, trained_student, dims, hash_seed):

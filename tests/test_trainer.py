@@ -3,6 +3,7 @@ import json
 import logging
 import re
 import resource
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -447,32 +448,42 @@ class TestFeaturizerRuns:
         assert tables == oracle
         assert tables[0] == tables[1]
 
-    def test_each_scored_or_trained_example_is_featurized_once(self, desk_config, tmp_path, monkeypatch):
-        """The benchmark's traced identity: featurize calls (the tables'
-        and the reference's) = train_pass examples + score_prefix examples."""
-        counts = {"featurize": 0, "examples": 0}
+    def test_each_trained_or_scored_example_is_featurized_or_batch_scored_once(
+        self, desk_config, tmp_path, monkeypatch
+    ):
+        """The benchmark's traced identity, restated for the batch scorer:
+        featurize calls (the tables' and the reference's) plus the examples
+        of each batch_logits call = train_pass examples plus the validation
+        examples of each score the search asks for."""
+        counts = Counter()
 
-        def counting(fn, examples_of=None):
+        def counting(key, fn, examples_of):
             def wrapped(*args, **kwargs):
-                if examples_of is None:
-                    counts["featurize"] += 1
-                else:
-                    counts["examples"] += len(examples_of(*args, **kwargs))
+                counts[key] += examples_of(*args, **kwargs)
                 return fn(*args, **kwargs)
 
             return wrapped
 
-        monkeypatch.setattr(student_mod.Featurizer, "featurize", counting(student_mod.Featurizer.featurize))
-        monkeypatch.setattr(student_mod, "featurize", counting(student_mod.featurize))
-        train_pass = student_mod.train_pass
-        monkeypatch.setattr(student_mod, "train_pass", counting(train_pass, lambda params, train, *a, **k: train))
-        score_prefix = trainer_mod.score_prefix
-        scored = counting(score_prefix, lambda student, prefix, eval_set, *a, **k: eval_set)
-        monkeypatch.setattr(trainer_mod, "score_prefix", scored)
+        def counting_calls(key, make, examples_of):
+            """`make`, whose returned function counts examples_of(make's arguments) per call."""
+            def wrapped(*args, **kwargs):
+                n = examples_of(*args, **kwargs)
+                return counting(key, make(*args, **kwargs), lambda *a, **k: n)
+
+            return wrapped
+
+        for owner in (student_mod.Featurizer, student_mod):
+            monkeypatch.setattr(owner, "featurize", counting("featurized", owner.featurize, lambda *a, **k: 1))
+        monkeypatch.setattr(student_mod, "train_pass",
+                            counting("trained", student_mod.train_pass, lambda params, train, *a, **k: len(train)))
+        monkeypatch.setattr(student_mod, "batch_logits",
+                            counting_calls("batch", student_mod.batch_logits, lambda params, data, *a, **k: len(data)))
+        monkeypatch.setattr(trainer_mod, "_scorer",
+                            counting_calls("scored", trainer_mod._scorer, lambda frozen, ctx: len(ctx.val)))
         run(desk_config(epochs=1), tmp_path / "run")
         run(desk_config(epochs=2), tmp_path / "run", resume_from=tmp_path / "run" / "state_epoch0.json")
-        assert counts["examples"] > 0
-        assert counts["featurize"] == counts["examples"]
+        assert counts["trained"] > 0 and counts["scored"] > 0
+        assert counts["featurized"] + counts["batch"] == counts["trained"] + counts["scored"]
 
 
 class TestRun:
