@@ -13,7 +13,7 @@ from gpta import (
     collect,
     freeze,
     init_params,
-    score_prefix,
+    scorer,
     seed_history,
     simulated_handle,
     split,
@@ -42,10 +42,7 @@ mp = MetaPrompt(
     label_semantics=("0: class0", "1: class1"),
 )
 
-
-def score(prefix: str) -> float:
-    return score_prefix(frozen, prefix, val, MetricKind.ACCURACY)
-
+score = scorer(frozen, val, MetricKind.ACCURACY)
 
 h0 = seed_history(score)
 print(f"seeded history: baseline (empty prefix) scores {h0.entries[0].score:.4f}")

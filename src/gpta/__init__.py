@@ -41,10 +41,9 @@ from .history import (
     ScoredPrefix,
     collect,
     insert_sorted,
-    score_prefix,
     seed_history,
 )
-from .metrics import MetricKind, evaluate
+from .metrics import MetricKind, evaluate, score_prefix, scorer
 from .remote import RemoteClient
 from .student import (
     Gradient,

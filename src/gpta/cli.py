@@ -12,9 +12,8 @@ from pathlib import Path
 from . import student as student_mod
 from .dataset import load_jsonl, synth_generate, write_jsonl
 from .errors import GptaError, ValidationError
-from .fileio import decoding, read_json, record_from_json, write_atomic
-from .history import score_prefix
-from .metrics import MetricKind
+from .fileio import decoding, encodes, read_json, record_from_json, write_atomic
+from .metrics import MetricKind, score_prefix
 from .trainer import EpochRecord, RunConfig, run, write_metrics_csv
 
 logger = logging.getLogger(__name__)
@@ -176,6 +175,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    # Argument bytes that are not UTF-8 arrive as lone surrogates, which hashing cannot encode.
+    if not encodes(args.prefix):
+        raise ValidationError("--prefix is not valid UTF-8")
     params = student_mod.freeze(student_mod.load_checkpoint(args.checkpoint))
     # A label past the checkpoint's classes is refused by the metric, exit 2.
     data = load_jsonl(args.data)

@@ -1,10 +1,9 @@
 """Prefix-prompt history: candidate prefixes with their scores, kept in
 ascending score order for the assistant model's in-context consumption.
 
-The search takes the score of a prefix as a function, `score(prefix) ->
-float`; the training loop passes one per frozen checkpoint that scores
-the validation split's `student.batch_logits` with `evaluate`, as
-`score_prefix` does:
+The search sees the student only through the score of a prefix, a
+function `score(prefix) -> float`; the training loop passes
+`metrics.scorer` of each frozen checkpoint on the validation split:
 
     h = seed_history(score)
     h, rounds = collect(ta, mp, score, h, k, l, temperature, epoch)
@@ -14,18 +13,12 @@ never score below the no-prefix baseline on the selection split.
 """
 
 import bisect
-import logging
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from . import student as student_mod
 from . import ta as ta_mod
-from .dataset import Dataset
 from .errors import StallError, ValidationError
-from .metrics import MetricKind, evaluate
-
-logger = logging.getLogger(__name__)
 
 # Give up after this many consecutive rounds that add nothing new; turns an
 # otherwise unbounded search loop into a total procedure.
@@ -105,22 +98,6 @@ class RoundStats:
     def __post_init__(self):
         if self.exceeded_max > self.generated:
             raise ValidationError("exceeded_max cannot exceed generated")
-
-
-def score_prefix(
-    student: student_mod.StudentParams,
-    prefix: str,
-    eval_set: Dataset,
-    kind: MetricKind,
-    hash_seed: int = 0,
-    featurizer: student_mod.Featurizer | None = None,
-) -> float:
-    """Metric of the frozen student over eval_set with `prefix` prepended
-    to every input: `batch_logits` builds the examples' logits matrix
-    (from `featurizer`'s tables, or new ones over eval_set's texts) and
-    `evaluate` scores it."""
-    logits = student_mod.batch_logits(student, eval_set, hash_seed, featurizer)(prefix)
-    return evaluate(kind, logits, eval_set.labels(), class_count=eval_set.class_count)
 
 
 def insert_sorted(h: PrefixHistory, sp: ScoredPrefix) -> PrefixHistory:

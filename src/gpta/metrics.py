@@ -1,14 +1,17 @@
 """Evaluation metrics, all normalized to higher-is-better so the history
 sort has a single orientation. Mean loss is negated at this boundary for
-the same reason.
+the same reason. `scorer` turns a frozen student, a split and a metric
+into the prefix search's score function.
 """
 
 import enum
+from collections.abc import Callable
 
 import numpy as np
 
+from .dataset import Dataset
 from .errors import ValidationError
-from .student import _softmax, loss
+from .student import Featurizer, StudentParams, _softmax, batch_logits, loss
 
 
 class MetricKind(enum.Enum):
@@ -59,3 +62,24 @@ def evaluate(
         return float(np.mean(f1s))
 
     raise ValidationError(f"unknown metric kind {kind!r}")
+
+
+def scorer(
+    frozen: StudentParams,
+    data: Dataset,
+    kind: MetricKind,
+    hash_seed: int = 0,
+    featurizer: Featurizer | None = None,
+) -> Callable[[str], float]:
+    """The metric of the frozen student on `data` as a function of the
+    prefix prepended to every input. `batch_logits` (over `featurizer`'s
+    tables when they hold data's texts) does the part no prefix changes
+    once, here; each call then scores one prefix's logits with `evaluate`."""
+    logits = batch_logits(frozen, data, hash_seed, featurizer)
+    labels = data.labels()
+    return lambda prefix: evaluate(kind, logits(prefix), labels, class_count=data.class_count)
+
+
+def score_prefix(student: StudentParams, prefix: str, eval_set: Dataset, kind: MetricKind, hash_seed: int = 0) -> float:
+    """One prefix's metric of the frozen student over eval_set."""
+    return scorer(student, eval_set, kind, hash_seed)(prefix)

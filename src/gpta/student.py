@@ -11,6 +11,8 @@ basis; everything here is bit-stable across runs and platforms.
 `featurize` is the from-scratch reference; training uses a `Featurizer`,
 which gives the same features from per-run token tables, and scoring uses
 `batch_logits`, which factors a whole split's logits through those tables.
+Both take the tables from `_featurizer_for`: the ones given when they
+hold every text of the data, else new ones over the data's texts.
 """
 
 import json
@@ -66,7 +68,14 @@ def _check_dims(dims: int) -> None:
         raise ValidationError(f"dims must be a power of two in [2, {MAX_DIMS}], got {dims}")
 
 
-def _featurize(prefix: str, text: str, dims: int, hash_seed: int) -> FeatureVector:
+def featurize(prefix: str, text: str, dims: int, hash_seed: int = 0) -> FeatureVector:
+    """Hashed feature counts for the input `text` under `prefix`.
+
+    Unigram counts over the concatenated prefix+text token stream, plus a
+    count for every (prefix token, text token) pair. dims must be a power
+    of two in [2, MAX_DIMS].
+    """
+    _check_dims(dims)
     prefix_tokens, text_tokens = tokenize(prefix), tokenize(text)
     # FNV-1a folds bytewise: a pair's hash continues prefix token + _PAIR_SEP over the text token.
     starts = [_fold(_FNV_OFFSET ^ hash_seed, p_tok + _PAIR_SEP) for p_tok in prefix_tokens]
@@ -76,41 +85,28 @@ def _featurize(prefix: str, text: str, dims: int, hash_seed: int) -> FeatureVect
     )
 
 
-def featurize(prefix: str, text: str, dims: int, hash_seed: int = 0) -> FeatureVector:
-    """Hashed feature counts for the input `text` under `prefix`.
-
-    Unigram counts over the concatenated prefix+text token stream, plus a
-    count for every (prefix token, text token) pair. dims must be a power
-    of two in [2, MAX_DIMS].
-    """
-    _check_dims(dims)
-    return _featurize(prefix, text, dims, hash_seed)
-
-
 class Featurizer:
-    """`featurize(prefix, text, dims, hash_seed)` from tables built on first
-    use: each of `texts` as vocabulary ids, each vocabulary token's unigram
-    index and, per prefix token when first seen, its pair index with every
-    vocabulary token. A text not in `texts` is featurized from scratch. A
-    plain class, so the benchmark's tracer counts `featurize` calls here."""
+    """`featurize(prefix, text, dims, hash_seed)` for each of `texts` from
+    tables built here: each text as vocabulary ids, each vocabulary
+    token's unigram index and, per prefix token when first seen, its pair
+    index with every vocabulary token. A plain class, so the benchmark's
+    tracer counts `featurize` calls here."""
 
     def __init__(self, dims: int, hash_seed: int, texts: list[str]):
         _check_dims(dims)
-        self.dims, self.hash_seed, self._texts = dims, hash_seed, texts
-        self._ids: dict[str, np.ndarray] | None = None  # text -> vocabulary id of each token
-        self._rows: dict[str, np.ndarray] = {}  # prefix token -> its pair index with each vocabulary token
-        self._prefix: tuple = (None,)  # the last prefix, its unigram indices and its stacked rows
-
-    def _build(self) -> None:
+        self.dims, self.hash_seed = dims, hash_seed
         # Longest first, so the tokens still being folded at byte j are a leading slice.
-        encoded = dict.fromkeys(t.encode() for text in self._texts for t in tokenize(text))
+        encoded = dict.fromkeys(t.encode() for text in texts for t in tokenize(text))
         self._vocab = sorted(encoded, key=len, reverse=True)
         ids = {token.decode(): i for i, token in enumerate(self._vocab)}
-        self._ids = {text: np.array([ids[t] for t in tokenize(text)], dtype=np.int64) for text in self._texts}
+        # text -> vocabulary id of each token
+        self._ids = {text: np.array([ids[t] for t in tokenize(text)], dtype=np.int64) for text in texts}
         # Column j holds byte j of each token longer than j: a padded byte matrix without the padding.
         self._columns = [np.array([t[j] for t in self._vocab if len(t) > j], dtype=np.uint64)
                          for j in range(max(map(len, self._vocab), default=0))]
-        self._unigrams = self._fold_vocab(_FNV_OFFSET ^ self.hash_seed)
+        self._unigrams = self._fold_vocab(_FNV_OFFSET ^ hash_seed)
+        self._rows: dict[str, np.ndarray] = {}  # prefix token -> its pair index with each vocabulary token
+        self._prefix: tuple = (None,)  # the last prefix, its unigram indices and its stacked rows
 
     def _fold_vocab(self, start: int) -> np.ndarray:
         """Index of every vocabulary token under FNV-1a continued from `start`."""
@@ -122,17 +118,13 @@ class Featurizer:
 
     def featurize(self, prefix: str, text: str) -> FeatureVector:
         """Exactly featurize(prefix, text, self.dims, self.hash_seed): the
-        same keys in the same order, with the same values."""
-        if self._ids is None:
-            self._build()
-        ids = self._ids.get(text)
-        if ids is None:
-            return _featurize(prefix, text, self.dims, self.hash_seed)
+        same keys in the same order, with the same values. `text` must be
+        one of the featurizer's texts."""
         if self._prefix[0] != prefix:
             unigrams, rows = self._prefix_indices(prefix)
             self._prefix = (prefix, unigrams, np.array([self._unigrams] + rows))
         _, unigrams, table = self._prefix
-        return Counter(unigrams + table[:, ids].ravel().tolist())
+        return Counter(unigrams + table[:, self._ids[text]].ravel().tolist())
 
     def _prefix_indices(self, prefix: str) -> tuple[list[int], list[np.ndarray]]:
         """The unigram index and the pair-index row of each token of `prefix`, in order."""
@@ -141,24 +133,18 @@ class Featurizer:
             self._rows[p_tok] = self._fold_vocab(_fold(seeded, p_tok + _PAIR_SEP))
         return [_fold(seeded, p_tok) % self.dims for p_tok in p_toks], [self._rows[p_tok] for p_tok in p_toks]
 
-    def _text_ids(self, texts: list[str]) -> list[np.ndarray] | None:
-        """Each of `texts` as vocabulary ids, or None when one is not in the tables."""
-        if self._ids is None:
-            self._build()
-        ids = [self._ids.get(text) for text in texts]
-        return None if any(i is None for i in ids) else ids
-
 
 def _featurizer_for(featurizer: Featurizer | None, dims: int, hash_seed: int, data: Dataset) -> Featurizer:
-    """`featurizer`, checked to hash with dims and hash_seed (seeds equal
-    modulo 2^64 hash alike), or a new one over data's texts when None."""
-    if featurizer is None:
-        return Featurizer(dims, hash_seed, [ex.text for ex in data.examples])
-    if featurizer.dims != dims or (featurizer.hash_seed - hash_seed) & _MASK64:
+    """`featurizer` when its tables hold every text of data, else a new one
+    over data's texts. A featurizer given must hash with dims and
+    hash_seed (seeds equal modulo 2^64 hash alike), else ValidationError."""
+    if featurizer is not None and (featurizer.dims != dims or (featurizer.hash_seed - hash_seed) & _MASK64):
         raise ValidationError(
             f"the featurizer hashes with dims {featurizer.dims} and hash_seed {featurizer.hash_seed}, "
             f"not dims {dims} and hash_seed {hash_seed}"
         )
+    if featurizer is None or any(ex.text not in featurizer._ids for ex in data.examples):
+        return Featurizer(dims, hash_seed, [ex.text for ex in data.examples])
     return featurizer
 
 
@@ -271,7 +257,8 @@ def train_pass(
     every input. Returns the new params and the mean pre-update loss,
     each example's loss floored as in `loss`. Features come from
     `featurizer`, which must hash with params.dims and hash_seed, else
-    ValidationError (by default a new one over `train`'s texts).
+    ValidationError; when it is None or lacks one of train's texts, from
+    a new one over train's texts. An empty `train` raises ValidationError.
 
     The update is applied sparsely (only at an example's active feature
     indices); coordinates outside the support have zero gradient, so this
@@ -281,6 +268,8 @@ def train_pass(
         raise StateError("cannot train frozen params")
     if lr < 0:
         raise ValidationError(f"lr must be >= 0, got {lr}")
+    if not len(train):
+        raise ValidationError("cannot train on an empty dataset")
     featurizer = _featurizer_for(featurizer, params.dims, hash_seed, train)
     weights = params.weights.copy()
     bias = params.bias.copy()
@@ -331,12 +320,8 @@ def batch_logits(
         raise StateError("scoring requires a frozen student")
     if not len(data):
         raise ValidationError("cannot score an empty dataset")
-    texts = [ex.text for ex in data.examples]
     featurizer = _featurizer_for(featurizer, params.dims, hash_seed, data)
-    ids = featurizer._text_ids(texts)
-    if ids is None:
-        featurizer = Featurizer(params.dims, hash_seed, texts)
-        ids = featurizer._text_ids(texts)
+    ids = [featurizer._ids[ex.text] for ex in data.examples]
     lengths, flat = np.array([len(i) for i in ids]), np.concatenate(ids)
     weights = params.weights
     base = params.bias[:, None] + _segment_sums(weights[:, featurizer._unigrams[flat]], lengths)

@@ -8,6 +8,7 @@ serializes losslessly, so checkpoints resume bit-identically.
 """
 
 import csv
+import functools
 import io
 import json
 import logging
@@ -23,9 +24,9 @@ from . import ta as ta_mod
 from .dataset import EXEMPLAR_CAP, Dataset, load_jsonl, make_exemplars, split
 from .dialogue_gradient import DEFAULT_FINETUNE_CAP, FINETUNE_SOFT_LIMIT, build_windows, cap, enrich, serialize_jsonl
 from .errors import FinetuneError, TransportError, ValidationError
-from .fileio import _fields_from_json, _from_json, decoding, read_text, write_atomic
+from .fileio import _fields_from_json, _from_json, decoding, encodes, read_text, write_atomic
 from .history import Origin, PrefixHistory, RoundStats, ScoredPrefix, collect, insert_sorted, seed_history
-from .metrics import MetricKind, evaluate
+from .metrics import MetricKind, scorer
 from .remote import RemoteClient, _check_base_url
 
 logger = logging.getLogger(__name__)
@@ -103,6 +104,8 @@ class RunConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
+            if not all(map(encodes, _strings(value))):
+                raise ValidationError(f"{f.name} holds a string that does not encode as UTF-8")
             if f.type in (float, tuple[float, float, float]) and not np.isfinite(value).all():
                 raise ValidationError(f"{f.name} must be finite, got {value}")
             for kind, limit in f.metadata.items():
@@ -157,6 +160,13 @@ class RunConfig:
 
 def _to_json(value):
     return [_to_json(v) for v in value] if isinstance(value, tuple) else value
+
+
+def _strings(value) -> list[str]:
+    """The strings of a config value: the value itself, or those nested in its tuples."""
+    if isinstance(value, tuple):
+        return [s for v in value for s in _strings(v)]
+    return [value] if isinstance(value, str) else []
 
 
 @dataclass(frozen=True)
@@ -221,11 +231,16 @@ class RunContext:
     val: Dataset
     test: Dataset
     mp: ta_mod.MetaPrompt
-    featurizer: student_mod.Featurizer
 
     @property
     def kind(self) -> MetricKind:
         return MetricKind(self.cfg.metric)
+
+    @functools.cached_property
+    def featurizer(self) -> student_mod.Featurizer:
+        """Token tables over the train and val texts, built on first use, so prepare builds none."""
+        texts = [ex.text for ex in self.train.examples + self.val.examples]
+        return student_mod.Featurizer(self.cfg.dims, self.cfg.hash_seed, texts)
 
 
 def prepare(cfg: RunConfig) -> RunContext:
@@ -241,14 +256,7 @@ def prepare(cfg: RunConfig) -> RunContext:
         label_semantics=semantics,
         exemplars=make_exemplars(train, cfg.exemplar_count, cfg.exemplar_seed),
     )
-    return RunContext(
-        cfg=cfg,
-        train=train,
-        val=val,
-        test=test,
-        mp=mp,
-        featurizer=student_mod.Featurizer(cfg.dims, cfg.hash_seed, [ex.text for ex in train.examples + val.examples]),
-    )
+    return RunContext(cfg=cfg, train=train, val=val, test=test, mp=mp)
 
 
 def build_ta(cfg: RunConfig) -> ta_mod.TAHandle:
@@ -278,16 +286,6 @@ def init_state(cfg: RunConfig, ctx: RunContext) -> RunState:
 
 def _epoch_shuffle_seed(base: int, epoch: int) -> int:
     return int(np.random.SeedSequence((base, epoch)).generate_state(1)[0])
-
-
-def _scorer(frozen: student_mod.StudentParams, ctx: RunContext) -> Callable[[str], float]:
-    """The search's score function for one frozen checkpoint: a prefix's
-    metric on the validation split, from `batch_logits` over the run's
-    tables, so the part of the logits that no prefix changes is computed
-    once per checkpoint."""
-    logits = student_mod.batch_logits(frozen, ctx.val, ctx.cfg.hash_seed, ctx.featurizer)
-    labels = ctx.val.labels()
-    return lambda prefix: evaluate(ctx.kind, logits(prefix), labels, class_count=ctx.val.class_count)
 
 
 def _rescore(history: PrefixHistory, score: Callable[[str], float], k: int) -> PrefixHistory:
@@ -325,7 +323,7 @@ def run_epoch(state: RunState, ctx: RunContext) -> tuple[RunState, bytes | None]
     if e == 0 and len(history) == 0:
         # Baseline-seed the history and ask the assistant model for the
         # very first prefix before any training happens.
-        score = _scorer(student_mod.freeze(student), ctx)
+        score = scorer(student_mod.freeze(student), ctx.val, ctx.kind, cfg.hash_seed, ctx.featurizer)
         history = seed_history(score)
         request = ta_mod.render_generation_request(ctx.mp, history, 1, cfg.temperature)
         s0 = ta_mod.generate(ta_handle, request, 1, cfg.temperature)[0]
@@ -350,7 +348,7 @@ def run_epoch(state: RunState, ctx: RunContext) -> tuple[RunState, bytes | None]
 
     # (2) freeze, refresh scores, collect
     student = student_mod.freeze(student)
-    score = _scorer(student, ctx)
+    score = scorer(student, ctx.val, ctx.kind, cfg.hash_seed, ctx.featurizer)
     history = _rescore(history, score, cfg.k)
     history, rounds = collect(ta_handle, ctx.mp, score, history, cfg.k, cfg.l, cfg.temperature, epoch=e)
 

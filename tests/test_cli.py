@@ -1,9 +1,13 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from gpta import ValidationError
+from gpta import ValidationError, init_params, save_checkpoint
 from gpta.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, main
 from gpta.dataset import load_jsonl, synth_generate, write_jsonl
 from gpta.student import params_from_dict
@@ -420,6 +424,9 @@ INVALID_CONFIG_VALUES = {
     "zero-sim-temperature-scale": ('"sim_temperature_scale": 0', "sim_temperature_scale must be > 0, got 0.0"),
     "dims-past-max": ('"dims": 4611686018427387904', "dims must be a power of two in [2, 16777216]"),
     "lone-surrogate": ('"task_summary": "x\\ud800"', "$.task_summary: expected a string that encodes as UTF-8"),
+    "lone-surrogate-in-label-semantics": ('"label_semantics": ["\\ud800"]',
+                                          "$.label_semantics[0]: expected a string that encodes as UTF-8"),
+    "lone-surrogate-in-sim-pool": ('"sim_pool": ["x\\ud800"]', "$.sim_pool[0][0]: expected a string that encodes as UTF-8"),
     "base-url-without-scheme": ('"ta_backend": "remote", "base_url": "api.openai.com"',
                                 "base_url must be an absolute http or https URL with a host"),
 }
@@ -458,3 +465,18 @@ def test_missing_data_path_exits_3_without_a_run_dir(tmp_path, capsys):
     assert code == EXIT_RUNTIME
     assert "nope.jsonl" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+def test_eval_prefix_that_is_not_utf8_exits_2(tmp_path, desk_dataset_path):
+    """Through the real entry point with bytes argv: Python passes argument
+    bytes that are not UTF-8 on as lone surrogates."""
+    ckpt = tmp_path / "student.json"
+    save_checkpoint(init_params(64, 2), ckpt)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "gpta", "eval", "--checkpoint", str(ckpt), "--data", str(desk_dataset_path),
+            "--metric", "accuracy", "--prefix", b"a \xff"]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, errors="replace", timeout=60)
+    assert proc.returncode == EXIT_VALIDATION, proc.stderr
+    assert "gpta: validation error: --prefix is not valid UTF-8" in proc.stderr
+    assert "Traceback" not in proc.stderr

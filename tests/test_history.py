@@ -1,5 +1,7 @@
+import ast
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from gpta import (
     train_pass,
     unfreeze,
 )
+from gpta import history, metrics
 from gpta.history import Origin, RoundStats
 from gpta.dataset import Dataset, TextExample
 from gpta.student import Featurizer, StudentParams, _logits, batch_logits, featurize, forward, loss
@@ -162,7 +165,7 @@ class TestScorePrefix:
     def test_scores_match_the_per_example_oracle(
         self, world, log_dims, hash_seed, lr, train_prefix, prefixes, tables_cover
     ):
-        """score_prefix against the reference path (featurize each example,
+        """metrics.scorer against the reference path (featurize each example,
         then predict, or forward and loss). The two paths sum the logits in
         different orders, so neg_loss agrees within 1e-12, and accuracy and
         macro-F1 agree exactly when every example's top two reference
@@ -179,7 +182,7 @@ class TestScorePrefix:
             top_two = np.sort([oracle_logits(frozen, prefix, text, hash_seed) for text in texts])[:, -2:]
             clear = lr == 0 or (top_two[:, 1] - top_two[:, 0]).min() > 1e-9
             for kind in MetricKind:
-                got = score_prefix(frozen, prefix, data, kind, hash_seed, featurizer)
+                got = metrics.scorer(frozen, data, kind, hash_seed, featurizer)(prefix)
                 expected = oracle_score(frozen, prefix, data, kind, hash_seed)
                 if kind is MetricKind.NEG_MEAN_LOSS:
                     assert abs(got - expected) <= 1e-12
@@ -191,13 +194,13 @@ class TestScorePrefix:
         frozen, data = trained_student
         featurizer = Featurizer(dims, hash_seed, [ex.text for ex in data.examples])
         with pytest.raises(ValidationError, match="featurizer hashes with dims"):
-            score_prefix(frozen, "focus here", data, MetricKind.ACCURACY, 0, featurizer)
+            metrics.scorer(frozen, data, MetricKind.ACCURACY, 0, featurizer)("focus here")
 
     def test_accepts_a_featurizer_whose_seed_is_congruent_modulo_2_64(self, trained_student):
         frozen, data = trained_student
         featurizer = Featurizer(1024, -5 + 2**64, [ex.text for ex in data.examples])
         expected = score_prefix(frozen, "focus here", data, MetricKind.ACCURACY, -5)
-        assert score_prefix(frozen, "focus here", data, MetricKind.ACCURACY, -5, featurizer) == expected
+        assert metrics.scorer(frozen, data, MetricKind.ACCURACY, -5, featurizer)("focus here") == expected
 
 
 class TestInsertSorted:
@@ -254,7 +257,20 @@ class TestInsertSorted:
 
 def scorer(frozen, data):
     """The search's score function: a prefix's accuracy on data against frozen."""
-    return lambda prefix: score_prefix(frozen, prefix, data, MetricKind.ACCURACY)
+    return metrics.scorer(frozen, data, MetricKind.ACCURACY)
+
+
+def test_history_imports_nothing_from_student_dataset_or_metrics():
+    """The search sees the student only through the score function it is given."""
+    tree = ast.parse(Path(history.__file__).read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+    parts = {part for name in names for part in name.split(".")}
+    assert "ta" in parts and not parts & {"student", "dataset", "metrics"}
 
 
 class TestSeedHistory:

@@ -25,7 +25,8 @@ from gpta import (
     unfreeze,
 )
 from gpta import student
-from gpta.student import Gradient, StudentParams, params_from_dict, params_to_dict
+from gpta.dataset import Dataset
+from gpta.student import Gradient, StudentParams, batch_logits, params_from_dict, params_to_dict
 
 
 def reference_fnv1a64(data: bytes, seed: int = 0) -> int:
@@ -109,31 +110,18 @@ def test_featurize_matches_pair_string_reference(calls):
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    calls=FEATURIZE_CALLS,
-    outside=st.lists(TOKEN_TEXT, max_size=3),
-    seed=st.integers(-(2**70), 2**70),
-)
-def test_featurizer_matches_featurize(calls, outside, seed):
+@given(calls=FEATURIZE_CALLS, seed=st.integers(-(2**70), 2**70))
+def test_featurizer_matches_featurize(calls, seed):
     """Every combination, so prefix tokens recur across calls and their
-    pair rows are reused; `outside` texts are not in the tables."""
+    pair rows are reused."""
     prefixes, texts, seeds, dims_list = calls
     for seed in seeds + [seed, seed + 2**64, -1 - seed]:
         for dims in dims_list:
             featurizer = student.Featurizer(dims, seed, texts)
             for prefix in prefixes:
-                for text in texts + outside:
+                for text in texts:
                     got = featurizer.featurize(prefix, text)
                     assert list(got.items()) == list(featurize(prefix, text, dims, seed).items())
-
-
-def test_featurizer_featurizes_an_unknown_text_without_the_public_featurize(monkeypatch):
-    """Only the unknown text goes to the reference, and not through the
-    module's public featurize, so a call is never counted twice."""
-    expected = featurize("focus on", "words never seen", 64, 3)
-    monkeypatch.setattr(student, "featurize", None)
-    featurizer = student.Featurizer(64, 3, ["seen words", "more words"])
-    assert list(featurizer.featurize("focus on", "words never seen").items()) == list(expected.items())
 
 
 def test_featurize_does_not_depend_on_call_history():
@@ -157,11 +145,13 @@ def test_featurize_does_not_depend_on_call_history():
     assert [list(f.items()) for f in in_sequence] == [list(f.items()) for f in oracle]
 
 
-def test_featurizer_builds_its_tables_on_first_use():
+def test_featurizer_builds_its_tables_at_construction():
+    """The text tables are built with the featurizer; a prefix token's
+    pair row only when a prefix holding it is first used."""
     featurizer = student.Featurizer(64, 0, ["a b", "c"])
-    assert featurizer._ids is None and featurizer._rows == {}
+    assert set(featurizer._ids) == {"a b", "c"} and featurizer._rows == {}
     featurizer.featurize("p q", "a b")
-    assert set(featurizer._ids) == {"a b", "c"} and set(featurizer._rows) == {"p", "q"}
+    assert set(featurizer._rows) == {"p", "q"}
 
 
 def test_featurize_rejects_bad_dims():
@@ -300,6 +290,29 @@ def test_train_pass_accepts_a_featurizer_whose_seed_is_congruent_modulo_2_64():
     b, lb = train_pass(p, d, "look", 0.1, hash_seed=3, shuffle_seed=9)
     assert np.array_equal(a.weights, b.weights)
     assert la == lb
+
+
+@pytest.mark.parametrize("cover", ["subset", "superset"])
+def test_train_pass_and_batch_logits_take_tables_that_miss_or_exceed_the_texts(cover):
+    """Tables over a strict subset of the data's texts are replaced by new
+    ones, and tables over a superset are used; either way weights, bias,
+    loss and logits are bit-identical to a call without tables."""
+    d = synth_generate(2, 20, 60, 0.1, 4)
+    texts = [ex.text for ex in d.examples]
+    others = [ex.text for ex in synth_generate(3, 5, 90, 0.3, 5).examples] + ["Words NO text holds"]
+    featurizer = student.Featurizer(1024, 3, texts[: len(texts) // 2] if cover == "subset" else others + texts)
+    a, la = train_pass(init_params(1024, 2), d, "look here", 0.1, hash_seed=3, shuffle_seed=9, featurizer=featurizer)
+    b, lb = train_pass(init_params(1024, 2), d, "look here", 0.1, hash_seed=3, shuffle_seed=9)
+    assert np.array_equal(a.weights, b.weights) and np.array_equal(a.bias, b.bias) and la == lb
+    with_tables, without = batch_logits(freeze(a), d, 3, featurizer), batch_logits(freeze(a), d, 3)
+    for prefix in ("", "look here", "k0w1 words unseen"):
+        assert np.array_equal(with_tables(prefix), without(prefix))
+    assert bool(featurizer._rows) == (cover == "superset")
+
+
+def test_train_pass_refuses_an_empty_dataset():
+    with pytest.raises(ValidationError, match="cannot train on an empty dataset"):
+        train_pass(init_params(64, 2), Dataset((), 2), "", 0.1)
 
 
 def test_train_pass_learns_synthetic():

@@ -23,6 +23,7 @@ from gpta import (
     synth_generate,
     write_jsonl,
 )
+from gpta import metrics as metrics_mod
 from gpta import student as student_mod
 from gpta import trainer as trainer_mod
 from gpta.history import RoundStats
@@ -219,6 +220,19 @@ class TestConfig:
         with pytest.raises(ValidationError, match=r"\$\.k"):
             RunConfig.from_dict({"data_path": "x.jsonl", "k": "fifty"})
 
+    @pytest.mark.parametrize("field,value", [
+        ("instruction", "hi \ud800"),
+        ("task_summary", "\udcff"),
+        ("label_semantics", ("0: a", "1: b \ud800")),
+        ("sim_pool", tuple((f"p{i}", 0.0) for i in range(19)) + (("lone \ud800 prefix", 1.0),)),
+    ])
+    def test_a_string_that_does_not_encode_as_utf8_is_refused(self, desk_config, tmp_path, field, value):
+        """Such a string could not be written to config.json, so the run
+        would crash after creating its directory."""
+        with pytest.raises(ValidationError, match=f"^{field} holds a string that does not encode as UTF-8"):
+            run(desk_config(**{field: value}), tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
     def test_cap_above_soft_limit_warns(self, caplog, desk_dataset_path):
         with caplog.at_level(logging.WARNING):
             cfg = RunConfig.from_dict(
@@ -278,14 +292,14 @@ class TestConfig:
         report = run(RunConfig(data_path=str(data)), tmp_path / "run")
         assert len(report.records) == RunConfig(data_path=str(data)).epochs
 
-    def test_run_starts_with_empty_token_tables(self, desk_config, tmp_path, monkeypatch):
-        """Each run, and each resume, gets its own featurizer, whose tables
-        are built on first use and not in prepare."""
+    def test_prepare_builds_no_tables_and_each_run_builds_its_own(self, desk_config, tmp_path, monkeypatch):
+        """prepare leaves the featurizer unbuilt (the benchmark times it as
+        set-up); each run, and each resume, builds its own tables on first use."""
         contexts = []
 
         def spy(cfg):
             ctx = prepare(cfg)
-            assert ctx.featurizer._ids is None and ctx.featurizer._rows == {}
+            assert "featurizer" not in vars(ctx)
             contexts.append(ctx)
             return ctx
 
@@ -476,10 +490,10 @@ class TestFeaturizerRuns:
             monkeypatch.setattr(owner, "featurize", counting("featurized", owner.featurize, lambda *a, **k: 1))
         monkeypatch.setattr(student_mod, "train_pass",
                             counting("trained", student_mod.train_pass, lambda params, train, *a, **k: len(train)))
-        monkeypatch.setattr(student_mod, "batch_logits",
-                            counting_calls("batch", student_mod.batch_logits, lambda params, data, *a, **k: len(data)))
-        monkeypatch.setattr(trainer_mod, "_scorer",
-                            counting_calls("scored", trainer_mod._scorer, lambda frozen, ctx: len(ctx.val)))
+        monkeypatch.setattr(metrics_mod, "batch_logits",
+                            counting_calls("batch", metrics_mod.batch_logits, lambda params, data, *a, **k: len(data)))
+        monkeypatch.setattr(trainer_mod, "scorer",
+                            counting_calls("scored", trainer_mod.scorer, lambda frozen, data, *a, **k: len(data)))
         run(desk_config(epochs=1), tmp_path / "run")
         run(desk_config(epochs=2), tmp_path / "run", resume_from=tmp_path / "run" / "state_epoch0.json")
         assert counts["trained"] > 0 and counts["scored"] > 0
