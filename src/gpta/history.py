@@ -28,7 +28,8 @@ STALL_LIMIT = 10
 @dataclass(frozen=True)
 class Origin:
     """Provenance of a history entry: a seed, or generated at a given
-    epoch/round (round -1 marks the pre-collection first prefix)."""
+    epoch/round (round -1 marks the first proposal, which
+    trainer.init_state asks for before epoch 0)."""
 
     kind: str  # "seed" | "generated"
     epoch: int | None = None
@@ -144,7 +145,7 @@ def collect(
     rounds: list[RoundStats] = []
     stalled = 0
     while len(h) < k:
-        request = ta_mod.render_generation_request(mp, h, l, temperature)
+        request = ta_mod.render_generation_request(mp, h, l)
         candidates = ta_mod.generate(ta, request, l, temperature)
         pre_round_max = h.best().score
         known = h.prefixes()

@@ -3,15 +3,15 @@ dialogue-formatted history windows.
 
 Two backend classes share one interface: RemoteTA, a model behind an
 OpenAI-compatible HTTP service, and SimulatedTA, a deterministic model that
-samples from a weighted prefix pool. The simulated backend exists so the
-whole training loop can run and be verified offline; its tuning rule (+1
-pool weight per assistant-message occurrence) is the smallest mechanism
-that lets dialogue-formatted tuning provably shift generation toward better
-prefixes.
+samples from a weighted prefix pool; each builds itself from a run config.
+The simulated backend exists so the whole training loop can run and be
+verified offline; its tuning rule (+1 pool weight per assistant-message
+occurrence) is the smallest mechanism that lets dialogue-formatted tuning
+provably shift generation toward better prefixes.
 """
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import TYPE_CHECKING, ClassVar, Sequence
 
 import numpy as np
@@ -19,10 +19,11 @@ import numpy as np
 from .dataset import TextExample
 from .errors import ProtocolError, ValidationError
 from .fileio import encodes
+from .remote import RemoteClient
 
 if TYPE_CHECKING:
     from .history import PrefixHistory
-    from .remote import RemoteClient
+    from .trainer import RunConfig
 
 # Proposed prefixes are clipped to this many words: short prefixes work at
 # least as well in practice and keep both requests and tuning files small.
@@ -108,6 +109,17 @@ class SimulatedTA:
     generation: int = 0
     backend: ClassVar[str] = "simulated"
 
+    @classmethod
+    def from_config(cls, cfg: "RunConfig") -> "SimulatedTA":
+        """The handle over cfg.sim_pool; refuses a k the pool cannot reach."""
+        reachable = len({prefix for prefix, _ in cfg.sim_pool} | {""})
+        if cfg.k > reachable:
+            raise ValidationError(
+                f"k={cfg.k} is unreachable: the simulated backend knows only {reachable} "
+                "distinct prefixes (those of sim_pool and the empty prefix)"
+            )
+        return simulated_handle(cfg.sim_pool, rng_seed=cfg.sim_seed, temperature_scale=cfg.sim_temperature_scale)
+
     def generate(self, request: list[ChatMessage], l: int, temperature: float) -> list[str]:
         """Sample l distinct pool prefixes, probability proportional to
         exp(weight / (temperature_scale * temperature)). Temperature 0 is the
@@ -135,8 +147,7 @@ class SimulatedTA:
         return replace(self, sim=sim, generation=self.generation + 1)
 
     def to_dict(self) -> dict:
-        return {"backend": self.backend, "generation": self.generation,
-                "sim": sim_state_to_dict(self.sim)}
+        return {"backend": self.backend, "generation": self.generation, "sim": asdict(self.sim)}
 
 
 @dataclass(frozen=True)
@@ -157,6 +168,21 @@ class RemoteTA:
         if self.lineage not in LINEAGES:
             raise ValidationError(f"unknown lineage {self.lineage!r}")
 
+    @classmethod
+    def from_config(cls, cfg: "RunConfig") -> "RemoteTA":
+        """A handle on cfg.model_id through a client for cfg.base_url, which
+        refuses a URL that is not absolute http or https."""
+        if not (cfg.base_url and cfg.model_id):
+            raise ValidationError("remote backend requires base_url and model_id")
+        client = RemoteClient(
+            base_url=cfg.base_url,
+            timeout=cfg.request_timeout_s,
+            backoff_base=cfg.retry_backoff_s,
+            poll_interval=cfg.poll_interval_s,
+            finetune_timeout=cfg.finetune_timeout_s,
+        )
+        return remote_handle(client, cfg.model_id, lineage=cfg.ta_lineage)
+
     def generate(self, request: list[ChatMessage], l: int, temperature: float) -> list[str]:
         """One chat completion, parsed into at most l prefixes; an
         unparseable completion is retried within the client's budget."""
@@ -174,20 +200,21 @@ class RemoteTA:
                 "base_model_id": self.base_model_id, "lineage": self.lineage}
 
 
-# Both answer generate, finetune (returns the tuned handle) and to_dict. A
-# saved handle is read back by trainer.state_from_json, which sets the
-# to_dict keys, typed by the class's annotations, onto a handle built from
-# the config.
+# Both answer from_config, generate, finetune (returns the tuned handle) and
+# to_dict. A saved handle is read back by trainer.state_from_json, which sets
+# the to_dict keys, typed by the class's annotations, onto a handle built
+# from the config. BACKENDS maps a config's ta_backend to its class.
 TAHandle = SimulatedTA | RemoteTA
+BACKENDS = {cls.backend: cls for cls in (SimulatedTA, RemoteTA)}
 
 
 def simulated_handle(
     pool: Sequence[tuple[str, float]], rng_seed: int = 0, temperature_scale: float = 1.0
 ) -> SimulatedTA:
-    return SimulatedTA(SimState([(p, float(w)) for p, w in pool], rng_seed, temperature_scale))
+    return SimulatedTA(SimState([(p, float(w)) for p, w in pool], rng_seed, float(temperature_scale)))
 
 
-def remote_handle(client: "RemoteClient", model_id: str, lineage: str = "continual") -> RemoteTA:
+def remote_handle(client: RemoteClient, model_id: str, lineage: str = "continual") -> RemoteTA:
     return RemoteTA(client=client, model_id=model_id, base_model_id=model_id, lineage=lineage)
 
 
@@ -214,15 +241,11 @@ def render_history_lines(entries: Sequence) -> list[str]:
     return [f"PREFIX: {e.prefix} | SCORE: {e.score:.4f}" for e in entries]
 
 
-def render_generation_request(
-    mp: MetaPrompt, history: "PrefixHistory", l: int, temperature: float = 1.0
-) -> list[ChatMessage]:
+def render_generation_request(mp: MetaPrompt, history: "PrefixHistory", l: int) -> list[ChatMessage]:
     """Build the two-message chat request asking for l new prefixes,
     with the history rendered ascending (best last)."""
     if l < 1:
         raise ValidationError(f"l must be >= 1, got {l}")
-    if temperature < 0:
-        raise ValidationError(f"temperature must be >= 0, got {temperature}")
     entries = history.entries[-HISTORY_RENDER_CAP:]
     instruction = (
         f"Propose exactly {l} new prefix prompts for the task that would achieve a "
@@ -301,11 +324,3 @@ def softmax_pool_mass(state: SimState, prefixes: Sequence[str]) -> float:
     mask = np.array([p in wanted for p, _ in state.pool])
     return float(e[mask].sum() / e.sum())
 
-
-def sim_state_to_dict(state: SimState) -> dict:
-    return {
-        "pool": [[p, float(w)] for p, w in state.pool],
-        "rng_seed": state.rng_seed,
-        "temperature_scale": float(state.temperature_scale),
-        "calls": state.calls,
-    }

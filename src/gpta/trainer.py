@@ -1,6 +1,8 @@
-"""The alternating per-epoch training loop: train the student, freeze it,
-collect a scored prefix history, build dialogue tuning data, and tune the
-assistant model, with both models pushed toward the same validation metric.
+"""The alternating per-epoch training loop: train the student on the
+history's best prefix, freeze it, collect a scored prefix history, build
+dialogue tuning data, and tune the assistant model, with both models pushed
+toward the same validation metric. init_state seeds the history with the
+assistant model's first proposal, so epoch 0 takes the same path.
 
 Runs are pure functions of their config when the simulated backend is
 used: every random draw is derived from seeds in the config, and run state
@@ -27,7 +29,6 @@ from .errors import FinetuneError, TransportError, ValidationError
 from .fileio import _fields_from_json, _from_json, decoding, encodes, read_text, write_atomic
 from .history import Origin, PrefixHistory, RoundStats, ScoredPrefix, collect, insert_sorted, seed_history
 from .metrics import MetricKind, scorer
-from .remote import RemoteClient, _check_base_url
 
 logger = logging.getLogger(__name__)
 
@@ -88,8 +89,7 @@ class RunConfig:
     dims: int = student_mod.DEFAULT_DIMS
     hash_seed: int = 0  # any integer: hashing masks it to 64 bits
     shuffle_seed: int = field(default=29, metadata={"min": 0})
-    ta_backend: str = field(
-        default="simulated", metadata={"choices": (ta_mod.SimulatedTA.backend, ta_mod.RemoteTA.backend)})
+    ta_backend: str = field(default="simulated", metadata={"choices": tuple(ta_mod.BACKENDS)})
     sim_pool: tuple[tuple[str, float], ...] = tuple((p, 0.0) for p in DEFAULT_SIM_POOL)
     sim_seed: int = field(default=0, metadata={"min": 0})
     sim_temperature_scale: float = field(default=1.0, metadata={"gt": 0})
@@ -117,17 +117,7 @@ class RunConfig:
         student_mod._check_dims(self.dims)
         if not self.w < self.k:
             raise ValidationError(f"w < k required, got w={self.w}, k={self.k}")
-        if self.ta_backend == "simulated":
-            reachable = len({prefix for prefix, _ in self.sim_pool} | {""})
-            if self.k > reachable:
-                raise ValidationError(
-                    f"k={self.k} is unreachable: the simulated backend knows only {reachable} "
-                    "distinct prefixes (those of sim_pool and the empty prefix)"
-                )
-        if self.ta_backend == "remote" and not (self.base_url and self.model_id):
-            raise ValidationError("remote backend requires base_url and model_id")
-        if self.ta_backend == "remote":
-            _check_base_url(self.base_url)
+        build_ta(self)  # the selected backend checks its own fields
         if self.finetune_cap > FINETUNE_SOFT_LIMIT:
             logger.warning("finetune_cap=%d exceeds %d; tuning quality degrades past that many examples",
                            self.finetune_cap, FINETUNE_SOFT_LIMIT)
@@ -260,28 +250,22 @@ def prepare(cfg: RunConfig) -> RunContext:
 
 
 def build_ta(cfg: RunConfig) -> ta_mod.TAHandle:
-    if cfg.ta_backend == "simulated":
-        return ta_mod.simulated_handle(
-            cfg.sim_pool, rng_seed=cfg.sim_seed, temperature_scale=cfg.sim_temperature_scale
-        )
-    client = RemoteClient(
-        base_url=cfg.base_url,
-        timeout=cfg.request_timeout_s,
-        backoff_base=cfg.retry_backoff_s,
-        poll_interval=cfg.poll_interval_s,
-        finetune_timeout=cfg.finetune_timeout_s,
-    )
-    return ta_mod.remote_handle(client, cfg.model_id, lineage=cfg.ta_lineage)
+    return ta_mod.BACKENDS[cfg.ta_backend].from_config(cfg)
 
 
 def init_state(cfg: RunConfig, ctx: RunContext) -> RunState:
-    return RunState(
-        student=student_mod.init_params(cfg.dims, ctx.train.class_count),
-        ta=build_ta(cfg),
-        history=PrefixHistory(),
-        best=None,
-        records=(),
-    )
+    """The state before epoch 0: a zero student, and a history of the empty
+    prefix plus the assistant model's first proposal (origin round -1). The
+    zero student scores every prefix alike, and a tie goes after the
+    entries it equals, so that proposal is the best entry epoch 0 trains on."""
+    student = student_mod.init_params(cfg.dims, ctx.train.class_count)
+    ta = build_ta(cfg)
+    score = scorer(student_mod.freeze(student), ctx.val, ctx.kind, cfg.hash_seed, ctx.featurizer)
+    history = seed_history(score)
+    s0 = ta_mod.generate(ta, ta_mod.render_generation_request(ctx.mp, history, 1), 1, cfg.temperature)[0]
+    origin = Origin(kind="generated", epoch=0, round=-1)
+    history = insert_sorted(history, ScoredPrefix(prefix=s0, score=score(s0), origin=origin))
+    return RunState(student=student, ta=ta, history=history, best=None, records=())
 
 
 def _epoch_shuffle_seed(base: int, epoch: int) -> int:
@@ -318,24 +302,10 @@ def run_epoch(state: RunState, ctx: RunContext) -> tuple[RunState, bytes | None]
     e = state.epoch
     history = state.history
     ta_handle = state.ta
-    student = state.student
-
-    if e == 0 and len(history) == 0:
-        # Baseline-seed the history and ask the assistant model for the
-        # very first prefix before any training happens.
-        score = scorer(student_mod.freeze(student), ctx.val, ctx.kind, cfg.hash_seed, ctx.featurizer)
-        history = seed_history(score)
-        request = ta_mod.render_generation_request(ctx.mp, history, 1, cfg.temperature)
-        s0 = ta_mod.generate(ta_handle, request, 1, cfg.temperature)[0]
-        if history.find(s0) is None:
-            origin = Origin(kind="generated", epoch=0, round=-1)
-            history = insert_sorted(history, ScoredPrefix(prefix=s0, score=score(s0), origin=origin))
-        train_prefix = s0
-    else:
-        train_prefix = history.best().prefix
+    train_prefix = history.best().prefix
 
     # (1) student training
-    student = student_mod.unfreeze(student)
+    student = student_mod.unfreeze(state.student)
     student, train_loss = student_mod.train_pass(
         student,
         ctx.train,
@@ -423,12 +393,11 @@ def state_from_json(text: str, cfg: RunConfig) -> RunState:
     and the saved assistant fields are set onto build_ta(cfg). Invalid
     JSON, a missing, unknown or mistyped value, an epoch other than
     the number of records (numbered 0, 1, ...), a history with a repeated
-    prefix, a descending score or (once it or the records are non-empty)
-    without the empty prefix, a best record other than the first record
-    with the highest val_best (null with no records) or, when that record is
-    the last, naming another prefix than the history's best, and a state saved
-    under another backend or with a student of other dims raise
-    ValidationError."""
+    prefix, a descending score or without the empty prefix, a best record
+    other than the first record with the highest val_best (null with no
+    records) or, when that record is the last, naming another prefix than the
+    history's best, and a state saved under another backend or with a
+    student of other dims raise ValidationError."""
     ta = build_ta(cfg)
     with decoding("run state"):
         obj = json.loads(text)
@@ -452,7 +421,7 @@ def state_from_json(text: str, cfg: RunConfig) -> RunState:
         prefixes = [e.prefix for e in entries]
         if len(set(prefixes)) < len(prefixes) or any(a.score > b.score for a, b in zip(entries, entries[1:])):
             raise ValidationError("$.history: prefixes must be distinct and scores ascending")
-        if (entries or records) and "" not in prefixes:
+        if "" not in prefixes:
             raise ValidationError("$.history: the empty prefix is missing")
         top = max(records, key=operator.attrgetter("val_best"), default=None)  # the first of equals
         if (best and (best.score, best.epoch)) != (top and (top.val_best, top.epoch)):

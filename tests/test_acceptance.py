@@ -328,9 +328,7 @@ def test_criterion_8_remote_protocol_conformance():
         # transport failures: 3 attempts with backoff, then error, no mutation
         with MockOpenAIServer(fail_first=99) as server:
             handle = remote_handle(client(server), "base-model")
-            request = render_generation_request(
-                make_mp(), seed_history(score), 1, 1.0
-            )
+            request = render_generation_request(make_mp(), seed_history(score), 1)
             t0 = time.monotonic()
             with pytest.raises(TransportError):
                 generate(handle, request, 1, 1.0)

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -288,6 +289,7 @@ MALFORMED_STATES = {
     "duplicated-history-entry": _edit(lambda obj: obj["history"].insert(0, obj["history"][0])),
     "unsorted-history": _edit(lambda obj: obj["history"].reverse()),
     "empty-history": _set("history", value=[]),
+    "epoch-zero-with-empty-history": _edit(lambda obj: obj.update(epoch=0, records=[], best=None, history=[])),
     "null-best": _set("best", value=None),
     "best-score-above-records": _set("best", "score", value=1.45),
     "best-without-records": _edit(lambda obj: obj.update(epoch=0, records=[])),
@@ -464,6 +466,31 @@ def test_missing_data_path_exits_3_without_a_run_dir(tmp_path, capsys):
     code = run_cli(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
     assert code == EXIT_RUNTIME
     assert "nope.jsonl" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_config_is_refused_before_the_data_file_is_read(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"data_path": str(tmp_path / "nope.jsonl"), "sim_pool": ["a", "a", "b"],
+                                    "k": 3, "w": 1}))
+    code = run_cli(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+    assert code == EXIT_VALIDATION
+    assert "duplicate pool prefix 'a'" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_unreachable_remote_assistant_exits_3_without_a_run_dir(tmp_path, desk_config, monkeypatch, capsys):
+    """The first proposal is asked for before the run directory is made."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    cfg = desk_config(ta_backend="remote", base_url=f"http://127.0.0.1:{port}", retry_backoff_s=0.0)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg.to_dict()))
+    code = run_cli(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+    assert code == EXIT_RUNTIME
+    assert "failed after 3 attempts" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 

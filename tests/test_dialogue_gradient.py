@@ -118,7 +118,7 @@ class TestEnrich:
     def test_system_matches_generation_request(self):
         h, mp = golden_inputs()
         examples = enrich(build_windows(h, 5), mp)
-        request = render_generation_request(mp, h, 3, 1.0)
+        request = render_generation_request(mp, h, 3)
         for ex in examples:
             assert ex.messages[0].content == request[0].content
 

@@ -52,7 +52,7 @@ class TestGenerate:
     def test_single_chat_call_with_auth(self):
         with MockOpenAIServer(completions=["alpha one\nbeta two"]) as server:
             handle = remote_handle(make_client(server), "base-model")
-            request = render_generation_request(make_mp(), _history(), 2, 1.0)
+            request = render_generation_request(make_mp(), _history(), 2)
             out = generate(handle, request, 2, 1.0)
             assert out == ["alpha one", "beta two"]
             chats = server.requests_for("/v1/chat/completions")
@@ -66,7 +66,7 @@ class TestGenerate:
     def test_history_lines_ordered_in_request(self):
         with MockOpenAIServer() as server:
             handle = remote_handle(make_client(server), "base-model")
-            request = render_generation_request(make_mp(), _history(), 1, 1.0)
+            request = render_generation_request(make_mp(), _history(), 1)
             generate(handle, request, 1, 1.0)
             user = server.requests_for("/v1/chat/completions")[0].json()["messages"][1]
             scores = [
@@ -79,7 +79,7 @@ class TestGenerate:
     def test_transport_retries_three_attempts_then_error(self):
         with MockOpenAIServer(fail_first=99) as server:
             handle = remote_handle(make_client(server), "base-model")
-            request = render_generation_request(make_mp(), _history(), 1, 1.0)
+            request = render_generation_request(make_mp(), _history(), 1)
             with pytest.raises(TransportError, match="3 attempts"):
                 generate(handle, request, 1, 1.0)
             assert len(server.requests_for("/v1/chat/completions")) == 3
@@ -88,21 +88,21 @@ class TestGenerate:
     def test_recovers_within_retry_budget(self):
         with MockOpenAIServer(fail_first=2, completions=["good prefix"]) as server:
             handle = remote_handle(make_client(server), "base-model")
-            request = render_generation_request(make_mp(), _history(), 1, 1.0)
+            request = render_generation_request(make_mp(), _history(), 1)
             assert generate(handle, request, 1, 1.0) == ["good prefix"]
             assert len(server.requests_for("/v1/chat/completions")) == 3
 
     def test_rate_limit_retried(self):
         with MockOpenAIServer(fail_first=1, fail_status=429, completions=["good prefix"]) as server:
             handle = remote_handle(make_client(server), "base-model")
-            request = render_generation_request(make_mp(), _history(), 1, 1.0)
+            request = render_generation_request(make_mp(), _history(), 1)
             assert generate(handle, request, 1, 1.0) == ["good prefix"]
             assert len(server.requests_for("/v1/chat/completions")) == 2
 
     def test_rate_limit_on_every_attempt_raises(self):
         with MockOpenAIServer(fail_first=99, fail_status=429) as server:
             handle = remote_handle(make_client(server), "base-model")
-            request = render_generation_request(make_mp(), _history(), 1, 1.0)
+            request = render_generation_request(make_mp(), _history(), 1)
             with pytest.raises(TransportError, match="3 attempts.*HTTP 429"):
                 generate(handle, request, 1, 1.0)
             assert len(server.requests_for("/v1/chat/completions")) == 3
@@ -110,7 +110,7 @@ class TestGenerate:
     def test_unparseable_completions_share_the_transport_budget(self):
         with MockOpenAIServer(fail_first=2, completions=["   \n\t"]) as server:
             handle = remote_handle(make_client(server), "base-model")
-            request = render_generation_request(make_mp(), _history(), 1, 1.0)
+            request = render_generation_request(make_mp(), _history(), 1)
             with pytest.raises(ProtocolError, match="no parseable prefixes"):
                 generate(handle, request, 1, 1.0)
             assert len(server.requests_for("/v1/chat/completions")) == 3
@@ -120,7 +120,7 @@ class TestGenerate:
     def test_bad_completion_retried_once(self, bad):
         with MockOpenAIServer(completions=[bad, "good prefix"]) as server:
             handle = remote_handle(make_client(server), "base-model")
-            request = render_generation_request(make_mp(), _history(), 1, 1.0)
+            request = render_generation_request(make_mp(), _history(), 1)
             assert generate(handle, request, 1, 1.0) == ["good prefix"]
             assert len(server.requests_for("/v1/chat/completions")) == 2
 

@@ -40,14 +40,14 @@ def history_of(*pairs):
 
 class TestRendering:
     def test_empty_history_asks_for_one(self):
-        msgs = render_generation_request(make_mp(), PrefixHistory(), 1, 1.0)
+        msgs = render_generation_request(make_mp(), PrefixHistory(), 1)
         assert [m.role for m in msgs] == ["system", "user"]
         assert "PREFIX:" not in msgs[1].content
         assert "exactly 1 new prefix" in msgs[1].content
 
     def test_history_rendered_ascending(self):
         h = history_of(("high scorer", 0.7), ("low scorer", 0.3))
-        msgs = render_generation_request(make_mp(), h, 2, 1.0)
+        msgs = render_generation_request(make_mp(), h, 2)
         body = msgs[1].content
         assert body.index("low scorer") < body.index("high scorer")
         assert "PREFIX: low scorer | SCORE: 0.3000" in body
@@ -55,22 +55,30 @@ class TestRendering:
 
     def test_rendering_deterministic(self):
         h = history_of(("a", 0.1), ("b", 0.2))
-        one = render_generation_request(make_mp(True), h, 3, 1.0)
-        two = render_generation_request(make_mp(True), h, 3, 1.0)
+        one = render_generation_request(make_mp(True), h, 3)
+        two = render_generation_request(make_mp(True), h, 3)
         assert one == two
 
+    def test_temperature_is_checked_where_it_is_used(self):
+        """The request text holds no temperature, so rendering takes none."""
+        with pytest.raises(TypeError):
+            render_generation_request(make_mp(), PrefixHistory(), 1, 1.0)
+        request = render_generation_request(make_mp(), PrefixHistory(), 1)
+        with pytest.raises(ValidationError, match=r"^temperature must be >= 0, got -1.0$"):
+            generate(simulated_handle([("a", 0.0)]), request, 1, -1.0)
+
     def test_exemplars_rendered_in_system(self):
-        msgs = render_generation_request(make_mp(True), PrefixHistory(), 1, 1.0)
+        msgs = render_generation_request(make_mp(True), PrefixHistory(), 1)
         assert "EXEMPLARS:" in msgs[0].content
         assert "great stuff→1" in msgs[0].content
 
     def test_no_exemplar_block_when_empty(self):
-        msgs = render_generation_request(make_mp(), PrefixHistory(), 1, 1.0)
+        msgs = render_generation_request(make_mp(), PrefixHistory(), 1)
         assert "EXEMPLARS:" not in msgs[0].content
 
     def test_truncates_to_best_sixty(self):
         h = history_of(*((f"p{i}", i / 100.0) for i in range(80)))
-        msgs = render_generation_request(make_mp(), h, 1, 1.0)
+        msgs = render_generation_request(make_mp(), h, 1)
         assert msgs[1].content.count("PREFIX:") == 60
         assert "PREFIX: p79 | SCORE: 0.7900" in msgs[1].content
         assert "PREFIX: p10 | SCORE:" not in msgs[1].content

@@ -26,7 +26,7 @@ from gpta import (
 from gpta import metrics as metrics_mod
 from gpta import student as student_mod
 from gpta import trainer as trainer_mod
-from gpta.history import RoundStats
+from gpta.history import Origin, RoundStats
 from gpta.trainer import (
     config_to_json,
     init_state,
@@ -36,6 +36,8 @@ from gpta.trainer import (
     state_to_json,
 )
 from gpta.student import DEFAULT_DIMS
+
+from test_history import imported_parts
 
 
 class TestImprovementRate:
@@ -286,6 +288,14 @@ class TestConfig:
         remote = {"data_path": "x", "ta_backend": "remote", "sim_pool": pool, "k": 50}
         assert RunConfig.from_dict(remote).k == 50
 
+    @pytest.mark.parametrize("pool,message", [
+        ((("a", 0.0), ("a", 1.0), ("b", 0.0)), "duplicate pool prefix 'a'"),
+        ((("a", float("nan")), ("b", 0.0)), "non-finite pool weight for 'a'"),
+    ], ids=["repeated-prefix", "nan-weight"])
+    def test_config_is_checked_by_building_its_assistant(self, pool, message):
+        with pytest.raises(ValidationError, match=message):
+            RunConfig(data_path="x", k=3, w=1, sim_pool=pool)
+
     def test_bare_default_config_runs(self, tmp_path):
         data = tmp_path / "synth.jsonl"
         write_jsonl(synth_generate(2, 40, 60, 0.1, 3), data)
@@ -345,6 +355,28 @@ class TestConfig:
 
 
 class TestRunEpoch:
+    @pytest.mark.parametrize("metric", ["accuracy", "macro_f1", "neg_loss"])
+    def test_epoch_0_trains_on_the_first_proposal(self, desk_config, metric):
+        """The zero student scores every prefix alike, and a tie goes after
+        the entries it equals, so the first proposal is the best entry."""
+        cfg = desk_config(metric=metric)
+        ctx = prepare(cfg)
+        state = init_state(cfg, ctx)
+        empty, s0 = state.history.entries
+        assert (empty.prefix, empty.score) == ("", s0.score) and s0.prefix
+        assert state.history.best() == s0
+        assert s0.origin == Origin(kind="generated", epoch=0, round=-1)
+        state, _ = run_epoch(state, ctx)
+        assert state.records[0].train_prefix == s0.prefix
+
+    def test_a_first_proposal_of_the_empty_prefix_is_trained_on(self, desk_config):
+        cfg = desk_config(k=3, w=1, l=3, temperature=0.0, sim_pool=(("", 1.0), ("a", 0.0), ("b", 0.0)))
+        ctx = prepare(cfg)
+        state = init_state(cfg, ctx)
+        assert [e.prefix for e in state.history.entries] == [""]
+        state, _ = run_epoch(state, ctx)
+        assert state.records[0].train_prefix == ""
+
     def test_single_epoch_contracts(self, desk_config):
         cfg = desk_config(epochs=1)
         ctx = prepare(cfg)
@@ -546,6 +578,16 @@ class TestRun:
                 tmp_path / "resumed" / f"state_epoch{e}.json"
             ).read_bytes()
 
+    def test_integer_temperature_scale_resumes_byte_identically(self, desk_config, tmp_path):
+        """A Python-built config may hold an int scale; the handle, and so
+        every state file, holds it as a float either way."""
+        cfg = desk_config(epochs=2, sim_temperature_scale=2)
+        assert type(trainer_mod.build_ta(cfg).sim.temperature_scale) is float
+        run(cfg, tmp_path / "straight")
+        run(desk_config(epochs=1, sim_temperature_scale=2), tmp_path / "resumed")
+        run(cfg, tmp_path / "resumed", resume_from=tmp_path / "resumed" / "state_epoch0.json")
+        assert _dir_files(tmp_path / "straight") == _dir_files(tmp_path / "resumed")
+
     def test_shipped_dims_resume_is_bit_identical_and_states_are_small(
         self, desk_config, tmp_path
     ):
@@ -668,3 +710,9 @@ def test_number_lists_are_read_as_their_element_type():
     assert floats == (1.0, 2.5, -0.0) and [type(v) for v in floats] == [float] * 3
     assert trainer_mod._from_json("c", tuple[int, ...], [3, -1, 2**70]) == (3, -1, 2**70)
     assert trainer_mod._from_json("w", tuple[float, ...], []) == ()
+
+
+def test_trainer_imports_nothing_from_remote():
+    """Each backend builds itself from the config, so the loop needs no transport."""
+    parts = imported_parts(trainer_mod)
+    assert "ta" in parts and "remote" not in parts
