@@ -1,7 +1,8 @@
 """HTTP client for an OpenAI-compatible chat-completions and fine-tuning
 service. Works against api.openai.com or any local server exposing the
 same routes; the API key comes from the GPTA_API_KEY environment variable.
-The transport is the standard library's urllib, one connection per request.
+The transport is the standard library's urllib, one connection per request,
+imported when a client is built so that `import gpta` does not load it.
 
 Every call sends at most MAX_ATTEMPTS requests. Transport failures
 (connection errors, timeouts, 5xx), rate limits (429) and, for chat,
@@ -14,13 +15,10 @@ Nothing here mutates local state, so a failed call leaves the caller
 exactly where it started.
 """
 
-import http.client
 import json
 import logging
 import os
 import time
-import urllib.request
-from urllib.error import HTTPError
 from urllib.parse import urlsplit
 
 from .errors import FinetuneError, ProtocolError, TransportError, ValidationError
@@ -98,11 +96,16 @@ class RemoteClient:
         self.finetune_timeout = finetune_timeout
         # Proxies come from HTTP_PROXY, HTTPS_PROXY and NO_PROXY as set
         # when the client is built.
+        import urllib.request
+
         self._opener = urllib.request.build_opener()
 
-    def _send(self, req: urllib.request.Request):
-        """Status, headers and body of the reply to req, an HTTP error reply
-        included. The reply is closed before this returns."""
+    def _send(self, req):
+        """Status, headers and body of the reply to req, a
+        urllib.request.Request, an HTTP error reply included. The reply is
+        closed before this returns."""
+        from urllib.error import HTTPError
+
         try:
             resp = self._opener.open(req, timeout=self.timeout)
         except HTTPError as exc:  # a 4xx or 5xx reply
@@ -116,6 +119,9 @@ class RemoteClient:
         rate limits and bodies parse rejects with ProtocolError are retried
         with backoff, MAX_ATTEMPTS requests in all. A Retry-After wait is
         capped at the request timeout."""
+        import http.client
+        import urllib.request
+
         if isinstance(body, dict):
             body = json.dumps(body, allow_nan=False).encode("utf-8")
         headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else {}

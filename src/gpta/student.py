@@ -8,11 +8,15 @@ priors, so the prefix search has something real to optimize. Hashing is
 FNV-1a 64-bit over UTF-8 token bytes with the seed XORed into the offset
 basis; everything here is bit-stable across runs and platforms.
 
-`featurize` is the from-scratch reference; training uses a `Featurizer`,
-which gives the same features from per-run token tables, and scoring uses
-`batch_logits`, which factors a whole split's logits through those tables.
-Both take the tables from `_featurizer_for`: the ones given when they
-hold every text of the data, else new ones over the data's texts.
+`featurize` is the from-scratch reference, and `forward`, `grad`,
+`sgd_step` and `predict` are the per-example oracles built on it.
+Training uses a `Featurizer`, which merges the same features for a block
+of texts at once from per-run token tables and hands each text's over as
+index and count arrays; `train_pass` steps on those arrays, bit-identical
+to `grad` + `sgd_step`. Scoring uses `batch_logits`, which factors a whole
+split's logits through the same tables. Both take the tables from
+`_featurizer_for`: the ones given when they hold every text of the data,
+else new ones over the data's texts.
 """
 
 import json
@@ -86,11 +90,13 @@ def featurize(prefix: str, text: str, dims: int, hash_seed: int = 0) -> FeatureV
 
 
 class Featurizer:
-    """`featurize(prefix, text, dims, hash_seed)` for each of `texts` from
-    tables built here: each text as vocabulary ids, each vocabulary
-    token's unigram index and, per prefix token when first seen, its pair
-    index with every vocabulary token. A plain class, so the benchmark's
-    tracer counts `featurize` calls here."""
+    """`featurize(prefix, text, dims, hash_seed)` for each of `texts`, as
+    index and count arrays, from tables built here: each text as
+    vocabulary ids, each vocabulary token's unigram index and, per prefix
+    token when first seen, its pair index with every vocabulary token.
+    Features are merged a block of texts at a time under one prefix
+    (`_build`), and `featurize` looks one text up in the last block. A
+    plain class, so the benchmark's tracer counts `featurize` calls here."""
 
     def __init__(self, dims: int, hash_seed: int, texts: list[str]):
         _check_dims(dims)
@@ -107,6 +113,7 @@ class Featurizer:
         self._unigrams = self._fold_vocab(_FNV_OFFSET ^ hash_seed)
         self._rows: dict[str, np.ndarray] = {}  # prefix token -> its pair index with each vocabulary token
         self._prefix: tuple = (None,)  # the last prefix, its unigram indices and its stacked rows
+        self._block: tuple = (None,)  # the last block's prefix, text -> slot, slot offsets, indices, counts
 
     def _fold_vocab(self, start: int) -> np.ndarray:
         """Index of every vocabulary token under FNV-1a continued from `start`."""
@@ -116,15 +123,50 @@ class Featurizer:
             h[: len(column)] *= np.uint64(_FNV_PRIME)
         return (h % self.dims).astype(np.int64)
 
-    def featurize(self, prefix: str, text: str) -> FeatureVector:
-        """Exactly featurize(prefix, text, self.dims, self.hash_seed): the
-        same keys in the same order, with the same values. `text` must be
-        one of the featurizer's texts."""
+    def featurize(self, prefix: str, text: str) -> tuple[np.ndarray, np.ndarray]:
+        """featurize(prefix, text, self.dims, self.hash_seed) as two arrays:
+        its keys in the same order, and their counts as float64. `text`
+        must be one of the featurizer's texts. Read from the block last
+        built for `prefix` when it holds `text`, else from a new one-text
+        block; the arrays are views into that block."""
+        if self._block[0] != prefix or text not in self._block[1]:
+            self._build(prefix, [text])
+        _, slots, offsets, indices, counts = self._block
+        slot = slots[text]
+        return indices[offsets[slot] : offsets[slot + 1]], counts[offsets[slot] : offsets[slot + 1]]
+
+    def _build(self, prefix: str, texts: list[str]) -> None:
+        """Merge the features of every one of `texts` under `prefix` in a few
+        numpy passes, and keep them as the block `featurize` reads.
+
+        Each text's raw keys are laid out in featurize's order: the
+        prefix's unigram indices, then each table row (the unigram row,
+        then one pair row per prefix token) gathered at the text's ids.
+        One sort of (text, key, position) finds each key's first position
+        and its count; the first positions, in order, are the keys."""
         if self._prefix[0] != prefix:
             unigrams, rows = self._prefix_indices(prefix)
-            self._prefix = (prefix, unigrams, np.array([self._unigrams] + rows))
+            self._prefix = (prefix, np.array(unigrams, dtype=np.int64), np.array([self._unigrams] + rows))
         _, unigrams, table = self._prefix
-        return Counter(unigrams + table[:, self._ids[text]].ravel().tolist())
+        slots = {text: slot for slot, text in enumerate(dict.fromkeys(texts))}
+        ids = [self._ids[text] for text in slots]
+        lengths = np.array([len(i) for i in ids])
+        sizes = len(unigrams) + len(table) * lengths  # raw keys per text
+        ends = np.cumsum(sizes)
+        raw = np.empty(ends[-1], dtype=np.int64)
+        raw[(ends - sizes)[:, None] + np.arange(len(unigrams))] = unigrams
+        # Token g of text t sits in row r at t's start + len(unigrams) + r * len(t) + (g - t's first token).
+        token_slots = np.repeat(np.arange(len(ids)), lengths)
+        row0 = (ends - sizes + len(unigrams) - (np.cumsum(lengths) - lengths))[token_slots] + np.arange(len(token_slots))
+        raw[row0 + np.arange(len(table))[:, None] * lengths[token_slots]] = table[:, np.concatenate(ids)]
+        # (text, key, position) packed in one int64: texts x dims x raw keys stays far below 2^63.
+        n = len(raw)
+        keyed = np.sort((np.repeat(np.arange(len(ids)), sizes) * self.dims + raw) * n + np.arange(n))
+        starts = np.flatnonzero(np.diff(keyed // n, prepend=-1))  # of each run of one (text, key)
+        counts = np.zeros(n)
+        counts[keyed[starts] % n] = np.diff(starts, append=n)
+        kept = np.flatnonzero(counts)  # each key's first position, in raw order
+        self._block = (prefix, slots, [0] + np.searchsorted(kept, ends).tolist(), raw[kept], counts[kept])
 
     def _prefix_indices(self, prefix: str) -> tuple[list[int], list[np.ndarray]]:
         """The unigram index and the pair-index row of each token of `prefix`, in order."""
@@ -188,18 +230,14 @@ def unfreeze(params: StudentParams) -> StudentParams:
     return replace(params, frozen=False)
 
 
-def _logits(
-    weights: np.ndarray, bias: np.ndarray, f: FeatureVector
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """Logits b + W·f, with the index and value arrays of f they were
-    gathered with (both None when f is empty)."""
+def _logits(weights: np.ndarray, bias: np.ndarray, f: FeatureVector) -> np.ndarray:
+    """Logits b + W·f."""
     z = bias.copy()
-    idx = vals = None
     if f:
         idx = np.fromiter(f.keys(), dtype=np.int64, count=len(f))
         vals = np.fromiter(f.values(), dtype=np.float64, count=len(f))
         z += weights[:, idx] @ vals
-    return z, idx, vals
+    return z
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -212,7 +250,7 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 def forward(params: StudentParams, f: FeatureVector) -> np.ndarray:
     """Class probability vector softmax(W·f + b)."""
-    return _softmax(_logits(params.weights, params.bias, f)[0])
+    return _softmax(_logits(params.weights, params.bias, f))
 
 
 def loss(probs: np.ndarray, label: int) -> float:
@@ -244,6 +282,20 @@ def sgd_step(params: StudentParams, g: Gradient, lr: float) -> StudentParams:
     return replace(params, weights=params.weights - lr * g.weights, bias=params.bias - lr * g.bias)
 
 
+def _gather(weights: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The flat positions of weights[:, idx] in weights, and weights[:, idx]
+    taken from them in the same F-ordered layout that fancy indexing
+    gives, so a product with it sums in the same order."""
+    class_count, dims = weights.shape
+    flat = (idx[:, None] + np.arange(0, class_count * dims, dims)).ravel()
+    return flat, weights.take(flat).reshape(len(idx), class_count).T
+
+
+# Training examples whose features train_pass merges at once: enough to
+# spread the per-call numpy cost, few enough to keep the arrays small.
+TRAIN_BLOCK = 64
+
+
 def train_pass(
     params: StudentParams,
     train: Dataset,
@@ -258,11 +310,16 @@ def train_pass(
     each example's loss floored as in `loss`. Features come from
     `featurizer`, which must hash with params.dims and hash_seed, else
     ValidationError; when it is None or lacks one of train's texts, from
-    a new one over train's texts. An empty `train` raises ValidationError.
+    a new one over train's texts. An empty `train`, or a label outside
+    [0, class_count), raises ValidationError before any update.
 
-    The update is applied sparsely (only at an example's active feature
-    indices); coordinates outside the support have zero gradient, so this
-    matches grad + sgd_step exactly.
+    The shuffled order is walked in blocks of TRAIN_BLOCK examples, whose
+    features the featurizer merges at once. Each example's update is
+    applied sparsely, at its active feature indices only; coordinates
+    outside the support have zero gradient. The gather, the sums and the
+    products are those of grad + sgd_step, and the losses are summed in
+    the same order, so weights, bias and mean loss are bit-identical to
+    that per-example reference.
     """
     if params.frozen:
         raise StateError("cannot train frozen params")
@@ -270,24 +327,29 @@ def train_pass(
         raise ValidationError(f"lr must be >= 0, got {lr}")
     if not len(train):
         raise ValidationError("cannot train on an empty dataset")
+    for ex in train.examples:
+        if not 0 <= ex.label < params.class_count:
+            raise ValidationError(f"label {ex.label} out of range for {params.class_count} classes")
     featurizer = _featurizer_for(featurizer, params.dims, hash_seed, train)
     weights = params.weights.copy()
     bias = params.bias.copy()
     order = np.random.default_rng(shuffle_seed).permutation(len(train))
-    total_loss = 0.0
-    for i in order:
-        ex = train.examples[i]
-        f = featurizer.featurize(prefix, ex.text)
-        z, idx, vals = _logits(weights, bias, f)
-        probs = _softmax(z)
-        total_loss += loss(probs, ex.label)
-        coef = probs.copy()
-        coef[ex.label] -= 1.0
-        if f:
-            weights[:, idx] -= lr * np.outer(coef, vals)
-        bias -= lr * coef
-    new_params = replace(params, weights=weights, bias=bias)
-    return new_params, float(total_loss / len(train))
+    label_probs = []
+    for start in range(0, len(order), TRAIN_BLOCK):
+        block = [train.examples[i] for i in order[start : start + TRAIN_BLOCK]]
+        featurizer._build(prefix, [ex.text for ex in block])
+        for ex in block:
+            idx, vals = featurizer.featurize(prefix, ex.text)
+            flat, gathered = _gather(weights, idx)
+            probs = _softmax(bias + gathered @ vals)
+            label_probs.append(probs[ex.label])
+            probs[ex.label] -= 1.0  # now the gradient of the loss at the logits
+            weights.put(flat, (gathered - lr * (probs[:, None] * vals)).T)
+            bias -= lr * probs
+    total_loss = 0.0  # summed one by one in the pass's order, as the reference does; np.sum sums pairwise
+    for example_loss in (-np.log(np.maximum(label_probs, 1e-300))).tolist():
+        total_loss += example_loss
+    return replace(params, weights=weights, bias=bias), total_loss / len(train)
 
 
 def _segment_sums(columns: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -340,7 +402,7 @@ def batch_logits(
 def predict(params: StudentParams, prefix: str, text: str, hash_seed: int = 0) -> int:
     """Argmax class for the prefixed input; ties break to the lowest index."""
     f = featurize(prefix, text, params.dims, hash_seed)
-    return int(np.argmax(_logits(params.weights, params.bias, f)[0]))
+    return int(np.argmax(_logits(params.weights, params.bias, f)))
 
 
 def params_to_dict(params: StudentParams) -> dict:

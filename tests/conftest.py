@@ -5,8 +5,14 @@ next to junk prefixes with disjoint tokens.
 """
 
 import pytest
+from hypothesis import settings
 
 from gpta import RunConfig, synth_generate, write_jsonl
+
+# Ten times hypothesis's default budget of 100 examples, for properties that
+# set no max_examples of their own. CI reruns the bit-identity properties
+# under it: pytest -k bit_identical --hypothesis-profile=bit-identity.
+settings.register_profile("bit-identity", max_examples=1000)
 
 FAMILY_PREFIXES = (
     "focus on the planted keywords",

@@ -49,7 +49,7 @@ PREFIXES = st.lists(
 
 def oracle_logits(frozen, prefix, text, hash_seed):
     """One text's logits from the reference per-example path."""
-    return _logits(frozen.weights, frozen.bias, featurize(prefix, text, frozen.dims, hash_seed))[0]
+    return _logits(frozen.weights, frozen.bias, featurize(prefix, text, frozen.dims, hash_seed))
 
 
 def oracle_score(frozen, prefix, data, kind, hash_seed):

@@ -315,6 +315,17 @@ class TestTransport:
         assert "gpta" in added
         assert set(added) - set(sys.stdlib_module_names) <= {"gpta", "numpy"}
 
+    def test_import_leaves_the_http_transport_out(self):
+        """The remote client imports urllib.request and http.client on first
+        use; `import gpta` itself still loads gpta.remote. The site may
+        preload modules, so only what the import adds counts."""
+        added = json.loads(_python(
+            "import json, sys; before = set(sys.modules); import gpta; "
+            "print(json.dumps(sorted(set(sys.modules) - before)))"
+        ))
+        assert "gpta.remote" in added
+        assert not {"urllib.request", "http.client"} & set(added)
+
     def test_full_flow_without_requests(self):
         code = (
             "import sys; sys.modules['requests'] = None\n"

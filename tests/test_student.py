@@ -25,7 +25,7 @@ from gpta import (
     unfreeze,
 )
 from gpta import student
-from gpta.dataset import Dataset
+from gpta.dataset import Dataset, TextExample
 from gpta.student import Gradient, StudentParams, batch_logits, params_from_dict, params_to_dict
 
 
@@ -109,19 +109,29 @@ def test_featurize_matches_pair_string_reference(calls):
     assert_featurize_matches_reference(*calls)
 
 
+def items(features) -> list:
+    """A Featurizer's (indices, counts) arrays as featurize's (key, count)
+    items, after checking the arrays' dtypes."""
+    indices, counts = features
+    assert indices.dtype == np.int64 and counts.dtype == np.float64
+    return list(zip(indices.tolist(), counts.tolist()))
+
+
 @settings(max_examples=300, deadline=None)
 @given(calls=FEATURIZE_CALLS, seed=st.integers(-(2**70), 2**70))
 def test_featurizer_matches_featurize(calls, seed):
     """Every combination, so prefix tokens recur across calls and their
-    pair rows are reused."""
+    pair rows are reused: each text looked up alone (a one-text block),
+    then from a block of every text, repeats included."""
     prefixes, texts, seeds, dims_list = calls
     for seed in seeds + [seed, seed + 2**64, -1 - seed]:
         for dims in dims_list:
             featurizer = student.Featurizer(dims, seed, texts)
             for prefix in prefixes:
-                for text in texts:
-                    got = featurizer.featurize(prefix, text)
-                    assert list(got.items()) == list(featurize(prefix, text, dims, seed).items())
+                expected = [list(featurize(prefix, text, dims, seed).items()) for text in texts]
+                assert [items(featurizer.featurize(prefix, text)) for text in texts] == expected
+                featurizer._build(prefix, texts + texts[::-1])
+                assert [items(featurizer.featurize(prefix, text)) for text in texts] == expected
 
 
 def test_featurize_does_not_depend_on_call_history():
@@ -138,11 +148,11 @@ def test_featurize_does_not_depend_on_call_history():
     in_sequence = []
     for prefix, text, dims, seed in calls:
         featurizer = featurizers.setdefault((dims, seed), student.Featurizer(dims, seed, texts))
-        in_sequence.append(featurizer.featurize(prefix, text))
-    from_cold = [student.Featurizer(dims, seed, texts).featurize(prefix, text) for prefix, text, dims, seed in calls]
-    oracle = [featurize(*c) for c in calls]
-    assert [list(f.items()) for f in in_sequence] == [list(f.items()) for f in from_cold]
-    assert [list(f.items()) for f in in_sequence] == [list(f.items()) for f in oracle]
+        in_sequence.append(items(featurizer.featurize(prefix, text)))
+    from_cold = [items(student.Featurizer(dims, seed, texts).featurize(prefix, text)) for prefix, text, dims, seed in calls]
+    oracle = [list(featurize(*c).items()) for c in calls]
+    assert in_sequence == from_cold
+    assert in_sequence == oracle
 
 
 def test_featurizer_builds_its_tables_at_construction():
@@ -338,6 +348,93 @@ def test_train_pass_equals_grad_plus_sgd_step():
         p2 = sgd_step(p2, grad(p2, f, ex.label), 0.05)
     assert np.array_equal(p1.weights, p2.weights)
     assert np.array_equal(p1.bias, p2.bias)
+
+
+def reference_train_pass(params, train, prefix, lr, hash_seed, shuffle_seed):
+    """train_pass from the per-example oracles: featurize + grad +
+    sgd_step in the same shuffled order, each pre-update loss summed in
+    that order."""
+    total_loss = 0.0
+    for i in np.random.default_rng(shuffle_seed).permutation(len(train)):
+        ex = train.examples[i]
+        f = featurize(prefix, ex.text, params.dims, hash_seed)
+        total_loss += loss(forward(params, f), ex.label)
+        params = sgd_step(params, grad(params, f, ex.label), lr)
+    return params, total_loss / len(train)
+
+
+# Few distinct tokens, so prefixes repeat tokens and share them with the
+# texts, and texts share tokens with each other; whitespace-only texts have
+# no token at all.
+TRAIN_TOKENS = st.sampled_from(["a", "B", "b", "k0w1", "focus", "日本", "é\x01x"])
+TRAIN_TEXTS = st.lists(TRAIN_TOKENS, max_size=12).map(" ".join) | st.sampled_from(["", " ", "\t\u3000 \n"])
+BLOCK = student.TRAIN_BLOCK
+
+
+@st.composite
+def training_runs(draw):
+    """Params (zero or drawn), a dataset of 1, B - 1, B, B + 1 or 3B + 2
+    examples for the train_pass block size B, and the pass's arguments."""
+    class_count = draw(st.integers(2, 6))
+    dims = 1 << draw(st.integers(1, 18))
+    size = draw(st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 2]))
+    texts = draw(st.lists(TRAIN_TEXTS, min_size=size, max_size=size))
+    labels = draw(st.lists(st.integers(0, class_count - 1), min_size=size, max_size=size))
+    train = Dataset(tuple(TextExample(t, y) for t, y in zip(texts, labels)), class_count)
+    params = init_params(dims, class_count)
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        params = StudentParams(weights=rng.standard_normal((class_count, dims)), bias=rng.standard_normal(class_count))
+    prefix = " ".join(draw(st.lists(TRAIN_TOKENS, max_size=5)))
+    lr = draw(st.sampled_from([0.0, 0.05, 0.5, 3.0]))
+    return params, train, prefix, lr, draw(st.integers(-(2**70), 2**70)), draw(st.integers(0, 2**32 - 1))
+
+
+# No max_examples: the CI step reruns these under the "bit-identity" profile (tests/conftest.py).
+@settings(deadline=None)
+@given(run=training_runs(), shared_tables=st.booleans())
+def test_train_pass_is_bit_identical_to_the_per_example_reference(run, shared_tables):
+    params, train, prefix, lr, hash_seed, shuffle_seed = run
+    featurizer = student.Featurizer(params.dims, hash_seed, [ex.text for ex in train.examples]) if shared_tables else None
+    got, got_loss = train_pass(params, train, prefix, lr, hash_seed, shuffle_seed, featurizer)
+    want, want_loss = reference_train_pass(params, train, prefix, lr, hash_seed, shuffle_seed)
+    assert np.array_equal(got.weights, want.weights) and np.array_equal(got.bias, want.bias)
+    assert repr(got_loss) == repr(want_loss)
+
+
+@settings(deadline=None)
+@given(class_count=st.integers(2, 6), log_dims=st.integers(1, 18), data=st.data())
+def test_gather_is_bit_identical_to_fancy_indexing(class_count, log_dims, data):
+    """train_pass's gather equals weights[:, idx] in values and in memory
+    layout, so the logits' matrix-vector product sums in the same order."""
+    dims = 1 << log_dims
+    idx = np.array(data.draw(st.lists(st.integers(0, dims - 1), unique=True, max_size=70)), dtype=np.int64)
+    weights = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal((class_count, dims))
+    flat, gathered = student._gather(weights, idx)
+    fancy = weights[:, idx]
+    assert np.array_equal(gathered, fancy)
+    assert gathered.strides == fancy.strides or not len(idx)  # numpy gives an empty one strides 0
+    assert np.array_equal(weights.ravel()[flat], gathered.T.ravel())
+
+
+def test_train_pass_on_a_whitespace_only_text_under_the_empty_prefix():
+    """No features: only the bias moves, exactly as in the reference."""
+    train = Dataset((TextExample(" \t ", 1),), 3)
+    params = StudentParams(weights=np.ones((3, 8)), bias=np.array([0.5, -1.0, 2.0]))
+    got, got_loss = train_pass(params, train, "", 0.5, hash_seed=4)
+    want, want_loss = reference_train_pass(params, train, "", 0.5, 4, 0)
+    assert np.array_equal(got.weights, params.weights) and np.array_equal(got.weights, want.weights)
+    assert np.array_equal(got.bias, want.bias) and not np.array_equal(got.bias, params.bias)
+    assert got_loss == want_loss
+
+
+@pytest.mark.parametrize("label", [3, 7, -1])
+def test_train_pass_refuses_a_label_outside_the_classes_before_any_update(label):
+    train = Dataset(tuple(TextExample(f"k{i} words", i % 3) for i in range(BLOCK + 1)) + (TextExample("x", label),), 3)
+    featurizer = student.Featurizer(64, 0, [ex.text for ex in train.examples])
+    with pytest.raises(ValidationError, match=f"label {label} out of range for 3 classes"):
+        train_pass(init_params(64, 3), train, "p", 0.1, featurizer=featurizer)
+    assert featurizer._block[0] is None  # no block built, so no example was stepped
 
 
 def test_predict_tie_breaks_low():

@@ -483,13 +483,14 @@ class TestFeaturizerRuns:
             run(desk_config(metric=metric), root / "resumed", resume_from=root / "resumed" / "state_epoch0.json")
             return _dir_files(root / "straight"), _dir_files(root / "resumed")
 
+        def reference(self, prefix, text):
+            """The reference's items as the (indices, counts) arrays Featurizer.featurize returns."""
+            features = featurize(prefix, text, self.dims, self.hash_seed)
+            return np.array(list(features), dtype=np.int64), np.array(list(features.values()), dtype=np.float64)
+
         tables = straight_and_resumed(tmp_path / "tables")
         with monkeypatch.context() as mp:
-            mp.setattr(
-                student_mod.Featurizer,
-                "featurize",
-                lambda self, prefix, text: featurize(prefix, text, self.dims, self.hash_seed),
-            )
+            mp.setattr(student_mod.Featurizer, "featurize", reference)
             oracle = straight_and_resumed(tmp_path / "oracle")
         assert tables == oracle
         assert tables[0] == tables[1]
