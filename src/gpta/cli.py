@@ -14,7 +14,7 @@ from .dataset import load_jsonl, synth_generate, write_jsonl
 from .errors import GptaError, ValidationError
 from .fileio import decoding, encodes, read_json, record_from_json, write_atomic
 from .metrics import MetricKind, score_prefix
-from .trainer import EpochRecord, RunConfig, run, write_metrics_csv
+from .trainer import REPORTED_SERIES, EpochRecord, RunConfig, run, write_metrics_csv
 
 logger = logging.getLogger(__name__)
 
@@ -85,16 +85,11 @@ def _scale(values: list[float], lo: float, hi: float) -> list[float]:
     return [lo + (v - vmin) * (hi - lo) / (vmax - vmin) for v in values]
 
 
-_SERIES = (
-    ("train_loss", "#d62728"),
-    ("val_best", "#2ca02c"),
-    ("val_empty", "#1f77b4"),
-    ("improvement_rate", "#9467bd"),
-)
+_COLORS = ("#d62728", "#2ca02c", "#1f77b4", "#9467bd")  # one per reported series, reused past the fourth
 
 
 def render_curves_svg(epochs: list[dict]) -> str:
-    """Static line chart of the four per-epoch series on a fixed 800x480
+    """Static line chart of the reported per-epoch series on a fixed 800x480
     canvas. Each series is min-max scaled to the plot area (ranges shown in
     the legend); output bytes depend only on the input values."""
     left, right, top, bottom = 60.0, 220.0, 40.0, 40.0
@@ -126,7 +121,8 @@ def render_curves_svg(epochs: list[dict]) -> str:
         'font-size="11" fill="#555555" text-anchor="middle">epoch</text>'
     )
 
-    for si, (name, color) in enumerate(_SERIES):
+    for si, name in enumerate(REPORTED_SERIES):
+        color = _COLORS[si % len(_COLORS)]
         values = [float(e[name]) for e in epochs]
         ys = _scale(values, top + plot_h - 6, top + 6)  # inverted: larger is higher
         points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))

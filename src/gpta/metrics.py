@@ -11,7 +11,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import ValidationError
-from .student import Featurizer, StudentParams, _softmax, batch_logits, loss
+from .student import Featurizer, StudentParams, _mean_loss, _softmax, batch_logits
 
 
 class MetricKind(enum.Enum):
@@ -28,11 +28,11 @@ def evaluate(
 ) -> float:
     """Score an examples x classes logits matrix against labels. Larger is
     always better. Accuracy and macro-F1 take each row's argmax (ties go to
-    the lowest class); NEG_MEAN_LOSS takes the mean cross-entropy of each
-    row's softmax, as training does. class_count widens the macro-F1 class
-    universe beyond what appears in the data (absent classes score 0).
-    Every label must index a column of `logits`, whatever the metric.
-    `logits` is not modified.
+    the lowest class); NEG_MEAN_LOSS takes training's `_mean_loss` of
+    each row's softmax at its label (`loss` is only its reference).
+    class_count widens the macro-F1 class universe beyond what appears in
+    the data (absent classes score 0). Every label must index a column of
+    `logits`, whatever the metric. `logits` is not modified.
     """
     if np.ndim(logits) != 2 or len(logits) != len(labels):
         raise ValidationError(
@@ -47,7 +47,7 @@ def evaluate(
 
     if kind is MetricKind.NEG_MEAN_LOSS:
         probs = _softmax(np.array(logits, dtype=np.float64))
-        return -sum(map(loss, probs, labels)) / len(labels)
+        return -_mean_loss(probs[np.arange(len(labels)), y])
 
     preds = np.argmax(logits, axis=1)
     if kind is MetricKind.ACCURACY:

@@ -8,11 +8,12 @@ priors, so the prefix search has something real to optimize. Hashing is
 FNV-1a 64-bit over UTF-8 token bytes with the seed XORed into the offset
 basis; everything here is bit-stable across runs and platforms.
 
-`featurize` is the from-scratch reference, and `forward`, `grad`,
-`sgd_step` and `predict` are the per-example oracles built on it.
-Training uses a `Featurizer`, which merges the same features for a block
-of texts at once from per-run token tables and hands each text's over as
-index and count arrays; `train_pass` steps on those arrays, bit-identical
+`featurize` is the from-scratch reference, and `forward`, `loss`, `grad`,
+`sgd_step` and `predict` are the per-example oracles built on it: tests
+compare against them, and no run reaches them. Training uses a
+`Featurizer`, which merges the same features for a block of texts at
+once from per-run token tables and hands each text's over as index and
+count arrays; `train_pass` steps on those arrays, bit-identical
 to `grad` + `sgd_step`. Scoring uses `batch_logits`, which factors a whole
 split's logits through the same tables. Both take the tables from
 `_featurizer_for`: the ones given when they hold every text of the data,
@@ -30,7 +31,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import StateError, ValidationError
-from .fileio import read_json, record_from_json, write_atomic
+from .fileio import decoding, read_json, record_from_json, write_atomic
 
 FeatureVector = dict[int, float]
 
@@ -112,7 +113,6 @@ class Featurizer:
                          for j in range(max(map(len, self._vocab), default=0))]
         self._unigrams = self._fold_vocab(_FNV_OFFSET ^ hash_seed)
         self._rows: dict[str, np.ndarray] = {}  # prefix token -> its pair index with each vocabulary token
-        self._prefix: tuple = (None,)  # the last prefix, its unigram indices and its stacked rows
         self._block: tuple = (None,)  # the last block's prefix, text -> slot, slot offsets, indices, counts
 
     def _fold_vocab(self, start: int) -> np.ndarray:
@@ -144,10 +144,8 @@ class Featurizer:
         then one pair row per prefix token) gathered at the text's ids.
         One sort of (text, key, position) finds each key's first position
         and its count; the first positions, in order, are the keys."""
-        if self._prefix[0] != prefix:
-            unigrams, rows = self._prefix_indices(prefix)
-            self._prefix = (prefix, np.array(unigrams, dtype=np.int64), np.array([self._unigrams] + rows))
-        _, unigrams, table = self._prefix
+        unigrams, rows = self._prefix_indices(prefix)
+        unigrams, table = np.array(unigrams, dtype=np.int64), np.array([self._unigrams] + rows)
         slots = {text: slot for slot, text in enumerate(dict.fromkeys(texts))}
         ids = [self._ids[text] for text in slots]
         lengths = np.array([len(i) for i in ids])
@@ -261,6 +259,16 @@ def loss(probs: np.ndarray, label: int) -> float:
     return float(-np.log(max(float(probs[label]), 1e-300)))
 
 
+def _mean_loss(label_probs: np.ndarray | list[float]) -> float:
+    """The mean of `loss` over the probabilities given to each example's
+    label, floored and logged at once, then summed one by one in order as
+    the per-example sum does (np.sum sums pairwise)."""
+    total = 0.0
+    for example_loss in (-np.log(np.maximum(label_probs, 1e-300))).tolist():
+        total += example_loss
+    return total / len(label_probs)
+
+
 def grad(params: StudentParams, f: FeatureVector, label: int) -> Gradient:
     """Analytic cross-entropy gradient: dW_c = (p_c - 1{c=label})·f,
     db_c = p_c - 1{c=label}."""
@@ -317,9 +325,9 @@ def train_pass(
     features the featurizer merges at once. Each example's update is
     applied sparsely, at its active feature indices only; coordinates
     outside the support have zero gradient. The gather, the sums and the
-    products are those of grad + sgd_step, and the losses are summed in
-    the same order, so weights, bias and mean loss are bit-identical to
-    that per-example reference.
+    products are those of grad + sgd_step, and `_mean_loss` sums the
+    losses in the pass's order, so weights, bias and mean loss are
+    bit-identical to that per-example reference.
     """
     if params.frozen:
         raise StateError("cannot train frozen params")
@@ -346,10 +354,7 @@ def train_pass(
             probs[ex.label] -= 1.0  # now the gradient of the loss at the logits
             weights.put(flat, (gathered - lr * (probs[:, None] * vals)).T)
             bias -= lr * probs
-    total_loss = 0.0  # summed one by one in the pass's order, as the reference does; np.sum sums pairwise
-    for example_loss in (-np.log(np.maximum(label_probs, 1e-300))).tolist():
-        total_loss += example_loss
-    return replace(params, weights=weights, bias=bias), total_loss / len(train)
+    return replace(params, weights=weights, bias=bias), _mean_loss(label_probs)
 
 
 def _segment_sums(columns: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -427,7 +432,9 @@ def save_checkpoint(params: StudentParams, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> StudentParams:
-    return params_from_dict(read_json(path))
+    obj = read_json(path)
+    with decoding(str(path)):
+        return params_from_dict(obj)
 
 
 @dataclass(frozen=True)

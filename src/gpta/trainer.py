@@ -60,6 +60,9 @@ DEFAULT_SIM_POOL: tuple[str, ...] = (
 # Each RunConfig metadata limit but "choices": the test a value must pass, and its sign in messages.
 _COMPARISONS = {"min": (operator.ge, ">="), "gt": (operator.gt, ">"), "max": (operator.le, "<=")}
 
+# The EpochRecord fields that metrics.csv and curves.svg report, in order.
+REPORTED_SERIES = ("train_loss", "val_best", "val_empty", "improvement_rate")
+
 
 @dataclass
 class RunConfig:
@@ -429,8 +432,7 @@ def state_from_json(text: str, cfg: RunConfig) -> RunState:
         # The last epoch's best record was made from the history saved with it.
         if best and best.epoch == epoch - 1 and best.prefix != prefixes[-1]:
             raise ValidationError(f"$.best.prefix: {best.prefix!r} is not the best history entry {prefixes[-1]!r}")
-        student = obj["student"]
-    params = student_mod.params_from_dict(student)
+        params = student_mod.params_from_dict(obj["student"])
     if params.dims != cfg.dims:
         raise ValidationError(f"cannot resume: the state's student has dims {params.dims}, the config {cfg.dims}")
     if frozen:
@@ -446,9 +448,9 @@ def write_metrics_csv(records: Iterable[EpochRecord], path: Path) -> None:
     """Write one CSV row per epoch record, atomically."""
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(["epoch", "train_loss", "val_best", "val_empty", "improvement_rate"])
+    writer.writerow(["epoch", *REPORTED_SERIES])
     for r in records:
-        writer.writerow([r.epoch] + [f"{v:.6f}" for v in (r.train_loss, r.val_best, r.val_empty, r.improvement_rate)])
+        writer.writerow([r.epoch] + [f"{getattr(r, name):.6f}" for name in REPORTED_SERIES])
     write_atomic(path, buf.getvalue())
 
 

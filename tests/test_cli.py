@@ -231,9 +231,11 @@ def test_malformed_checkpoint_rejected(payload, message, tmp_path, desk_config, 
     code = run_cli(["eval", "--checkpoint", str(ckpt), "--data", str(desk_dataset_path),
                     "--metric", "accuracy"])
     assert code == EXIT_VALIDATION
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"malformed {ckpt}: " in err and message in err
     assert _resume_from(_set("student", value=payload), tmp_path, desk_config) == EXIT_VALIDATION
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "malformed run state: " in err and message in err
     assert not (tmp_path / "resumed").exists()
 
 

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpta import MetricKind, ValidationError, evaluate
+from gpta import MetricKind, ValidationError, evaluate, loss
+from gpta.student import _softmax
 
 
 def rows(preds, classes=None):
@@ -162,3 +163,24 @@ def test_every_metric_refuses_a_label_outside_the_logits_columns(kind, labels, b
 def test_every_metric_accepts_each_column_as_a_label(kind):
     # Class 2 has a column but is never predicted.
     assert np.isfinite(evaluate(kind, rows([0, 1, 1], 3), [2, 1, 0]))
+
+
+# No max_examples: the CI step reruns this under the "bit-identity" profile (tests/conftest.py).
+@settings(deadline=None)
+@given(
+    n=st.integers(1, 300),
+    classes=st.integers(2, 6),
+    # At 2000, many rows put the label more than 745 below the top logit, where its probability is 0.
+    scale=st.sampled_from([0.0, 1.0, 30.0, 2000.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_neg_loss_is_bit_identical_to_the_ordered_reference_sum(n, classes, scale, seed):
+    """NEG_MEAN_LOSS equals the per-example `loss` of each softmax row,
+    summed in row order and divided by the count, to the last bit."""
+    rng = np.random.default_rng(seed)
+    logits = rng.standard_normal((n, classes)) * scale
+    labels = rng.integers(0, classes, n).tolist()
+    total = 0.0
+    for p, y in zip(_softmax(logits.copy()), labels):
+        total += loss(p, y)
+    assert evaluate(MetricKind.NEG_MEAN_LOSS, logits, labels) == -(total / n)

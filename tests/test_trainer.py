@@ -3,6 +3,7 @@ import json
 import logging
 import re
 import resource
+import sys
 from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
@@ -494,6 +495,25 @@ class TestFeaturizerRuns:
             oracle = straight_and_resumed(tmp_path / "oracle")
         assert tables == oracle
         assert tables[0] == tables[1]
+
+    @pytest.mark.parametrize("metric", ["accuracy", "macro_f1", "neg_loss"])
+    def test_run_and_resume_reach_no_per_example_reference(self, desk_config, tmp_path, monkeypatch, metric):
+        """Every gpta binding of a per-example reference is replaced by one
+        that raises, as the benchmark's tracer rebinds names, and a run and
+        its resume from epoch 0 still complete."""
+        for name in ("featurize", "fnv1a64", "_logits", "forward", "predict", "grad", "sgd_step", "loss"):
+            original = getattr(student_mod, name)
+
+            def refuse(*args, name=name, **kwargs):
+                raise AssertionError(f"run path called the reference {name}")
+
+            for modname, mod in list(sys.modules.items()):
+                if modname == "gpta" or modname.startswith("gpta."):
+                    for attr, obj in list(vars(mod).items()):
+                        if obj is original:
+                            monkeypatch.setattr(mod, attr, refuse)
+        run(desk_config(metric=metric), tmp_path / "run")
+        run(desk_config(metric=metric), tmp_path / "resumed", resume_from=tmp_path / "run" / "state_epoch0.json")
 
     def test_each_trained_or_scored_example_is_featurized_or_batch_scored_once(
         self, desk_config, tmp_path, monkeypatch
