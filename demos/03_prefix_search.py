@@ -2,6 +2,9 @@
 
 The search sees the student only through a score function: the frozen
 student's accuracy on validation data with a candidate prefix prepended.
+It sees the assistant model only through a propose function,
+`proposer(ta, mp)`, which renders the history into a request and asks the
+model for candidates.
 The history keeps (prefix, score) pairs sorted ascending: that sorted
 list is exactly what the assistant model conditions on when proposing the
 next candidates, so it always sees the best results last.
@@ -13,6 +16,7 @@ from gpta import (
     collect,
     freeze,
     init_params,
+    proposer,
     scorer,
     seed_history,
     simulated_handle,
@@ -47,7 +51,7 @@ score = scorer(frozen, val, MetricKind.ACCURACY)
 h0 = seed_history(score)
 print(f"seeded history: baseline (empty prefix) scores {h0.entries[0].score:.4f}")
 
-h, rounds = collect(ta, mp, score, h0, k=12, l=4)
+h, rounds = collect(proposer(ta, mp), score, h0, k=12, l=4)
 print("\ncollected history (ascending, best last):")
 for entry in h.entries:
     print(f"  {entry.score:.4f}  {entry.prefix!r}")

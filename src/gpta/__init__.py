@@ -70,6 +70,7 @@ from .ta import (
     finetune,
     generate,
     parse_prefixes,
+    proposer,
     remote_handle,
     render_generation_request,
     simulated_handle,

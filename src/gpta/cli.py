@@ -46,7 +46,7 @@ def build_parser() -> _Parser:
     p_train.add_argument("--resume", default=None, help="state_epoch{N}.json to resume from")
 
     p_eval = sub.add_parser("eval", help="score a student checkpoint on a dataset")
-    p_eval.add_argument("--checkpoint", required=True, help="student checkpoint JSON")
+    p_eval.add_argument("--checkpoint", required=True, help="student checkpoint or run state JSON")
     p_eval.add_argument("--data", required=True, help="JSONL dataset to score on")
     p_eval.add_argument("--prefix", default="", help="prefix to prepend (default: none)")
     p_eval.add_argument(

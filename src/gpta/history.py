@@ -1,12 +1,12 @@
 """Prefix-prompt history: candidate prefixes with their scores, kept in
 ascending score order for the assistant model's in-context consumption.
 
-The search sees the student only through the score of a prefix, a
-function `score(prefix) -> float`; the training loop passes
-`metrics.scorer` of each frozen checkpoint on the validation split:
+The search sees the student only through `score(prefix) -> float` and the
+assistant model only through `propose(history, l) -> list[str]`; a run
+passes `metrics.scorer` of each frozen checkpoint and `ta.proposer`:
 
-    h = seed_history(score)
-    h, rounds = collect(ta, mp, score, h, k, l, temperature, epoch)
+    h, rounds = collect(propose, score, seed_history(score), k, l, epoch)
+    h = carry_over(h, next_score, k)  # the next epoch's starting history
 
 The empty prefix is always seeded in, which guarantees the best entry can
 never score below the no-prefix baseline on the selection split.
@@ -15,9 +15,8 @@ never score below the no-prefix baseline on the selection split.
 import bisect
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from . import ta as ta_mod
 from .errors import StallError, ValidationError
 
 # Give up after this many consecutive rounds that add nothing new; turns an
@@ -28,8 +27,8 @@ STALL_LIMIT = 10
 @dataclass(frozen=True)
 class Origin:
     """Provenance of a history entry: a seed, or generated at a given
-    epoch/round (round -1 marks the first proposal, which
-    trainer.init_state asks for before epoch 0)."""
+    epoch/round (round -1 marks a run's first proposal, made before
+    epoch 0's training)."""
 
     kind: str  # "seed" | "generated"
     epoch: int | None = None
@@ -121,17 +120,15 @@ def seed_history(score: Callable[[str], float]) -> PrefixHistory:
 
 
 def collect(
-    ta: ta_mod.TAHandle,
-    mp: ta_mod.MetaPrompt,
+    propose: Callable[[PrefixHistory, int], list[str]],
     score: Callable[[str], float],
     h0: PrefixHistory,
     k: int,
     l: int,
-    temperature: float = 1.0,
     epoch: int = 0,
 ) -> tuple[PrefixHistory, list[RoundStats]]:
-    """Grow the history to exactly k entries by repeatedly asking the
-    assistant model for l candidates, scoring each fresh one once with
+    """Grow the history to exactly k entries by repeatedly asking
+    `propose(h, l)` for l candidates, scoring each fresh one once with
     `score`, and inserting in order. Candidates already present are
     discarded unscored. Once k entries are held, the rest of the round's
     fresh candidates are still scored and counted, but not inserted.
@@ -145,8 +142,7 @@ def collect(
     rounds: list[RoundStats] = []
     stalled = 0
     while len(h) < k:
-        request = ta_mod.render_generation_request(mp, h, l)
-        candidates = ta_mod.generate(ta, request, l, temperature)
+        candidates = propose(h, l)
         pre_round_max = h.best().score
         known = h.prefixes()
         fresh = [c for c in dict.fromkeys(candidates) if c not in known]
@@ -166,3 +162,22 @@ def collect(
                 f"(history at {len(h)}/{k})"
             )
     return h, rounds
+
+
+def carry_over(h: PrefixHistory, score: Callable[[str], float], k: int) -> PrefixHistory:
+    """h re-scored with the next checkpoint's `score`, as metric values are
+    checkpoint-relative and stale scores would corrupt the sort. A history
+    already holding k entries is trimmed to its best half (the empty-prefix
+    baseline always survives) to leave room for that epoch's collect."""
+    survivors = list(h.entries)
+    if len(h) >= k:
+        # At most k - 2 carried, so with the baseline collect still has room to run.
+        carry = min(k // 2, k - 2)
+        # A slice from len - carry, as [-0:] would keep every entry.
+        survivors = survivors[len(h) - carry:]
+        if all(e.prefix != "" for e in survivors):
+            survivors.append(h.find(""))
+    carried = PrefixHistory()
+    for entry in survivors:
+        carried = insert_sorted(carried, replace(entry, score=score(entry.prefix)))
+    return carried

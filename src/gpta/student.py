@@ -432,9 +432,10 @@ def save_checkpoint(params: StudentParams, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> StudentParams:
+    """The student in `path`: a checkpoint, or a run state file's `student`."""
     obj = read_json(path)
     with decoding(str(path)):
-        return params_from_dict(obj)
+        return params_from_dict(obj["student"] if isinstance(obj, dict) and "student" in obj else obj)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ provably shift generation toward better prefixes.
 
 import re
 from dataclasses import asdict, dataclass, replace
-from typing import TYPE_CHECKING, ClassVar, Sequence
+from typing import TYPE_CHECKING, Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -301,6 +301,11 @@ def generate(
     if temperature < 0:
         raise ValidationError(f"temperature must be >= 0, got {temperature}")
     return h.generate(request, l, temperature)
+
+
+def proposer(h: TAHandle, mp: MetaPrompt, temperature: float = 1.0) -> Callable[["PrefixHistory", int], list[str]]:
+    """The search's propose(history, l): h's l candidates for history rendered under mp."""
+    return lambda history, l: generate(h, render_generation_request(mp, history, l), l, temperature)
 
 
 def finetune(h: TAHandle, training_file: bytes) -> TAHandle:

@@ -15,7 +15,7 @@ import io
 import json
 import logging
 import operator
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -27,7 +27,7 @@ from .dataset import EXEMPLAR_CAP, Dataset, load_jsonl, make_exemplars, split
 from .dialogue_gradient import DEFAULT_FINETUNE_CAP, FINETUNE_SOFT_LIMIT, build_windows, cap, enrich, serialize_jsonl
 from .errors import FinetuneError, TransportError, ValidationError
 from .fileio import _fields_from_json, _from_json, decoding, encodes, read_text, write_atomic
-from .history import Origin, PrefixHistory, RoundStats, ScoredPrefix, collect, insert_sorted, seed_history
+from .history import Origin, PrefixHistory, RoundStats, ScoredPrefix, carry_over, collect, insert_sorted, seed_history
 from .metrics import MetricKind, scorer
 
 logger = logging.getLogger(__name__)
@@ -265,7 +265,7 @@ def init_state(cfg: RunConfig, ctx: RunContext) -> RunState:
     ta = build_ta(cfg)
     score = scorer(student_mod.freeze(student), ctx.val, ctx.kind, cfg.hash_seed, ctx.featurizer)
     history = seed_history(score)
-    s0 = ta_mod.generate(ta, ta_mod.render_generation_request(ctx.mp, history, 1), 1, cfg.temperature)[0]
+    s0 = ta_mod.proposer(ta, ctx.mp, cfg.temperature)(history, 1)[0]
     origin = Origin(kind="generated", epoch=0, round=-1)
     history = insert_sorted(history, ScoredPrefix(prefix=s0, score=score(s0), origin=origin))
     return RunState(student=student, ta=ta, history=history, best=None, records=())
@@ -273,27 +273,6 @@ def init_state(cfg: RunConfig, ctx: RunContext) -> RunState:
 
 def _epoch_shuffle_seed(base: int, epoch: int) -> int:
     return int(np.random.SeedSequence((base, epoch)).generate_state(1)[0])
-
-
-def _rescore(history: PrefixHistory, score: Callable[[str], float], k: int) -> PrefixHistory:
-    """Re-score carried-over entries against the new frozen checkpoint;
-    metric values are checkpoint-relative, so stale scores would corrupt
-    the sort. A history already holding k entries is trimmed to its best half
-    (the empty-prefix baseline always survives) to leave room for fresh
-    search this epoch."""
-    if len(history) >= k:
-        # At most k - 2 carried, so with the baseline collect() still has room to run.
-        carry = min(k // 2, k - 2)
-        # A slice from len - carry, as [-0:] would keep every entry.
-        survivors = list(history.entries[len(history) - carry:])
-        if all(e.prefix != "" for e in survivors):
-            survivors.append(history.find(""))
-    else:
-        survivors = list(history.entries)
-    h = PrefixHistory()
-    for entry in survivors:
-        h = insert_sorted(h, ScoredPrefix(prefix=entry.prefix, score=score(entry.prefix), origin=entry.origin))
-    return h
 
 
 def run_epoch(state: RunState, ctx: RunContext) -> tuple[RunState, bytes | None]:
@@ -322,8 +301,8 @@ def run_epoch(state: RunState, ctx: RunContext) -> tuple[RunState, bytes | None]
     # (2) freeze, refresh scores, collect
     student = student_mod.freeze(student)
     score = scorer(student, ctx.val, ctx.kind, cfg.hash_seed, ctx.featurizer)
-    history = _rescore(history, score, cfg.k)
-    history, rounds = collect(ta_handle, ctx.mp, score, history, cfg.k, cfg.l, cfg.temperature, epoch=e)
+    history = carry_over(history, score, cfg.k)
+    history, rounds = collect(ta_mod.proposer(state.ta, ctx.mp, cfg.temperature), score, history, cfg.k, cfg.l, epoch=e)
 
     # (3) dialogue gradients
     windows = build_windows(history, cfg.w)
@@ -469,6 +448,8 @@ def run(cfg: RunConfig, out_dir: str | Path, resume_from: str | Path | None = No
         if state.student.class_count != ctx.train.class_count:
             raise ValidationError(f"cannot resume: the state's student has {state.student.class_count} "
                                   f"classes, the data {ctx.train.class_count}")
+        if state.epoch > cfg.epochs:
+            raise ValidationError(f"cannot resume: the state has {state.epoch} epochs, the config {cfg.epochs}")
         logger.info("resuming from %s at epoch %d", resume_from, state.epoch)
     else:
         state = init_state(cfg, ctx)

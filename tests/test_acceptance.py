@@ -24,6 +24,7 @@ from gpta import (
     init_params,
     insert_sorted,
     parse_jsonl,
+    proposer,
     run,
     seed_history,
     serialize_jsonl,
@@ -140,7 +141,7 @@ def test_criterion_2_history_invariants():
             ta = simulated_handle(pool, rng_seed=seed)
             score = scorer(frozen, data)
             h0 = seed_history(score)
-            h, rounds = collect(ta, make_mp(), score, h0, k=int(3 + seed), l=int(1 + seed % 4))
+            h, rounds = collect(proposer(ta, make_mp()), score, h0, k=int(3 + seed), l=int(1 + seed % 4))
             scores = [e.score for e in h.entries]
             assert scores == sorted(scores)
             assert len({e.prefix for e in h.entries}) == len(h)
@@ -302,7 +303,7 @@ def test_criterion_8_remote_protocol_conformance():
         with MockOpenAIServer(completions=completions) as server:
             handle = remote_handle(client(server), "base-model")
             h0 = seed_history(score)
-            _, rounds = collect(handle, make_mp(), score, h0, k=7, l=3)
+            _, rounds = collect(proposer(handle, make_mp()), score, h0, k=7, l=3)
             chats = server.requests_for("/v1/chat/completions")
             assert len(chats) == len(rounds) == 2
             for req in chats:

@@ -340,6 +340,51 @@ def test_underflowing_train_loss_stays_finite(tmp_path, desk_config):
     assert run_cli(["report", "--run", str(straight), "--out", str(tmp_path / "rep")]) == EXIT_OK
 
 
+@pytest.mark.parametrize("metric", ["accuracy", "macro_f1", "neg_loss"])
+def test_eval_reads_a_run_state_through_its_student(metric, tmp_path, desk_config, desk_dataset_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(desk_config(epochs=1).to_dict()))
+    assert run_cli(["train", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == EXIT_OK
+    state_path = tmp_path / "run" / "state_epoch0.json"
+    state = json.loads(state_path.read_text(encoding="utf-8"))
+    student_path = tmp_path / "student.json"
+    student_path.write_text(json.dumps(state["student"]))
+    capsys.readouterr()
+    scores = []
+    for ckpt in (state_path, student_path):
+        assert run_cli(["eval", "--checkpoint", str(ckpt), "--data", str(desk_dataset_path),
+                        "--metric", metric, "--prefix", "focus on the signal"]) == EXIT_OK
+        scores.append(capsys.readouterr().out)
+    assert scores[0] == scores[1] and float(scores[0]) != 0.0
+
+    state["student"]["bias"][1] = True
+    state_path.write_text(json.dumps(state))
+    assert run_cli(["eval", "--checkpoint", str(state_path), "--data", str(desk_dataset_path),
+                    "--metric", metric]) == EXIT_VALIDATION
+    assert f"malformed {state_path}: " in capsys.readouterr().err
+
+
+def test_resume_from_a_state_past_the_configured_epochs_exits_2(tmp_path, desk_config, capsys):
+    """A state of 3 epochs under an epochs-2 config would write a 3-epoch
+    report next to a config.json that says 2."""
+    paths = {}
+    for epochs in (2, 3):
+        paths[epochs] = tmp_path / f"cfg{epochs}.json"
+        paths[epochs].write_text(json.dumps(desk_config(epochs=epochs).to_dict()))
+    first = tmp_path / "first"
+    assert run_cli(["train", "--config", str(paths[3]), "--out", str(first)]) == EXIT_OK
+    code = run_cli(["train", "--config", str(paths[2]), "--out", str(tmp_path / "resumed"),
+                    "--resume", str(first / "state_epoch2.json")])
+    assert code == EXIT_VALIDATION
+    assert "cannot resume: the state has 3 epochs, the config 2" in capsys.readouterr().err
+    assert not (tmp_path / "resumed").exists()
+    # A resume at exactly the configured epochs runs none and reports them all.
+    assert run_cli(["train", "--config", str(paths[2]), "--out", str(tmp_path / "done"),
+                    "--resume", str(first / "state_epoch1.json")]) == EXIT_OK
+    assert not list((tmp_path / "done").glob("state_epoch*.json"))
+    assert len(json.loads((tmp_path / "done" / "report.json").read_text())["epochs"]) == 2
+
+
 def test_resume_under_another_backend_exits_2(tmp_path, desk_config, capsys):
     out = tmp_path / "run"
     sim_cfg = tmp_path / "sim.json"

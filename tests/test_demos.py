@@ -25,16 +25,14 @@ def test_demo_runs(demo, tmp_path, monkeypatch, capsys):
 
 def _quickstart_steps():
     """The README quickstart's bash block as steps: ("file", name, text) for
-    a `cat > name <<'EOF'` heredoc, ("python", code) for a `python3 -`
-    heredoc and ("gpta", argv) for a gpta command."""
+    a `cat > name <<'EOF'` heredoc and ("gpta", argv) for a gpta command."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     block = re.search(r"## Quickstart.*?```bash\n(.*?)```", readme, re.S).group(1)
     lines = iter(block.replace("\\\n", " ").splitlines())
     for line in lines:
-        heredoc = re.match(r"(cat > (\S+)|python3 -) <<'(\w+)'$", line)
+        heredoc = re.match(r"cat > (\S+) <<'(\w+)'$", line)
         if heredoc:
-            body = "\n".join(iter(lines.__next__, heredoc.group(3))) + "\n"
-            yield ("file", heredoc.group(2), body) if heredoc.group(2) else ("python", body)
+            yield "file", heredoc.group(1), "\n".join(iter(lines.__next__, heredoc.group(2))) + "\n"
         elif line.startswith("gpta "):
             yield "gpta", shlex.split(line, comments=True)[1:]
         else:
@@ -47,8 +45,6 @@ def test_readme_quickstart_runs(tmp_path, monkeypatch, capsys):
     for step in _quickstart_steps():
         if step[0] == "file":
             Path(step[1]).write_text(step[2], encoding="utf-8")
-        elif step[0] == "python":
-            exec(step[1], {})
         else:
             commands.append(step[1][0])
             assert main(step[1]) == EXIT_OK, step[1]

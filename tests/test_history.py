@@ -21,6 +21,7 @@ from gpta import (
     init_params,
     insert_sorted,
     predict,
+    proposer,
     score_prefix,
     seed_history,
     simulated_handle,
@@ -29,7 +30,7 @@ from gpta import (
     unfreeze,
 )
 from gpta import history, metrics
-from gpta.history import Origin, RoundStats
+from gpta.history import Origin, RoundStats, carry_over
 from gpta.dataset import Dataset, TextExample
 from gpta.student import Featurizer, StudentParams, _logits, batch_logits, featurize, forward, loss
 
@@ -272,10 +273,23 @@ def imported_parts(module) -> set[str]:
     return {part for name in names for part in name.split(".")}
 
 
-def test_history_imports_nothing_from_student_dataset_or_metrics():
-    """The search sees the student only through the score function it is given."""
-    parts = imported_parts(history)
-    assert "ta" in parts and not parts & {"student", "dataset", "metrics"}
+def package_imports(module) -> set[str]:
+    """The gpta modules a module's source imports, relatively or by name."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "gpta"):
+            name = (node.module or "").removeprefix("gpta").lstrip(".")
+            found.update([name] if name else [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.removeprefix("gpta.") for alias in node.names if alias.name.startswith("gpta."))
+    return found
+
+
+def test_history_imports_only_errors_from_gpta():
+    """The search sees the student only through the score function and the
+    assistant model only through the propose function it is given."""
+    assert package_imports(history) == {"errors"}
 
 
 class TestSeedHistory:
@@ -325,7 +339,7 @@ class TestCollect:
         frozen, data, ta = small_world()
         h0 = seed_history(scorer(frozen, data))
         k = len(h0) + 5
-        h, rounds = collect(ta, make_mp(), scorer(frozen, data), h0, k=k, l=5)
+        h, rounds = collect(proposer(ta, make_mp()), scorer(frozen, data), h0, k=k, l=5)
         assert len(rounds) == 1
         assert len(h) == k
         assert rounds[0].generated == 5
@@ -333,13 +347,13 @@ class TestCollect:
     def test_exact_k_after_overshoot(self):
         frozen, data, ta = small_world(seed=1)
         h0 = seed_history(scorer(frozen, data))
-        h, _ = collect(ta, make_mp(), scorer(frozen, data), h0, k=8, l=5)
+        h, _ = collect(proposer(ta, make_mp()), scorer(frozen, data), h0, k=8, l=5)
         assert len(h) == 8
 
     def test_sorted_and_unique_after_collect(self):
         frozen, data, ta = small_world(seed=2)
         h0 = seed_history(scorer(frozen, data))
-        h, _ = collect(ta, make_mp(), scorer(frozen, data), h0, k=12, l=4)
+        h, _ = collect(proposer(ta, make_mp()), scorer(frozen, data), h0, k=12, l=4)
         scores = [e.score for e in h.entries]
         assert scores == sorted(scores)
         assert len({e.prefix for e in h.entries}) == len(h)
@@ -348,7 +362,7 @@ class TestCollect:
     def test_max_never_decreases_below_h0(self):
         frozen, data, ta = small_world(seed=3)
         h0 = seeded(frozen, data, ["alpha variant 0"])
-        h, _ = collect(ta, make_mp(), scorer(frozen, data), h0, k=10, l=3)
+        h, _ = collect(proposer(ta, make_mp()), scorer(frozen, data), h0, k=10, l=3)
         assert h.best().score >= h0.best().score
 
     def test_stall_when_pool_exhausted(self):
@@ -356,19 +370,19 @@ class TestCollect:
         pool_prefixes = [p for p, _ in ta.sim.pool]
         h0 = seeded(frozen, data, pool_prefixes)
         with pytest.raises(StallError):
-            collect(ta, make_mp(), scorer(frozen, data), h0,
+            collect(proposer(ta, make_mp()), scorer(frozen, data), h0,
                     k=len(h0) + 3, l=4)
 
     def test_k_not_above_h0_rejected(self):
         frozen, data, ta = small_world(seed=5)
         h0 = seeded(frozen, data, ["a", "b"])
         with pytest.raises(ValidationError):
-            collect(ta, make_mp(), scorer(frozen, data), h0, k=3, l=2)
+            collect(proposer(ta, make_mp()), scorer(frozen, data), h0, k=3, l=2)
 
     def test_round_stats_consistent(self):
         frozen, data, ta = small_world(seed=6)
         h0 = seed_history(scorer(frozen, data))
-        h, rounds = collect(ta, make_mp(), scorer(frozen, data), h0, k=15, l=4)
+        h, rounds = collect(proposer(ta, make_mp()), scorer(frozen, data), h0, k=15, l=4)
         for r in rounds:
             assert 0 <= r.exceeded_max <= r.generated
 
@@ -377,19 +391,22 @@ class TestCollect:
         for _ in range(2):
             frozen, data, ta = small_world(seed=7)
             h0 = seed_history(scorer(frozen, data))
-            h, rounds = collect(ta, make_mp(), scorer(frozen, data), h0, k=12, l=4)
+            h, rounds = collect(proposer(ta, make_mp()), scorer(frozen, data), h0, k=12, l=4)
             outs.append((h, tuple(rounds)))
         assert outs[0] == outs[1]
 
 
-class ScriptedTA:
-    """An assistant model that replies with the given rounds of candidates in turn."""
+def scripted(replies, asked=None):
+    """A propose function that returns the given rounds of candidates in
+    turn, appending each call's (history prefixes, l) to asked."""
+    replies = iter(replies)
 
-    def __init__(self, replies):
-        self.replies = iter(replies)
+    def propose(h, l):
+        if asked is not None:
+            asked.append(([e.prefix for e in h.entries], l))
+        return next(replies)
 
-    def generate(self, request, l, temperature):
-        return next(self.replies)
+    return propose
 
 
 class TestCollectScoring:
@@ -409,12 +426,15 @@ class TestCollectScoring:
         h0 = insert_sorted(seed_history(score), ScoredPrefix("a", self.SCORES["a"]))
         assert calls == [""]
         calls.clear()
-        ta = ScriptedTA([["a", "b", "b", ""], ["b", "c", "a"], ["d", "c", "e", "f"]])
-        h, rounds = collect(ta, make_mp(), score, h0, k=5, l=4)
+        asked = []
+        propose = scripted([["a", "b", "b", ""], ["b", "c", "a"], ["d", "c", "e", "f"]], asked)
+        h, rounds = collect(propose, score, h0, k=5, l=4)
         # Known prefixes (from h0 or inserted earlier) and repeats within a round go unscored.
         assert calls == ["b", "c", "d", "e", "f"]
         assert [e.prefix for e in h.entries] == ["d", "a", "", "b", "c"]
         assert rounds == [RoundStats(4, 1), RoundStats(3, 1), RoundStats(4, 2)]
+        # Each round asks for l candidates given the history as it stands.
+        assert asked == [(["a", ""], 4), (["a", "", "b"], 4), (["a", "", "b", "c"], 4)]
 
     def test_final_round_surplus_is_scored_and_counted_but_not_inserted(self):
         """Pins current behaviour: once k entries are held, the final round's
@@ -423,7 +443,7 @@ class TestCollectScoring:
         score, calls = self.counting_scorer()
         h0 = seed_history(score)
         calls.clear()
-        h, rounds = collect(ScriptedTA([["d", "e", "f"]]), make_mp(), score, h0, k=2, l=3)
+        h, rounds = collect(scripted([["d", "e", "f"]]), score, h0, k=2, l=3)
         assert calls == ["d", "e", "f"]
         assert [e.prefix for e in h.entries] == ["d", ""]
         assert rounds == [RoundStats(3, 2)]
@@ -441,8 +461,69 @@ class TestCollectScoring:
 
         h0 = insert_sorted(seed_history(score), ScoredPrefix("alpha variant 0", table["alpha variant 0"]))
         calls.clear()
-        h, rounds = collect(ta, make_mp(), score, h0, k=12, l=4)
+        h, rounds = collect(proposer(ta, make_mp()), score, h0, k=12, l=4)
         assert set(calls.values()) == {1}
         assert not calls.keys() & h0.prefixes()
         assert h.prefixes() - h0.prefixes() <= calls.keys()
         assert sum(r.exceeded_max for r in rounds) <= sum(calls.values())
+
+
+def history_from(*pairs):
+    """A history of (prefix, score) pairs, each generated at epoch 0, round 0."""
+    h = PrefixHistory()
+    for prefix, score in pairs:
+        h = insert_sorted(h, ScoredPrefix(prefix, score, Origin(kind="generated", epoch=0, round=0)))
+    return h
+
+
+class TestCarryOver:
+    PAIRS = (("", 0.05), ("a", 0.10), ("b", 0.20), ("c", 0.30), ("d", 0.40), ("e", 0.60), ("f", 0.70))
+
+    @pytest.mark.parametrize("k,kept", [
+        (7, ["d", "e", "f", ""]),  # best k // 2 = 3, plus the baseline
+        (4, ["e", "f", ""]),  # best k // 2 = 2, plus the baseline
+        (3, ["f", ""]),  # best k - 2 = 1, plus the baseline
+    ])
+    def test_a_full_history_keeps_its_best_and_the_baseline(self, k, kept):
+        h = history_from(*self.PAIRS)
+        carried = carry_over(h, lambda prefix: dict(self.PAIRS)[prefix], k)
+        assert [e.prefix for e in carried.entries] == sorted(kept, key=dict(self.PAIRS).get)
+        assert len(carried) < k
+
+    def test_the_baseline_is_not_added_twice(self):
+        h = history_from(("a", 0.1), ("", 0.8), ("b", 0.9))
+        carried = carry_over(h, lambda prefix: {"": 0.8, "a": 0.1, "b": 0.9}[prefix], 3)
+        assert [e.prefix for e in carried.entries] == ["", "b"]
+
+    def test_a_short_history_is_kept_whole(self):
+        h = history_from(*self.PAIRS[:4])
+        carried = carry_over(h, lambda prefix: dict(self.PAIRS)[prefix], 5)
+        assert carried.prefixes() == h.prefixes()
+
+    def test_every_entry_is_rescored_once_and_resorted(self):
+        h = history_from(*self.PAIRS)
+        calls = []
+
+        def score(prefix):
+            calls.append(prefix)
+            return -dict(self.PAIRS)[prefix]  # the order reverses
+
+        carried = carry_over(h, score, 8)
+        assert sorted(calls) == sorted(h.prefixes())
+        assert [e.prefix for e in carried.entries] == [e.prefix for e in reversed(h.entries)]
+        assert [e.score for e in carried.entries] == [score(e.prefix) for e in carried.entries]
+        assert {e.prefix: e.origin for e in carried.entries} == {e.prefix: e.origin for e in h.entries}
+
+    def test_equal_scores_keep_their_order(self):
+        h = history_from(*self.PAIRS)
+        carried = carry_over(h, lambda prefix: 0.5, 8)
+        assert [e.prefix for e in carried.entries] == [e.prefix for e in h.entries]
+        carried = carry_over(h, lambda prefix: 0.5, 7)  # the baseline is re-added last
+        assert [e.prefix for e in carried.entries] == ["d", "e", "f", ""]
+
+    def test_k_2_carries_only_the_baseline(self):
+        """At k=2, k - 2 = 0 entries are carried: a slice from -0 would keep all."""
+        h = history_from(("", 0.5), ("a", 0.9))
+        carried = carry_over(h, lambda prefix: 0.3, 2)
+        assert [(e.prefix, e.score) for e in carried.entries] == [("", 0.3)]
+        assert carried.entries[0].origin == Origin(kind="generated", epoch=0, round=0)

@@ -20,6 +20,7 @@ from gpta import (
     freeze,
     generate,
     init_params,
+    proposer,
     run,
     seed_history,
     synth_generate,
@@ -62,6 +63,15 @@ class TestGenerate:
             assert body["model"] == "base-model"
             assert body["temperature"] == 1.0
             assert [m["role"] for m in body["messages"]] == ["system", "user"]
+
+    def test_proposer_sends_the_rendered_request(self):
+        with MockOpenAIServer(completions=["alpha one\nbeta two\ngamma three"]) as server:
+            handle = remote_handle(make_client(server), "base-model")
+            assert proposer(handle, make_mp(), 0.5)(_history(), 2) == ["alpha one", "beta two"]
+            (chat,) = server.requests_for("/v1/chat/completions")
+            assert chat.json()["temperature"] == 0.5
+            expected = render_generation_request(make_mp(), _history(), 2)
+            assert chat.json()["messages"] == [{"role": m.role, "content": m.content} for m in expected]
 
     def test_history_lines_ordered_in_request(self):
         with MockOpenAIServer() as server:
@@ -235,7 +245,7 @@ class TestCollectOverRemote:
             handle = remote_handle(make_client(server), "base-model")
             score = scorer(frozen, data)
             h0 = seed_history(score)
-            h, rounds = collect(handle, make_mp(), score, h0, k=7, l=3)
+            h, rounds = collect(proposer(handle, make_mp()), score, h0, k=7, l=3)
             assert len(h) == 7
             assert len(rounds) == 2
             assert len(server.requests_for("/v1/chat/completions")) == 2

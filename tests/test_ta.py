@@ -11,6 +11,7 @@ from gpta import (
     finetune,
     generate,
     parse_prefixes,
+    proposer,
     render_generation_request,
     serialize_jsonl,
     simulated_handle,
@@ -162,6 +163,17 @@ class TestSimulatedGenerate:
         pool = [("low", 0.0), ("high", 5.0), ("mid", 2.0)]
         h = simulated_handle(pool, rng_seed=0)
         assert generate(h, [], 2, 0.0) == ["high", "mid"]
+
+    def test_proposer_is_generate_on_the_rendered_request(self):
+        pool = [(f"p{i}", float(i % 3)) for i in range(10)]
+        a, b = simulated_handle(pool, rng_seed=5), simulated_handle(pool, rng_seed=5)
+        propose = proposer(a, make_mp(), 0.5)
+        h = history_of(("p1", 0.2))
+        for l in (1, 3):
+            assert propose(h, l) == generate(b, render_generation_request(make_mp(), h, l), l, 0.5)
+        assert a.sim.calls == b.sim.calls == 2
+        with pytest.raises(ValidationError, match="l must be >= 1"):
+            propose(h, 0)
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValidationError):

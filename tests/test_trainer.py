@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import logging
@@ -737,3 +738,13 @@ def test_trainer_imports_nothing_from_remote():
     """Each backend builds itself from the config, so the loop needs no transport."""
     parts = imported_parts(trainer_mod)
     assert "ta" in parts and "remote" not in parts
+
+
+def test_trainer_asks_the_assistant_only_through_the_proposer():
+    """Requests are rendered and sent in one place, ta.proposer, which both
+    the first proposal and each epoch's collect go through."""
+    tree = ast.parse(Path(trainer_mod.__file__).read_text(encoding="utf-8"))
+    called = [node.func for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    names = {getattr(f, "attr", None) or getattr(f, "id", None) for f in called}
+    assert "proposer" in names and not names & {"generate", "render_generation_request"}
+    assert not hasattr(trainer_mod, "_rescore")
