@@ -182,18 +182,30 @@ class EpochRecord:
 
 @dataclass(frozen=True)
 class RunState:
-    """Everything needed to continue a run: one record per completed epoch."""
+    """Everything needed to continue a run: one record per completed epoch,
+    and the student, assistant model and history the last one left."""
 
     student: student_mod.StudentParams
     ta: ta_mod.TAHandle
     history: PrefixHistory
-    best: BestRecord | None
     records: tuple[EpochRecord, ...]
 
     @property
     def epoch(self) -> int:
         """The number of completed epochs, which is the next epoch's index."""
         return len(self.records)
+
+    @property
+    def best(self) -> BestRecord | None:
+        """The first record with the highest val_best (None before epoch 0),
+        at the best prefix of the history that epoch saved: the prefix the
+        next epoch trained on, or for the last epoch the history's best."""
+        if not self.records:
+            return None
+        top = max(self.records, key=operator.attrgetter("val_best"))  # the first of equals
+        later = self.records[top.epoch + 1:]
+        prefix = later[0].train_prefix if later else self.history.best().prefix
+        return BestRecord(prefix=prefix, score=top.val_best, epoch=top.epoch)
 
 
 @dataclass(frozen=True)
@@ -268,7 +280,7 @@ def init_state(cfg: RunConfig, ctx: RunContext) -> RunState:
     s0 = ta_mod.proposer(ta, ctx.mp, cfg.temperature)(history, 1)[0]
     origin = Origin(kind="generated", epoch=0, round=-1)
     history = insert_sorted(history, ScoredPrefix(prefix=s0, score=score(s0), origin=origin))
-    return RunState(student=student, ta=ta, history=history, best=None, records=())
+    return RunState(student=student, ta=ta, history=history, records=())
 
 
 def _epoch_shuffle_seed(base: int, epoch: int) -> int:
@@ -322,27 +334,16 @@ def run_epoch(state: RunState, ctx: RunContext) -> tuple[RunState, bytes | None]
         finetune_error = "no tuning examples (all window targets empty)"
         logger.warning("epoch %d: %s", e, finetune_error)
 
-    val_best = history.best().score
-    val_empty = history.find("").score
     record = EpochRecord(
         epoch=e,
         train_prefix=train_prefix,
         train_loss=train_loss,
-        val_best=val_best,
-        val_empty=val_empty,
+        val_best=history.best().score,
+        val_empty=history.find("").score,
         improvement_rate=improvement_rate(rounds),
         finetune_error=finetune_error,
     )
-    best = state.best
-    if best is None or val_best > best.score:
-        best = BestRecord(prefix=history.best().prefix, score=val_best, epoch=e)
-    new_state = RunState(
-        student=student,
-        ta=ta_handle,
-        history=history,
-        best=best,
-        records=state.records + (record,),
-    )
+    new_state = RunState(student=student, ta=ta_handle, history=history, records=state.records + (record,))
     return new_state, gradients
 
 
@@ -372,14 +373,15 @@ def state_to_json(state: RunState) -> str:
 
 def state_from_json(text: str, cfg: RunConfig) -> RunState:
     """Inverse of state_to_json. Every part is read by the typed reader,
-    and the saved assistant fields are set onto build_ta(cfg). Invalid
-    JSON, a missing, unknown or mistyped value, an epoch other than
-    the number of records (numbered 0, 1, ...), a history with a repeated
-    prefix, a descending score or without the empty prefix, a best record
-    other than the first record with the highest val_best (null with no
-    records) or, when that record is the last, naming another prefix than the
-    history's best, and a state saved under another backend or with a
-    student of other dims raise ValidationError."""
+    the saved assistant fields are set onto build_ta(cfg), and the history
+    is rebuilt with insert_sorted. Invalid JSON, a missing, unknown or
+    mistyped value, an epoch other than the number of records (numbered
+    0, 1, ...), a history that rebuilds otherwise (a repeated prefix or a
+    descending score) or without the empty prefix, an assistant generation
+    other than the number of records without a finetune_error, a best
+    record other than the rebuilt state's (RunState.best), and a state
+    saved under another backend or with a student of other dims raise
+    ValidationError."""
     ta = build_ta(cfg)
     with decoding("run state"):
         obj = json.loads(text)
@@ -394,29 +396,27 @@ def state_from_json(text: str, cfg: RunConfig) -> RunState:
         saved_ta = {key: value for key, value in obj["ta"].items() if key != "backend"}
         ta = replace(ta, **_fields_from_json(type(ta), saved_ta, "ta", ta.to_dict().keys() - {"backend"}))
         entries = _from_json("history", tuple[ScoredPrefix, ...], obj["history"])
+        history = functools.reduce(insert_sorted, entries, PrefixHistory())
         best = _from_json("best", BestRecord | None, obj["best"])
         records = _from_json("records", tuple[EpochRecord, ...], obj["records"])
         epoch = _from_json("epoch", int, obj["epoch"])
         frozen = _from_json("student_frozen", bool, obj["student_frozen"])
         if epoch != len(records) or any(r.epoch != i for i, r in enumerate(records)):
             raise ValidationError(f"epoch {epoch} does not follow records of epochs {[r.epoch for r in records]}")
-        prefixes = [e.prefix for e in entries]
-        if len(set(prefixes)) < len(prefixes) or any(a.score > b.score for a, b in zip(entries, entries[1:])):
+        if history.entries != entries:
             raise ValidationError("$.history: prefixes must be distinct and scores ascending")
-        if "" not in prefixes:
+        if history.find("") is None:
             raise ValidationError("$.history: the empty prefix is missing")
-        top = max(records, key=operator.attrgetter("val_best"), default=None)  # the first of equals
-        if (best and (best.score, best.epoch)) != (top and (top.val_best, top.epoch)):
-            raise ValidationError("$.best: expected null with no records, else the first record with the highest val_best")
-        # The last epoch's best record was made from the history saved with it.
-        if best and best.epoch == epoch - 1 and best.prefix != prefixes[-1]:
-            raise ValidationError(f"$.best.prefix: {best.prefix!r} is not the best history entry {prefixes[-1]!r}")
+        tunes = sum(r.finetune_error is None for r in records)
+        if ta.generation != tunes:
+            raise ValidationError(f"$.ta.generation: {ta.generation}, but the records show {tunes} fine-tunes")
         params = student_mod.params_from_dict(obj["student"])
+        state = RunState(student_mod.freeze(params) if frozen else params, ta, history, records)
+        if best != state.best:
+            raise ValidationError(f"$.best: {best} is not {state.best}, derived from the records and the history")
     if params.dims != cfg.dims:
         raise ValidationError(f"cannot resume: the state's student has dims {params.dims}, the config {cfg.dims}")
-    if frozen:
-        params = student_mod.freeze(params)
-    return RunState(student=params, ta=ta, history=PrefixHistory(entries), best=best, records=records)
+    return state
 
 
 def config_to_json(cfg: RunConfig) -> str:

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import re
@@ -239,16 +240,17 @@ def test_malformed_checkpoint_rejected(payload, message, tmp_path, desk_config, 
     assert not (tmp_path / "resumed").exists()
 
 
-def _resume_from(corrupt, tmp_path, desk_config):
-    """Exit code of `gpta train --resume` into tmp_path/resumed from a
-    one-epoch desk run's state, rewritten by corrupt(text); the surrogate
-    escape \\udcXX writes the byte XX, so the text need not stay UTF-8."""
+def _resume_from(corrupt, tmp_path, desk_config, epochs=1):
+    """Exit code of `gpta train --resume` into tmp_path/resumed from the
+    last state of a desk run of `epochs` epochs, rewritten by corrupt(text);
+    the surrogate escape \\udcXX writes the byte XX, so the text need not
+    stay UTF-8."""
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(desk_config(epochs=1).to_dict()))
+    cfg_path.write_text(json.dumps(desk_config(epochs=epochs).to_dict()))
     out = tmp_path / "run"
     assert run_cli(["train", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
     state = tmp_path / "bad_state.json"
-    text = corrupt((out / "state_epoch0.json").read_text(encoding="utf-8"))
+    text = corrupt((out / f"state_epoch{epochs - 1}.json").read_text(encoding="utf-8"))
     state.write_text(text, encoding="utf-8", errors="surrogateescape")
     return run_cli(["train", "--config", str(cfg_path), "--out", str(tmp_path / "resumed"),
                     "--resume", str(state)])
@@ -304,6 +306,29 @@ MALFORMED_STATES = {
 @pytest.mark.parametrize("corrupt", MALFORMED_STATES.values(), ids=MALFORMED_STATES)
 def test_resume_from_malformed_state_exits_2(corrupt, tmp_path, desk_config, capsys):
     assert _resume_from(corrupt, tmp_path, desk_config) == EXIT_VALIDATION
+    assert "malformed run state" in capsys.readouterr().err
+    assert not (tmp_path / "resumed").exists()
+
+
+# Corruptions of state_epoch1.json of a 2-epoch desk run, whose best epoch is 0:
+# the best prefix is then the one that epoch 1 trained on, not the history's best.
+MIDDLE_OF_RUN_STATES = {
+    "best-prefix-not-proposed": _set("best", "prefix", value="never proposed by anyone"),
+    "later-train-prefix-edited": _set("records", 1, "train_prefix", value="never proposed by anyone"),
+    "generation-past-finetunes": _set("ta", "generation", value=7),
+}
+
+
+@pytest.mark.parametrize("metric", ["accuracy", "macro_f1", "neg_loss"])
+@pytest.mark.parametrize("corrupt", MIDDLE_OF_RUN_STATES.values(), ids=MIDDLE_OF_RUN_STATES)
+def test_resume_from_malformed_middle_of_run_state_exits_2(corrupt, metric, tmp_path, desk_config, capsys):
+    def checked(text):
+        obj = json.loads(text)
+        assert obj["best"]["epoch"] == 0 and obj["epoch"] == 2
+        return corrupt(text)
+
+    config = functools.partial(desk_config, metric=metric)
+    assert _resume_from(checked, tmp_path, config, epochs=2) == EXIT_VALIDATION
     assert "malformed run state" in capsys.readouterr().err
     assert not (tmp_path / "resumed").exists()
 

@@ -4,7 +4,8 @@ config.json is left out because it holds the absolute data path and, for
 the remote run, the mock server's port.
 
 The runs: the desk config under each metric, straight and resumed from
-state_epoch0.json, and the desk config against the mock OpenAI server. A
+state_epoch0.json and from state_epoch1.json, and the desk config against
+the mock OpenAI server. A
 change that moves run bytes on purpose rewrites the manifest with
 
     GPTA_WRITE_RUN_DIGESTS=1 python -m pytest tests/test_run_digests.py
@@ -51,6 +52,8 @@ def test_desk_run_bytes(metric, desk_config, tmp_path):
     check(f"{metric}/straight", tmp_path / "straight")
     run(cfg, tmp_path / "resumed", resume_from=tmp_path / "straight" / "state_epoch0.json")
     check(f"{metric}/resumed", tmp_path / "resumed")
+    run(cfg, tmp_path / "resumed1", resume_from=tmp_path / "straight" / "state_epoch1.json")
+    check(f"{metric}/resumed_epoch1", tmp_path / "resumed1")
 
 
 def test_remote_run_bytes(desk_config, tmp_path):

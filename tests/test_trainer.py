@@ -411,15 +411,22 @@ class TestRunEpoch:
         assert first_history.find("") is not None
 
     def test_best_tracks_max_val_score(self, desk_config):
-        cfg = desk_config()
-        ctx = prepare(cfg)
-        state = init_state(cfg, ctx)
-        for _ in range(cfg.epochs):
-            state, _ = run_epoch(state, ctx)
-        assert state.best.score == max(r.val_best for r in state.records)
-        assert state.best.epoch == min(
-            r.epoch for r in state.records if r.val_best == state.best.score
-        )
+        for metric in ("accuracy", "macro_f1", "neg_loss"):
+            # k <= l + 1, so collect cannot stall (the desk k=20 stalls in epoch 4
+            # under accuracy and macro_f1, ROADMAP item 7). The best epoch is then
+            # 2, 2 and 1, and under accuracy epoch 3 ties it.
+            cfg = desk_config(metric=metric, epochs=5, k=9)
+            ctx = prepare(cfg)
+            state = init_state(cfg, ctx)
+            histories = []
+            for _ in range(cfg.epochs):
+                state, _ = run_epoch(state, ctx)
+                histories.append(state.history)
+            assert state.best.score == max(r.val_best for r in state.records)
+            assert state.best.epoch == min(
+                r.epoch for r in state.records if r.val_best == state.best.score
+            )
+            assert state.best.prefix == histories[state.best.epoch].best().prefix
 
     def test_generation_counts_epochs(self, desk_config):
         cfg = desk_config()
