@@ -68,18 +68,18 @@ def scorer(
     frozen: StudentParams,
     data: Dataset,
     kind: MetricKind,
-    hash_seed: int = 0,
     featurizer: Featurizer | None = None,
 ) -> Callable[[str], float]:
     """The metric of the frozen student on `data` as a function of the
     prefix prepended to every input. `batch_logits` (over `featurizer`'s
     tables when they hold data's texts) does the part no prefix changes
     once, here; each call then scores one prefix's logits with `evaluate`."""
-    logits = batch_logits(frozen, data, hash_seed, featurizer)
+    logits = batch_logits(frozen, data, featurizer)
     labels = data.labels()
     return lambda prefix: evaluate(kind, logits(prefix), labels, class_count=data.class_count)
 
 
 def score_prefix(student: StudentParams, prefix: str, eval_set: Dataset, kind: MetricKind, hash_seed: int = 0) -> float:
-    """One prefix's metric of the frozen student over eval_set."""
-    return scorer(student, eval_set, kind, hash_seed)(prefix)
+    """One prefix's metric of the frozen student over eval_set, hashed with hash_seed."""
+    featurizer = Featurizer(student.dims, hash_seed, [ex.text for ex in eval_set.examples])
+    return scorer(student, eval_set, kind, featurizer)(prefix)

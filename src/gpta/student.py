@@ -17,7 +17,7 @@ count arrays; `train_pass` steps on those arrays, bit-identical
 to `grad` + `sgd_step`. Scoring uses `batch_logits`, which factors a whole
 split's logits through the same tables. Both take the tables from
 `_featurizer_for`: the ones given when they hold every text of the data,
-else new ones over the data's texts.
+else new ones over the data's texts with the given tables' hash seed.
 """
 
 import json
@@ -174,17 +174,14 @@ class Featurizer:
         return [_fold(seeded, p_tok) % self.dims for p_tok in p_toks], [self._rows[p_tok] for p_tok in p_toks]
 
 
-def _featurizer_for(featurizer: Featurizer | None, dims: int, hash_seed: int, data: Dataset) -> Featurizer:
-    """`featurizer` when its tables hold every text of data, else a new one
-    over data's texts. A featurizer given must hash with dims and
-    hash_seed (seeds equal modulo 2^64 hash alike), else ValidationError."""
-    if featurizer is not None and (featurizer.dims != dims or (featurizer.hash_seed - hash_seed) & _MASK64):
-        raise ValidationError(
-            f"the featurizer hashes with dims {featurizer.dims} and hash_seed {featurizer.hash_seed}, "
-            f"not dims {dims} and hash_seed {hash_seed}"
-        )
+def _featurizer_for(featurizer: Featurizer | None, dims: int, data: Dataset) -> Featurizer:
+    """`featurizer` when its tables hold every text of data, else new tables
+    over data's texts with its hash_seed, or seed 0 when none is given. A
+    featurizer given must hash with the student's dims, else ValidationError."""
+    if featurizer is not None and featurizer.dims != dims:
+        raise ValidationError(f"the featurizer hashes with dims {featurizer.dims}, not the student's {dims}")
     if featurizer is None or any(ex.text not in featurizer._ids for ex in data.examples):
-        return Featurizer(dims, hash_seed, [ex.text for ex in data.examples])
+        return Featurizer(dims, featurizer.hash_seed if featurizer else 0, [ex.text for ex in data.examples])
     return featurizer
 
 
@@ -309,17 +306,15 @@ def train_pass(
     train: Dataset,
     prefix: str,
     lr: float,
-    hash_seed: int = 0,
     shuffle_seed: int = 0,
     featurizer: Featurizer | None = None,
 ) -> tuple[StudentParams, float]:
     """One shuffled pass of per-example SGD with `prefix` prepended to
     every input. Returns the new params and the mean pre-update loss,
-    each example's loss floored as in `loss`. Features come from
-    `featurizer`, which must hash with params.dims and hash_seed, else
-    ValidationError; when it is None or lacks one of train's texts, from
-    a new one over train's texts. An empty `train`, or a label outside
-    [0, class_count), raises ValidationError before any update.
+    each example's loss floored as in `loss`. Features come from the
+    tables `_featurizer_for` takes for `featurizer`, hashed with their
+    seed. An empty `train`, or a label outside [0, class_count), raises
+    ValidationError before any update.
 
     The shuffled order is walked in blocks of TRAIN_BLOCK examples, whose
     features the featurizer merges at once. Each example's update is
@@ -338,7 +333,7 @@ def train_pass(
     for ex in train.examples:
         if not 0 <= ex.label < params.class_count:
             raise ValidationError(f"label {ex.label} out of range for {params.class_count} classes")
-    featurizer = _featurizer_for(featurizer, params.dims, hash_seed, train)
+    featurizer = _featurizer_for(featurizer, params.dims, train)
     weights = params.weights.copy()
     bias = params.bias.copy()
     order = np.random.default_rng(shuffle_seed).permutation(len(train))
@@ -368,7 +363,7 @@ def _segment_sums(columns: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 def batch_logits(
-    params: StudentParams, data: Dataset, hash_seed: int = 0, featurizer: Featurizer | None = None
+    params: StudentParams, data: Dataset, featurizer: Featurizer | None = None
 ) -> Callable[[str], np.ndarray]:
     """The frozen student's logits on every example of `data` as a
     function of the prefix: an examples x classes matrix whose row for
@@ -378,16 +373,14 @@ def batch_logits(
     computed here once, plus per prefix p the columns of p's unigrams and
     x's tokens gathered from M_p = sum over q in p of W[:, rows[q]], where
     rows[q] is q's pair index with each vocabulary token. Both gathers are
-    summed per example with np.add.reduceat. The tables come from
-    `featurizer`, which must hash with params.dims and hash_seed, else
-    ValidationError; when it is None or lacks one of data's texts, from a
-    new one over data's texts.
+    summed per example with np.add.reduceat. The tables are those
+    `_featurizer_for` takes for `featurizer`, and hash with their seed.
     """
     if not params.frozen:
         raise StateError("scoring requires a frozen student")
     if not len(data):
         raise ValidationError("cannot score an empty dataset")
-    featurizer = _featurizer_for(featurizer, params.dims, hash_seed, data)
+    featurizer = _featurizer_for(featurizer, params.dims, data)
     ids = [featurizer._ids[ex.text] for ex in data.examples]
     lengths, flat = np.array([len(i) for i in ids]), np.concatenate(ids)
     weights = params.weights

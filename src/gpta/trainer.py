@@ -275,7 +275,7 @@ def init_state(cfg: RunConfig, ctx: RunContext) -> RunState:
     entries it equals, so that proposal is the best entry epoch 0 trains on."""
     student = student_mod.init_params(cfg.dims, ctx.train.class_count)
     ta = build_ta(cfg)
-    score = scorer(student_mod.freeze(student), ctx.val, ctx.kind, cfg.hash_seed, ctx.featurizer)
+    score = scorer(student_mod.freeze(student), ctx.val, ctx.kind, ctx.featurizer)
     history = seed_history(score)
     s0 = ta_mod.proposer(ta, ctx.mp, cfg.temperature)(history, 1)[0]
     origin = Origin(kind="generated", epoch=0, round=-1)
@@ -305,14 +305,13 @@ def run_epoch(state: RunState, ctx: RunContext) -> tuple[RunState, bytes | None]
         ctx.train,
         train_prefix,
         cfg.lr,
-        hash_seed=cfg.hash_seed,
         shuffle_seed=_epoch_shuffle_seed(cfg.shuffle_seed, e),
         featurizer=ctx.featurizer,
     )
 
     # (2) freeze, refresh scores, collect
     student = student_mod.freeze(student)
-    score = scorer(student, ctx.val, ctx.kind, cfg.hash_seed, ctx.featurizer)
+    score = scorer(student, ctx.val, ctx.kind, ctx.featurizer)
     history = carry_over(history, score, cfg.k)
     history, rounds = collect(ta_mod.proposer(state.ta, ctx.mp, cfg.temperature), score, history, cfg.k, cfg.l, epoch=e)
 

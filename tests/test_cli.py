@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from gpta import ValidationError, init_params, save_checkpoint
+from gpta import ValidationError, init_params, prepare, run, save_checkpoint
 from gpta.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, EXIT_VALIDATION, main
 from gpta.dataset import load_jsonl, synth_generate, write_jsonl
 from gpta.student import params_from_dict
@@ -387,6 +387,25 @@ def test_eval_reads_a_run_state_through_its_student(metric, tmp_path, desk_confi
     assert run_cli(["eval", "--checkpoint", str(state_path), "--data", str(desk_dataset_path),
                     "--metric", metric]) == EXIT_VALIDATION
     assert f"malformed {state_path}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("metric", ["accuracy", "macro_f1", "neg_loss"])
+@pytest.mark.parametrize("hash_seed", [0, -5])
+def test_eval_reproduces_the_runs_validation_score(hash_seed, metric, tmp_path, desk_config, capsys):
+    cfg = desk_config(metric=metric, hash_seed=hash_seed)
+    best = run(cfg, tmp_path / "run").best
+    write_jsonl(prepare(cfg).val, tmp_path / "val.jsonl")
+    capsys.readouterr()
+
+    def evaluated(seed):
+        assert run_cli(["eval", "--checkpoint", str(tmp_path / "run" / f"state_epoch{best.epoch}.json"),
+                        "--data", str(tmp_path / "val.jsonl"), "--prefix", best.prefix,
+                        "--metric", metric, "--hash-seed", str(seed)]) == EXIT_OK
+        return capsys.readouterr().out
+
+    assert evaluated(hash_seed) == f"{best.score:.6f}\n"
+    if hash_seed:
+        assert evaluated(0) != f"{best.score:.6f}\n"
 
 
 def test_resume_from_a_state_past_the_configured_epochs_exits_2(tmp_path, desk_config, capsys):

@@ -110,7 +110,8 @@ class TestScorePrefix:
         )
         assert score_prefix(frozen, "", data, MetricKind.ACCURACY) == direct
 
-    @settings(max_examples=40, deadline=None)
+    # No max_examples: the CI step reruns the oracle properties under the "bit-identity" profile (tests/conftest.py).
+    @settings(deadline=None)
     @given(
         world=st.tuples(st.integers(2, 4), st.integers(2, 8), st.integers(4, 30), st.integers(0, 2**16)),
         log_dims=st.integers(1, 18),
@@ -125,7 +126,8 @@ class TestScorePrefix:
         """Each row of batch_logits is within 1e-12 of _logits over
         featurize for its text alone. The weights are random, prefix tokens
         may lie outside the texts, the featurizer's tables may cover only
-        some texts, and a text without tokens may sit anywhere."""
+        some texts (the tables that replace them keep their seed), and a
+        text without tokens may sit anywhere."""
         classes, per_class, vocab, seed = world
         examples = list(synth_generate(classes, per_class, vocab, 0.2, seed).examples)
         if blank_at is not None:
@@ -134,7 +136,7 @@ class TestScorePrefix:
         frozen = StudentParams(rng.standard_normal((classes, dims)), rng.standard_normal(classes), frozen=True)
         texts = [ex.text for ex in examples]
         featurizer = Featurizer(dims, hash_seed, texts[: round(tables_cover * len(texts))])
-        logits = batch_logits(frozen, Dataset(tuple(examples), classes), hash_seed, featurizer)
+        logits = batch_logits(frozen, Dataset(tuple(examples), classes), featurizer)
         for prefix in prefixes:
             expected = [oracle_logits(frozen, prefix, text, hash_seed) for text in texts]
             np.testing.assert_allclose(logits(prefix), expected, rtol=0, atol=1e-12)
@@ -153,7 +155,7 @@ class TestScorePrefix:
             expected = [oracle_logits(frozen, prefix, ex.text, 0) for ex in examples]
             np.testing.assert_allclose(logits(prefix), expected, rtol=0, atol=1e-12)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(deadline=None)
     @given(
         world=st.tuples(st.integers(2, 4), st.integers(2, 8), st.integers(4, 30), st.integers(0, 2**16)),
         log_dims=st.integers(1, 12),
@@ -175,33 +177,38 @@ class TestScorePrefix:
         classes, per_class, vocab, seed = world
         data = synth_generate(classes, per_class, vocab, 0.2, seed)
         dims = 2**log_dims
-        params, _ = train_pass(init_params(dims, classes), data, train_prefix, lr, hash_seed, shuffle_seed=seed)
-        frozen = freeze(params)
         texts = [ex.text for ex in data.examples]
+        tables = Featurizer(dims, hash_seed, texts)
+        params, _ = train_pass(init_params(dims, classes), data, train_prefix, lr, shuffle_seed=seed, featurizer=tables)
+        frozen = freeze(params)
         featurizer = Featurizer(dims, hash_seed, texts[: round(tables_cover * len(texts))])
         for prefix in prefixes:
             top_two = np.sort([oracle_logits(frozen, prefix, text, hash_seed) for text in texts])[:, -2:]
             clear = lr == 0 or (top_two[:, 1] - top_two[:, 0]).min() > 1e-9
             for kind in MetricKind:
-                got = metrics.scorer(frozen, data, kind, hash_seed, featurizer)(prefix)
+                got = metrics.scorer(frozen, data, kind, featurizer)(prefix)
                 expected = oracle_score(frozen, prefix, data, kind, hash_seed)
                 if kind is MetricKind.NEG_MEAN_LOSS:
                     assert abs(got - expected) <= 1e-12
                 elif clear:
                     assert got == expected
 
-    @pytest.mark.parametrize("dims,hash_seed", [(512, 0), (1024, 1), (2048, 0)])
+    @pytest.mark.parametrize("dims,hash_seed", [(512, 0), (2048, 0)])
     def test_rejects_a_featurizer_that_hashes_otherwise(self, trained_student, dims, hash_seed):
         frozen, data = trained_student
         featurizer = Featurizer(dims, hash_seed, [ex.text for ex in data.examples])
         with pytest.raises(ValidationError, match="featurizer hashes with dims"):
-            metrics.scorer(frozen, data, MetricKind.ACCURACY, 0, featurizer)("focus here")
+            metrics.scorer(frozen, data, MetricKind.ACCURACY, featurizer)("focus here")
 
     def test_accepts_a_featurizer_whose_seed_is_congruent_modulo_2_64(self, trained_student):
+        """Tables with seeds 3 - 2^64 and 3 score every metric alike, and as
+        score_prefix with hash_seed 3 does."""
         frozen, data = trained_student
-        featurizer = Featurizer(1024, -5 + 2**64, [ex.text for ex in data.examples])
-        expected = score_prefix(frozen, "focus here", data, MetricKind.ACCURACY, -5)
-        assert metrics.scorer(frozen, data, MetricKind.ACCURACY, -5, featurizer)("focus here") == expected
+        texts = [ex.text for ex in data.examples]
+        for kind in MetricKind:
+            congruent, plain = (metrics.scorer(frozen, data, kind, Featurizer(1024, s, texts)) for s in (3 - 2**64, 3))
+            for prefix in ("", "focus here"):
+                assert congruent(prefix) == plain(prefix) == score_prefix(frozen, prefix, data, kind, 3)
 
 
 class TestInsertSorted:
