@@ -10,10 +10,9 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .errors import ParseError, ValidationError
 from .fileio import encodes, jsonl_objects, read_text, write_atomic
+from .rng import Stream
 
 
 @dataclass(frozen=True)
@@ -90,8 +89,8 @@ def split(
 ) -> tuple[Dataset, Dataset, Dataset]:
     """Deterministically split into (train, validation, test).
 
-    Shuffles under the seed, then slices contiguously; the three parts
-    partition the input exactly.
+    Shuffles by `Stream(seed).permutation`, then slices contiguously; the
+    three parts partition the input exactly.
     """
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
@@ -105,7 +104,7 @@ def split(
     if n < 3:
         raise ValidationError(f"need at least 3 examples to split, got {n}")
 
-    order = np.random.default_rng(seed).permutation(n)
+    order = Stream(seed).permutation(n)
     shuffled = [d.examples[i] for i in order]
     n_train = int(n * fractions[0])
     n_val = int(n * fractions[1])
@@ -124,8 +123,9 @@ def split(
 
 
 def make_exemplars(train: Dataset, count: int, seed: int) -> tuple[TextExample, ...]:
-    """Sample `count` training examples without replacement. Count 0 is
-    valid and yields no exemplars (they are optional)."""
+    """Sample `count` training examples without replacement, by
+    `Stream(seed).choice`. Count 0 is valid and yields no exemplars (they
+    are optional)."""
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     if not 0 <= count <= EXEMPLAR_CAP:
@@ -134,8 +134,7 @@ def make_exemplars(train: Dataset, count: int, seed: int) -> tuple[TextExample, 
         raise ValidationError(f"exemplar count {count} exceeds train size {len(train)}")
     if count == 0:
         return ()
-    idx = np.random.default_rng(seed).choice(len(train), size=count, replace=False)
-    return tuple(train.examples[i] for i in idx)
+    return tuple(train.examples[i] for i in Stream(seed).choice(len(train), count))
 
 
 def synth_generate(
@@ -151,7 +150,8 @@ def synth_generate(
     shared noise tokens "noise{j}". Each example draws most of its tokens
     from its class keywords, always starting with one, so at noise 0 a
     keyword-count classifier is exact. With probability `noise` the label
-    is resampled uniformly. Byte-identical output for identical seeds.
+    is resampled uniformly. Every draw comes from one `Stream(seed)`, so
+    identical seeds give byte-identical output.
     """
     if class_count < 2:
         raise ValidationError(f"class_count must be >= 2, got {class_count}")
@@ -169,20 +169,20 @@ def synth_generate(
     ]
     noise_pool = [f"noise{j}" for j in range(noise_count)]
 
-    rng = np.random.default_rng(seed)
+    rng = Stream(seed)
     examples: list[TextExample] = []
     for c in range(class_count):
         for _ in range(per_class):
-            length = int(rng.integers(8, 15))
-            tokens = [keywords[c][int(rng.integers(keywords_per_class))]]
+            length = rng.integers(8, 15)
+            tokens = [keywords[c][rng.integers(keywords_per_class)]]
             for _ in range(length - 1):
                 if noise_pool and rng.random() >= 0.7:
-                    tokens.append(noise_pool[int(rng.integers(noise_count))])
+                    tokens.append(noise_pool[rng.integers(noise_count)])
                 else:
-                    tokens.append(keywords[c][int(rng.integers(keywords_per_class))])
+                    tokens.append(keywords[c][rng.integers(keywords_per_class)])
             label = c
             if noise > 0.0 and rng.random() < noise:
-                label = int(rng.integers(class_count))
+                label = rng.integers(class_count)
             examples.append(TextExample(text=" ".join(tokens), label=label))
 
     return Dataset(

@@ -6,7 +6,11 @@ prefix-token x input-token interaction counts. The interactions are what
 let a prefix reshape the decision surface instead of merely shifting class
 priors, so the prefix search has something real to optimize. Hashing is
 FNV-1a 64-bit over UTF-8 token bytes with the seed XORed into the offset
-basis; everything here is bit-stable across runs and platforms.
+basis. What is pinned across runs, platforms and library releases: the
+hash, which is plain integer arithmetic, and the training order, drawn
+from `gpta.rng`. What is not: a BLAS may sum a matrix-vector product in
+another order, so bit-identity of weights across machines is checked
+only by CI's run of the digest manifest (tests/data/run_digests.json).
 
 `featurize` is the from-scratch reference, and `forward`, `loss`, `grad`,
 `sgd_step` and `predict` are the per-example oracles built on it: tests
@@ -32,6 +36,7 @@ import numpy as np
 from .dataset import Dataset
 from .errors import StateError, ValidationError
 from .fileio import decoding, read_json, record_from_json, write_atomic
+from .rng import Stream
 
 FeatureVector = dict[int, float]
 
@@ -287,15 +292,6 @@ def sgd_step(params: StudentParams, g: Gradient, lr: float) -> StudentParams:
     return replace(params, weights=params.weights - lr * g.weights, bias=params.bias - lr * g.bias)
 
 
-def _gather(weights: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The flat positions of weights[:, idx] in weights, and weights[:, idx]
-    taken from them in the same F-ordered layout that fancy indexing
-    gives, so a product with it sums in the same order."""
-    class_count, dims = weights.shape
-    flat = (idx[:, None] + np.arange(0, class_count * dims, dims)).ravel()
-    return flat, weights.take(flat).reshape(len(idx), class_count).T
-
-
 # Training examples whose features train_pass merges at once: enough to
 # spread the per-call numpy cost, few enough to keep the arrays small.
 TRAIN_BLOCK = 64
@@ -310,19 +306,23 @@ def train_pass(
     featurizer: Featurizer | None = None,
 ) -> tuple[StudentParams, float]:
     """One shuffled pass of per-example SGD with `prefix` prepended to
-    every input. Returns the new params and the mean pre-update loss,
-    each example's loss floored as in `loss`. Features come from the
-    tables `_featurizer_for` takes for `featurizer`, hashed with their
-    seed. An empty `train`, or a label outside [0, class_count), raises
+    every input, in the order `Stream(shuffle_seed).permutation` draws.
+    Returns the new params and the mean pre-update loss, each example's
+    loss floored as in `loss`. Features come from the tables
+    `_featurizer_for` takes for `featurizer`, hashed with their seed. An
+    empty `train`, or a label outside [0, class_count), raises
     ValidationError before any update.
 
     The shuffled order is walked in blocks of TRAIN_BLOCK examples, whose
-    features the featurizer merges at once. Each example's update is
-    applied sparsely, at its active feature indices only; coordinates
-    outside the support have zero gradient. The gather, the sums and the
-    products are those of grad + sgd_step, and `_mean_loss` sums the
-    losses in the pass's order, so weights, bias and mean loss are
-    bit-identical to that per-example reference.
+    features the featurizer merges at once; the block's flat weight
+    positions, one per (key, class), are computed in one op and sliced
+    per example. Each example's update is applied sparsely, at its active
+    feature indices only; coordinates outside the support have zero
+    gradient. The gathered columns are laid out as weights[:, idx].T, so
+    the logits' product sums in the order grad's does; the softmax, the
+    products and the sums are those of grad + sgd_step, and `_mean_loss`
+    sums the losses in the pass's order, so weights, bias and mean loss
+    are bit-identical to that per-example reference.
     """
     if params.frozen:
         raise StateError("cannot train frozen params")
@@ -336,19 +336,33 @@ def train_pass(
     featurizer = _featurizer_for(featurizer, params.dims, train)
     weights = params.weights.copy()
     bias = params.bias.copy()
-    order = np.random.default_rng(shuffle_seed).permutation(len(train))
+    class_count, dims = weights.shape
+    class_offsets = np.arange(0, class_count * dims, dims)
+    order = Stream(shuffle_seed).permutation(len(train))
     label_probs = []
     for start in range(0, len(order), TRAIN_BLOCK):
         block = [train.examples[i] for i in order[start : start + TRAIN_BLOCK]]
         featurizer._build(prefix, [ex.text for ex in block])
+        _, slots, offsets, indices, _ = featurizer._block
+        # Flat positions of weights[:, k] for every key k of the block, key by key.
+        flat_block = (indices[:, None] + class_offsets).ravel()
         for ex in block:
-            idx, vals = featurizer.featurize(prefix, ex.text)
-            flat, gathered = _gather(weights, idx)
-            probs = _softmax(bias + gathered @ vals)
-            label_probs.append(probs[ex.label])
-            probs[ex.label] -= 1.0  # now the gradient of the loss at the logits
-            weights.put(flat, (gathered - lr * (probs[:, None] * vals)).T)
-            bias -= lr * probs
+            _, vals = featurizer.featurize(prefix, ex.text)
+            first = offsets[slots[ex.text]] * class_count
+            flat = flat_block[first : first + len(vals) * class_count]
+            gathered = weights.take(flat).reshape(len(vals), class_count)
+            z = vals @ gathered
+            z += bias
+            z -= np.maximum.reduce(z)
+            np.exp(z, out=z)
+            z /= np.add.reduce(z)
+            label_probs.append(z[ex.label])
+            z[ex.label] -= 1.0  # now the gradient of the loss at the logits
+            step = np.multiply.outer(vals, z)
+            step *= lr
+            weights.put(flat, np.subtract(gathered, step, out=gathered))
+            z *= lr
+            bias -= z
     return replace(params, weights=weights, bias=bias), _mean_loss(label_probs)
 
 

@@ -20,6 +20,7 @@ from .dataset import TextExample
 from .errors import ProtocolError, ValidationError
 from .fileio import encodes
 from .remote import RemoteClient
+from .rng import Stream
 
 if TYPE_CHECKING:
     from .history import PrefixHistory
@@ -74,9 +75,9 @@ class SimState:
     """Mutable state of the simulated backend.
 
     The pool maps candidate prefixes to sampling weights. Each generate
-    call derives a fresh generator from (rng_seed, calls) and bumps the
-    counter, so the state is trivially serializable and a restored run
-    continues bit-identically.
+    call draws its Gumbel keys from a fresh `Stream((rng_seed, calls))` and
+    bumps the counter, so the state is trivially serializable and a
+    restored run continues bit-identically.
     """
 
     pool: list[tuple[str, float]]
@@ -127,13 +128,13 @@ class SimulatedTA:
         state = self.sim
         n = len(state.pool)
         weights = np.array([w for _, w in state.pool], dtype=np.float64)
-        rng = np.random.default_rng(np.random.SeedSequence((state.rng_seed, state.calls)))
+        stream = Stream((state.rng_seed, state.calls))
         state.calls += 1
         if temperature == 0.0:
             order = np.argsort(-weights, kind="stable")
         else:
             # Gumbel top-k: exactly successive softmax sampling w/o replacement.
-            keys = weights / (state.temperature_scale * temperature) + rng.gumbel(size=n)
+            keys = weights / (state.temperature_scale * temperature) + stream.gumbel(n)
             order = np.argsort(-keys, kind="stable")
         return [state.pool[i][0] for i in order[: min(l, n)]]
 

@@ -29,6 +29,7 @@ from .errors import FinetuneError, TransportError, ValidationError
 from .fileio import _fields_from_json, _from_json, decoding, encodes, read_text, write_atomic
 from .history import Origin, PrefixHistory, RoundStats, ScoredPrefix, carry_over, collect, insert_sorted, seed_history
 from .metrics import MetricKind, scorer
+from .rng import seed_word
 
 logger = logging.getLogger(__name__)
 
@@ -284,7 +285,7 @@ def init_state(cfg: RunConfig, ctx: RunContext) -> RunState:
 
 
 def _epoch_shuffle_seed(base: int, epoch: int) -> int:
-    return int(np.random.SeedSequence((base, epoch)).generate_state(1)[0])
+    return seed_word((base, epoch))
 
 
 def run_epoch(state: RunState, ctx: RunContext) -> tuple[RunState, bytes | None]:

@@ -11,8 +11,9 @@ from gpta import RunConfig, synth_generate, write_jsonl
 
 # Ten times hypothesis's default budget of 100 examples, for properties that
 # set no max_examples of their own. CI reruns the bit-identity properties
-# under it (pytest -k bit_identical --hypothesis-profile=bit-identity), and
-# the per-example oracle properties of tests/test_history.py.
+# under it (pytest -k bit_identical --hypothesis-profile=bit-identity), with
+# the per-example oracle properties of tests/test_history.py and the numpy
+# oracle properties of tests/test_rng.py.
 settings.register_profile("bit-identity", max_examples=1000)
 
 FAMILY_PREFIXES = (

@@ -325,6 +325,23 @@ class TestTransport:
         assert "gpta" in added
         assert set(added) - set(sys.stdlib_module_names) <= {"gpta", "numpy"}
 
+    def test_a_run_loads_neither_numpy_random_nor_secrets(self, desk_config, tmp_path):
+        """gpta.rng owns every draw, so a run, straight or resumed, never
+        loads numpy.random, whose bit generator imports secrets and with it
+        hashlib and OpenSSL."""
+        (tmp_path / "config.json").write_text(json.dumps(desk_config(exemplar_count=4).to_dict()))
+        loaded = json.loads(_python(
+            "import json, sys; from pathlib import Path; import gpta; d = Path(sys.argv[1]); "
+            "cfg = gpta.RunConfig.from_dict(json.loads((d / 'config.json').read_text())); "
+            "gpta.run(cfg, d / 'straight'); gpta.run(cfg, d / 'resumed', resume_from=d / 'straight' / 'state_epoch0.json'); "
+            "print(json.dumps(sorted(sys.modules)))",
+            str(tmp_path),
+        ))
+        assert (tmp_path / "resumed" / "report.json").exists()
+        assert not {"numpy.random", "secrets"} & set(loaded)
+        src = Path(gpta.__file__).parent
+        assert [str(path) for path in src.glob("*.py") if "np.random" in path.read_text(encoding="utf-8")] == []
+
     def test_import_leaves_the_http_transport_out(self):
         """The remote client imports urllib.request and http.client on first
         use; `import gpta` itself still loads gpta.remote. The site may

@@ -3,9 +3,12 @@ writes but config.json, compared with tests/data/run_digests.json.
 config.json is left out because it holds the absolute data path and, for
 the remote run, the mock server's port.
 
-The runs: the desk config under each metric, and under accuracy with
-hash_seed -5, straight and resumed from state_epoch0.json and from
-state_epoch1.json, and the desk config against the mock OpenAI server.
+The runs: the desk config under each metric, under accuracy with
+hash_seed -5, and under accuracy with four exemplars in the meta-prompt
+(they reach gradients_epoch*.jsonl through the system message, and pin
+the one draw without replacement), each straight and resumed from
+state_epoch0.json and from state_epoch1.json; and the desk config
+against the mock OpenAI server.
 The manifest holds exactly these runs' entries. A change that moves run
 bytes on purpose rewrites the manifest with
 
@@ -34,6 +37,7 @@ DESK_RUNS = {
     "macro_f1": {"metric": "macro_f1"},
     "neg_loss": {"metric": "neg_loss"},
     "accuracy_hash-5": {"metric": "accuracy", "hash_seed": -5},
+    "accuracy_exemplars4": {"metric": "accuracy", "exemplar_count": 4},
 }
 DESK_STARTS = {"straight": None, "resumed": "state_epoch0.json", "resumed_epoch1": "state_epoch1.json"}
 RUN_NAMES = {f"{desk}/{start}" for desk in DESK_RUNS for start in DESK_STARTS} | {"remote/straight"}

@@ -417,21 +417,6 @@ def test_train_pass_is_bit_identical_to_the_per_example_reference(run, texts):
     assert repr(got_loss) == repr(want_loss)
 
 
-@settings(deadline=None)
-@given(class_count=st.integers(2, 6), log_dims=st.integers(1, 18), data=st.data())
-def test_gather_is_bit_identical_to_fancy_indexing(class_count, log_dims, data):
-    """train_pass's gather equals weights[:, idx] in values and in memory
-    layout, so the logits' matrix-vector product sums in the same order."""
-    dims = 1 << log_dims
-    idx = np.array(data.draw(st.lists(st.integers(0, dims - 1), unique=True, max_size=70)), dtype=np.int64)
-    weights = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal((class_count, dims))
-    flat, gathered = student._gather(weights, idx)
-    fancy = weights[:, idx]
-    assert np.array_equal(gathered, fancy)
-    assert gathered.strides == fancy.strides or not len(idx)  # numpy gives an empty one strides 0
-    assert np.array_equal(weights.ravel()[flat], gathered.T.ravel())
-
-
 def test_train_pass_on_a_whitespace_only_text_under_the_empty_prefix():
     """No features: only the bias moves, exactly as in the reference."""
     train = Dataset((TextExample(" \t ", 1),), 3)
