@@ -47,7 +47,7 @@ def evaluate(
 
     if kind is MetricKind.NEG_MEAN_LOSS:
         probs = _softmax(np.array(logits, dtype=np.float64))
-        return -_mean_loss(probs[np.arange(len(labels)), y])
+        return -_mean_loss(probs[np.arange(len(labels)), y].tolist())
 
     preds = np.argmax(logits, axis=1)
     if kind is MetricKind.ACCURACY:

@@ -6,11 +6,16 @@ prefix-token x input-token interaction counts. The interactions are what
 let a prefix reshape the decision surface instead of merely shifting class
 priors, so the prefix search has something real to optimize. Hashing is
 FNV-1a 64-bit over UTF-8 token bytes with the seed XORed into the offset
-basis. What is pinned across runs, platforms and library releases: the
-hash, which is plain integer arithmetic, and the training order, drawn
-from `gpta.rng`. What is not: a BLAS may sum a matrix-vector product in
-another order, so bit-identity of weights across machines is checked
-only by CI's run of the digest manifest (tests/data/run_digests.json).
+basis. What is pinned across runs, CPUs and library releases: the hash,
+which is plain integer arithmetic; the random streams, drawn from
+`gpta.rng`; every exp and log of a run, taken with libm's `math.exp` and
+`math.log`; and every sum's order, set by numpy's reductions
+(`np.add.reduce`, `np.add.reduceat`) or by Python's left-to-right loops,
+which no CPU kernel reorders. No run path reaches a BLAS or numpy's SIMD
+`exp`/`log`, whose last bits depend on the kernels the CPU selects. What
+is not pinned: another OS's libm, and glibc on a CPU without FMA, may
+round `exp`/`log` differently. CI's run of the digest manifest
+(tests/data/run_digests.json) checks the bytes.
 
 `featurize` is the from-scratch reference, and `forward`, `loss`, `grad`,
 `sgd_step` and `predict` are the per-example oracles built on it: tests
@@ -25,6 +30,7 @@ else new ones over the data's texts with the given tables' hash seed.
 """
 
 import json
+import math
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, replace
@@ -161,15 +167,23 @@ class Featurizer:
         # Token g of text t sits in row r at t's start + len(unigrams) + r * len(t) + (g - t's first token).
         token_slots = np.repeat(np.arange(len(ids)), lengths)
         row0 = (ends - sizes + len(unigrams) - (np.cumsum(lengths) - lengths))[token_slots] + np.arange(len(token_slots))
-        raw[row0 + np.arange(len(table))[:, None] * lengths[token_slots]] = table[:, np.concatenate(ids)]
-        # (text, key, position) packed in one int64: texts x dims x raw keys stays far below 2^63.
+        raw[row0 + np.arange(len(table))[:, None] * lengths[token_slots]] = table.take(np.concatenate(ids), axis=1)
+        # (text, key, position) packed in one int64 by shifts. texts x dims x raw keys,
+        # the raw keys rounded up to a power of two, stays far below 2^63: a
+        # TRAIN_BLOCK of 2^7 texts at MAX_DIMS = 2^24 leaves 2^32 raw keys.
         n = len(raw)
-        keyed = np.sort((np.repeat(np.arange(len(ids)), sizes) * self.dims + raw) * n + np.arange(n))
-        starts = np.flatnonzero(np.diff(keyed // n, prepend=-1))  # of each run of one (text, key)
-        counts = np.zeros(n)
-        counts[keyed[starts] % n] = np.diff(starts, append=n)
-        kept = np.flatnonzero(counts)  # each key's first position, in raw order
-        self._block = (prefix, slots, [0] + np.searchsorted(kept, ends).tolist(), raw[kept], counts[kept])
+        shift, dims_shift = n.bit_length(), self.dims.bit_length() - 1
+        keyed = np.sort((np.repeat(np.arange(len(ids)), sizes) << dims_shift | raw) << shift | np.arange(n))
+        key, position = keyed >> shift, keyed & ((1 << shift) - 1)
+        repeats = np.flatnonzero(key[1:] == key[:-1]) + 1  # sorted indices that repeat the one before
+        keep = np.ones(n, dtype=bool)
+        keep[position[repeats]] = False
+        kept = np.flatnonzero(keep)  # each key's first position, in raw order
+        counts = np.ones(len(kept))
+        # Each run of consecutive repeats adds its length to the count of the key just before it.
+        runs = np.flatnonzero(np.diff(repeats, prepend=-2) != 1)
+        counts[np.searchsorted(kept, position[repeats[runs] - 1])] += np.diff(runs, append=len(repeats))
+        self._block = (prefix, slots, [0] + np.searchsorted(kept, ends).tolist(), raw[kept], counts)
 
     def _prefix_indices(self, prefix: str) -> tuple[list[int], list[np.ndarray]]:
         """The unigram index and the pair-index row of each token of `prefix`, in order."""
@@ -231,21 +245,43 @@ def unfreeze(params: StudentParams) -> StudentParams:
 
 
 def _logits(weights: np.ndarray, bias: np.ndarray, f: FeatureVector) -> np.ndarray:
-    """Logits b + W·f."""
+    """Logits b + W·f. The product's columns are gathered class-major with
+    `take`, so each class's dot is one pairwise `np.add.reduce` over a
+    contiguous row, in f's key order; no BLAS sums it."""
     z = bias.copy()
     if f:
         idx = np.fromiter(f.keys(), dtype=np.int64, count=len(f))
         vals = np.fromiter(f.values(), dtype=np.float64, count=len(f))
-        z += weights[:, idx] @ vals
+        z += np.add.reduce(weights.take(idx, axis=1) * vals, axis=1)
+    return z
+
+
+def _softmax_row(z: list[float]) -> list[float]:
+    """softmax of one logits vector in Python floats, in place, returning
+    z: each logit shifted by the maximum, libm's `math.exp`, and the exps
+    summed left to right in class order (not builtin `sum`, which
+    compensates from Python 3.12)."""
+    top = max(z)
+    total = 0.0
+    for c, v in enumerate(z):
+        z[c] = e = math.exp(v - top)
+        total += e
+    for c, e in enumerate(z):
+        z[c] = e / total
     return z
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
     """softmax over the last axis of z (a logits vector, or one row per
-    example), shifting z in place by its maximum."""
-    z -= z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    example) by `_softmax_row`'s operations on every row at once: `math.exp`
+    mapped over the shifted logits, and the exps summed one class column at
+    a time. z is not modified."""
+    shifted = z - z.max(axis=-1, keepdims=True)
+    exps = np.fromiter(map(math.exp, shifted.ravel().tolist()), dtype=np.float64, count=z.size).reshape(z.shape)
+    total = exps[..., 0].copy()
+    for c in range(1, z.shape[-1]):
+        total += exps[..., c]
+    return exps / total[..., None]
 
 
 def forward(params: StudentParams, f: FeatureVector) -> np.ndarray:
@@ -258,16 +294,16 @@ def loss(probs: np.ndarray, label: int) -> float:
     one that underflows to 0 costs about 690.8 instead of infinity."""
     if not 0 <= label < len(probs):
         raise ValidationError(f"label {label} out of range for {len(probs)} classes")
-    return float(-np.log(max(float(probs[label]), 1e-300)))
+    return -math.log(max(float(probs[label]), 1e-300))
 
 
-def _mean_loss(label_probs: np.ndarray | list[float]) -> float:
+def _mean_loss(label_probs: list[float]) -> float:
     """The mean of `loss` over the probabilities given to each example's
-    label, floored and logged at once, then summed one by one in order as
-    the per-example sum does (np.sum sums pairwise)."""
+    label, each floored and logged with `math.log`, then summed one by one
+    in order as the per-example sum does."""
     total = 0.0
-    for example_loss in (-np.log(np.maximum(label_probs, 1e-300))).tolist():
-        total += example_loss
+    for p in label_probs:
+        total -= math.log(1e-300 if p < 1e-300 else p)  # max(p, 1e-300), NaN kept, without the call
     return total / len(label_probs)
 
 
@@ -293,8 +329,10 @@ def sgd_step(params: StudentParams, g: Gradient, lr: float) -> StudentParams:
 
 
 # Training examples whose features train_pass merges at once: enough to
-# spread the per-call numpy cost, few enough to keep the arrays small.
-TRAIN_BLOCK = 64
+# spread the per-call numpy cost of `_build`, few enough to keep its arrays
+# small (a block of 256 raised a default-dims run's peak RSS by ~1 MiB, with no
+# measurable gain).
+TRAIN_BLOCK = 128
 
 
 def train_pass(
@@ -314,15 +352,17 @@ def train_pass(
     ValidationError before any update.
 
     The shuffled order is walked in blocks of TRAIN_BLOCK examples, whose
-    features the featurizer merges at once; the block's flat weight
-    positions, one per (key, class), are computed in one op and sliced
-    per example. Each example's update is applied sparsely, at its active
-    feature indices only; coordinates outside the support have zero
-    gradient. The gathered columns are laid out as weights[:, idx].T, so
-    the logits' product sums in the order grad's does; the softmax, the
-    products and the sums are those of grad + sgd_step, and `_mean_loss`
-    sums the losses in the pass's order, so weights, bias and mean loss
-    are bit-identical to that per-example reference.
+    features the featurizer merges at once. Each example's update is
+    applied sparsely, at its active feature indices only, through a flat
+    view of the weights; coordinates outside the support have zero
+    gradient. The columns are gathered class-major, as `_logits` takes
+    them, so each class's dot is the same `np.add.reduce`. The class
+    vector (logits, softmax, bias and its update) is held in Python
+    floats and goes through `_softmax_row`, whose operations `forward`'s
+    `_softmax` repeats. The products and the weight update are those of
+    grad + sgd_step, and `_mean_loss` sums the losses in the pass's order,
+    so weights, bias and mean loss are bit-identical to that per-example
+    reference.
     """
     if params.frozen:
         raise StateError("cannot train frozen params")
@@ -330,40 +370,39 @@ def train_pass(
         raise ValidationError(f"lr must be >= 0, got {lr}")
     if not len(train):
         raise ValidationError("cannot train on an empty dataset")
+    class_count, dims = params.weights.shape
     for ex in train.examples:
-        if not 0 <= ex.label < params.class_count:
-            raise ValidationError(f"label {ex.label} out of range for {params.class_count} classes")
-    featurizer = _featurizer_for(featurizer, params.dims, train)
+        if not 0 <= ex.label < class_count:
+            raise ValidationError(f"label {ex.label} out of range for {class_count} classes")
+    featurizer = _featurizer_for(featurizer, dims, train)
     weights = params.weights.copy()
-    bias = params.bias.copy()
-    class_count, dims = weights.shape
-    class_offsets = np.arange(0, class_count * dims, dims)
+    flat_weights = weights.reshape(-1)
+    bias = params.bias.tolist()
+    classes, class_offsets = range(class_count), np.arange(0, class_count * dims, dims)[:, None]
     order = Stream(shuffle_seed).permutation(len(train))
     label_probs = []
+    coef_column = np.empty((class_count, 1))
     for start in range(0, len(order), TRAIN_BLOCK):
         block = [train.examples[i] for i in order[start : start + TRAIN_BLOCK]]
         featurizer._build(prefix, [ex.text for ex in block])
-        _, slots, offsets, indices, _ = featurizer._block
-        # Flat positions of weights[:, k] for every key k of the block, key by key.
-        flat_block = (indices[:, None] + class_offsets).ravel()
         for ex in block:
-            _, vals = featurizer.featurize(prefix, ex.text)
-            first = offsets[slots[ex.text]] * class_count
-            flat = flat_block[first : first + len(vals) * class_count]
-            gathered = weights.take(flat).reshape(len(vals), class_count)
-            z = vals @ gathered
-            z += bias
-            z -= np.maximum.reduce(z)
-            np.exp(z, out=z)
-            z /= np.add.reduce(z)
-            label_probs.append(z[ex.label])
-            z[ex.label] -= 1.0  # now the gradient of the loss at the logits
-            step = np.multiply.outer(vals, z)
-            step *= lr
-            weights.put(flat, np.subtract(gathered, step, out=gathered))
-            z *= lr
-            bias -= z
-    return replace(params, weights=weights, bias=bias), _mean_loss(label_probs)
+            idx, vals = featurizer.featurize(prefix, ex.text)
+            flat = idx + class_offsets  # of weights[:, idx], class-major
+            gathered = flat_weights[flat]
+            product = gathered * vals
+            coef = np.add.reduce(product, axis=1).tolist()
+            for c in classes:
+                coef[c] += bias[c]  # the logits
+            _softmax_row(coef)  # the probabilities
+            label_probs.append(coef[ex.label])
+            coef[ex.label] -= 1.0  # now the gradient of the loss at the logits
+            coef_column[:, 0] = coef
+            np.multiply(coef_column, vals, out=product)
+            product *= lr
+            flat_weights[flat] = np.subtract(gathered, product, out=gathered)
+            for c in classes:
+                bias[c] -= lr * coef[c]
+    return replace(params, weights=weights, bias=np.array(bias)), _mean_loss(label_probs)
 
 
 def _segment_sums(columns: np.ndarray, lengths: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpta import MetricKind, ValidationError, evaluate, loss
-from gpta.student import _softmax
+from gpta.student import _softmax, _softmax_row
 
 
 def rows(preds, classes=None):
@@ -169,14 +169,15 @@ def test_every_metric_accepts_each_column_as_a_label(kind):
 @settings(deadline=None)
 @given(
     n=st.integers(1, 300),
-    classes=st.integers(2, 6),
+    classes=st.integers(2, 12),
     # At 2000, many rows put the label more than 745 below the top logit, where its probability is 0.
     scale=st.sampled_from([0.0, 1.0, 30.0, 2000.0]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_neg_loss_is_bit_identical_to_the_ordered_reference_sum(n, classes, scale, seed):
     """NEG_MEAN_LOSS equals the per-example `loss` of each softmax row,
-    summed in row order and divided by the count, to the last bit."""
+    summed in row order and divided by the count, to the last bit; and the
+    rows `_softmax` computes at once equal training's `_softmax_row`."""
     rng = np.random.default_rng(seed)
     logits = rng.standard_normal((n, classes)) * scale
     labels = rng.integers(0, classes, n).tolist()
@@ -184,3 +185,4 @@ def test_neg_loss_is_bit_identical_to_the_ordered_reference_sum(n, classes, scal
     for p, y in zip(_softmax(logits.copy()), labels):
         total += loss(p, y)
     assert evaluate(MetricKind.NEG_MEAN_LOSS, logits, labels) == -(total / n)
+    assert _softmax(logits).tolist() == [_softmax_row(row) for row in logits.tolist()]

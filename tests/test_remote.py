@@ -306,10 +306,11 @@ def test_unusable_finetune_reply_keeps_the_base_model(desk_config, tmp_path, ser
     assert (final["ta"]["model_id"], final["ta"]["generation"]) == ("base-model", 0)
 
 
-def _python(code: str, *args: str) -> str:
-    """stdout of `code` run by a fresh interpreter that finds this gpta."""
+def _python(code: str, *args: str, env: dict[str, str] | None = None) -> str:
+    """stdout of `code` run by a fresh interpreter that finds this gpta,
+    with `env` added to its environment."""
     src = str(Path(gpta.__file__).parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env = {**os.environ, **(env or {}), "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     return done.stdout

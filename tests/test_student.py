@@ -383,7 +383,7 @@ BLOCK = student.TRAIN_BLOCK
 def training_runs(draw):
     """Params (zero or drawn), a dataset of 1, B - 1, B, B + 1 or 3B + 2
     examples for the train_pass block size B, and the pass's arguments."""
-    class_count = draw(st.integers(2, 6))
+    class_count = draw(st.integers(2, 12))
     dims = 1 << draw(st.integers(1, 18))
     size = draw(st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 2]))
     texts = draw(st.lists(TRAIN_TEXTS, min_size=size, max_size=size))
