@@ -23,7 +23,7 @@ class MetricKind(enum.Enum):
 def evaluate(
     kind: MetricKind,
     logits: np.ndarray,
-    labels: list[int],
+    labels: list[int] | np.ndarray,
     class_count: int | None = None,
 ) -> float:
     """Score an examples x classes logits matrix against labels. Larger is
@@ -32,13 +32,14 @@ def evaluate(
     each row's softmax at its label (`loss` is only its reference).
     class_count widens the macro-F1 class universe beyond what appears in
     the data (absent classes score 0). Every label must index a column of
-    `logits`, whatever the metric. `logits` is not modified.
+    `logits`, whatever the metric. `labels` may be a list or an integer
+    array, which is used as it is. `logits` is not modified.
     """
     if np.ndim(logits) != 2 or len(logits) != len(labels):
         raise ValidationError(
             f"expected a logits matrix of {len(labels)} rows, one per label; got shape {np.shape(logits)}"
         )
-    if not labels:
+    if not len(labels):
         raise ValidationError("cannot evaluate empty prediction set")
     y = np.asarray(labels)
     bad = y[(y < 0) | (y >= np.shape(logits)[1])]
@@ -73,9 +74,10 @@ def scorer(
     """The metric of the frozen student on `data` as a function of the
     prefix prepended to every input. `batch_logits` (over `featurizer`'s
     tables when they hold data's texts) does the part no prefix changes
-    once, here; each call then scores one prefix's logits with `evaluate`."""
+    once, and the labels become one array, here; each call then scores one
+    prefix's logits with `evaluate`."""
     logits = batch_logits(frozen, data, featurizer)
-    labels = data.labels()
+    labels = np.array(data.labels())
     return lambda prefix: evaluate(kind, logits(prefix), labels, class_count=data.class_count)
 
 

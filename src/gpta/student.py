@@ -24,9 +24,14 @@ compare against them, and no run reaches them. Training uses a
 once from per-run token tables and hands each text's over as index and
 count arrays; `train_pass` steps on those arrays, bit-identical
 to `grad` + `sgd_step`. Scoring uses `batch_logits`, which factors a whole
-split's logits through the same tables. Both take the tables from
+split's logits through a split's tables; a run keeps one `Featurizer` over
+its train texts and one over its val texts. Both take the tables from
 `_featurizer_for`: the ones given when they hold every text of the data,
 else new ones over the data's texts with the given tables' hash seed.
+`batch_logits` gathers with `take` and adds a prefix's columns one token
+at a time, in token order: numpy's `.sum` over a gather picks its order
+from the memory layout, pairwise over a C-ordered `take` from 8 columns
+on, so only a spelled-out order keeps the scores' bytes.
 """
 
 import json
@@ -122,17 +127,21 @@ class Featurizer:
         # Column j holds byte j of each token longer than j: a padded byte matrix without the padding.
         self._columns = [np.array([t[j] for t in self._vocab if len(t) > j], dtype=np.uint64)
                          for j in range(max(map(len, self._vocab), default=0))]
-        self._unigrams = self._fold_vocab(_FNV_OFFSET ^ hash_seed)
+        self._unigrams = self._fold_vocab([_FNV_OFFSET ^ hash_seed])[0]
         self._rows: dict[str, np.ndarray] = {}  # prefix token -> its pair index with each vocabulary token
+        self._prefixes: dict[str, tuple[list[int], list[np.ndarray]]] = {}  # prefix -> _prefix_indices(prefix)
         self._block: tuple = (None,)  # the last block's prefix, text -> slot, slot offsets, indices, counts
 
-    def _fold_vocab(self, start: int) -> np.ndarray:
-        """Index of every vocabulary token under FNV-1a continued from `start`."""
-        h = np.full(len(self._vocab), start & _MASK64, dtype=np.uint64)
+    def _fold_vocab(self, starts: list[int]) -> np.ndarray:
+        """Row i: the index of every vocabulary token under FNV-1a continued
+        from starts[i], all rows folded in one pass. dims is a power of two,
+        so masking with dims - 1 is the modulo."""
+        h = np.empty((len(starts), len(self._vocab)), dtype=np.uint64)
+        h[:] = np.array([start & _MASK64 for start in starts], dtype=np.uint64)[:, None]
         for column in self._columns:
-            h[: len(column)] ^= column
-            h[: len(column)] *= np.uint64(_FNV_PRIME)
-        return (h % self.dims).astype(np.int64)
+            h[:, : len(column)] ^= column
+            h[:, : len(column)] *= np.uint64(_FNV_PRIME)
+        return (h & np.uint64(self.dims - 1)).astype(np.int64)
 
     def featurize(self, prefix: str, text: str) -> tuple[np.ndarray, np.ndarray]:
         """featurize(prefix, text, self.dims, self.hash_seed) as two arrays:
@@ -186,11 +195,16 @@ class Featurizer:
         self._block = (prefix, slots, [0] + np.searchsorted(kept, ends).tolist(), raw[kept], counts)
 
     def _prefix_indices(self, prefix: str) -> tuple[list[int], list[np.ndarray]]:
-        """The unigram index and the pair-index row of each token of `prefix`, in order."""
-        p_toks, seeded = tokenize(prefix), _FNV_OFFSET ^ self.hash_seed
-        for p_tok in set(p_toks) - self._rows.keys():
-            self._rows[p_tok] = self._fold_vocab(_fold(seeded, p_tok + _PAIR_SEP))
-        return [_fold(seeded, p_tok) % self.dims for p_tok in p_toks], [self._rows[p_tok] for p_tok in p_toks]
+        """The unigram index and the pair-index row of each token of
+        `prefix`, in order. Worked out once per prefix; the tokens no
+        earlier prefix held are folded in one pass."""
+        if prefix not in self._prefixes:
+            p_toks, seeded = tokenize(prefix), _FNV_OFFSET ^ self.hash_seed
+            new = list(dict.fromkeys(p_tok for p_tok in p_toks if p_tok not in self._rows))
+            self._rows.update(zip(new, self._fold_vocab([_fold(seeded, p_tok + _PAIR_SEP) for p_tok in new])))
+            unigrams = [_fold(seeded, p_tok) % self.dims for p_tok in p_toks]
+            self._prefixes[prefix] = unigrams, [self._rows[p_tok] for p_tok in p_toks]
+        return self._prefixes[prefix]
 
 
 def _featurizer_for(featurizer: Featurizer | None, dims: int, data: Dataset) -> Featurizer:
@@ -405,13 +419,18 @@ def train_pass(
     return replace(params, weights=weights, bias=np.array(bias)), _mean_loss(label_probs)
 
 
-def _segment_sums(columns: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Per run of `lengths` consecutive columns, their sum: one column per
-    run, zero for an empty run (np.add.reduceat would give the next run's
-    first column)."""
-    sums = np.zeros((len(columns), len(lengths)))
+def _segment_summer(lengths: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The function that sums each run of `lengths` consecutive columns:
+    one column per run, zero for an empty run (np.add.reduceat would give
+    the next run's first column). The runs' starts are worked out once."""
     nonempty = lengths > 0
-    sums[:, nonempty] = np.add.reduceat(columns, (np.cumsum(lengths) - lengths)[nonempty], axis=1)
+    starts = (np.cumsum(lengths) - lengths)[nonempty]
+
+    def sums(columns: np.ndarray) -> np.ndarray:
+        out = np.zeros((len(columns), len(lengths)))
+        out[:, nonempty] = np.add.reduceat(columns, starts, axis=1)
+        return out
+
     return sums
 
 
@@ -425,9 +444,15 @@ def batch_logits(
     Logits are linear in the hashed counts, so a row splits into b + W·u(x),
     computed here once, plus per prefix p the columns of p's unigrams and
     x's tokens gathered from M_p = sum over q in p of W[:, rows[q]], where
-    rows[q] is q's pair index with each vocabulary token. Both gathers are
-    summed per example with np.add.reduceat. The tables are those
-    `_featurizer_for` takes for `featurizer`, and hash with their seed.
+    rows[q] is q's pair index with each vocabulary token. The tables are
+    those `_featurizer_for` takes for `featurizer`, and hash with their
+    seed; the per-example runs of tokens are laid out here once.
+
+    Every sum has a fixed order: p's unigram columns are added one at a
+    time in token order, M_p row by row in token order, and each example's
+    columns by np.add.reduceat. The order is spelled out because numpy's
+    own `.sum` picks it from the memory layout: over a C-ordered gather it
+    adds pairwise from 8 columns on, which moves the last bits.
     """
     if not params.frozen:
         raise StateError("scoring requires a frozen student")
@@ -435,16 +460,24 @@ def batch_logits(
         raise ValidationError("cannot score an empty dataset")
     featurizer = _featurizer_for(featurizer, params.dims, data)
     ids = [featurizer._ids[ex.text] for ex in data.examples]
-    lengths, flat = np.array([len(i) for i in ids]), np.concatenate(ids)
+    flat = np.concatenate(ids)
+    segment_sums = _segment_summer(np.array([len(i) for i in ids]))
     weights = params.weights
-    base = params.bias[:, None] + _segment_sums(weights[:, featurizer._unigrams[flat]], lengths)
+    class_count, vocab = weights.shape[0], len(featurizer._vocab)
+    base = params.bias[:, None] + segment_sums(weights.take(featurizer._unigrams[flat], axis=1))
 
     def logits(prefix: str) -> np.ndarray:
         unigrams, rows = featurizer._prefix_indices(prefix)
-        z = base + weights[:, unigrams].sum(axis=1, keepdims=True)
+        prefix_unigrams = np.zeros(class_count)
+        for u in unigrams:
+            prefix_unigrams += weights[:, u]
+        z = base + prefix_unigrams[:, None]
         if rows:
-            pairs = sum(weights[:, row] for row in rows)
-            z += _segment_sums(pairs[:, flat], lengths)
+            gathered = weights.take(rows, axis=1)  # classes x prefix tokens x vocabulary
+            pairs = np.zeros((class_count, vocab))
+            for i in range(len(rows)):
+                pairs += gathered[:, i]
+            z += segment_sums(pairs.take(flat, axis=1))
         return z.T
 
     return logits

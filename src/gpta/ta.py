@@ -12,7 +12,7 @@ provably shift generation toward better prefixes.
 
 import re
 from dataclasses import asdict, dataclass, replace
-from typing import TYPE_CHECKING, Callable, ClassVar, Sequence
+from typing import TYPE_CHECKING, ClassVar, Sequence
 
 import numpy as np
 
@@ -70,14 +70,14 @@ class MetaPrompt:
             raise ValidationError("meta-prompt instruction must be non-empty")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimState:
-    """Mutable state of the simulated backend.
+    """State of the simulated backend.
 
     The pool maps candidate prefixes to sampling weights. Each generate
     call draws its Gumbel keys from a fresh `Stream((rng_seed, calls))` and
-    bumps the counter, so the state is trivially serializable and a
-    restored run continues bit-identically.
+    returns a handle whose counter is one higher, so the state is
+    trivially serializable and a restored run continues bit-identically.
     """
 
     pool: list[tuple[str, float]]
@@ -121,22 +121,23 @@ class SimulatedTA:
             )
         return simulated_handle(cfg.sim_pool, rng_seed=cfg.sim_seed, temperature_scale=cfg.sim_temperature_scale)
 
-    def generate(self, request: list[ChatMessage], l: int, temperature: float) -> list[str]:
+    def generate(self, request: list[ChatMessage], l: int, temperature: float) -> tuple[list[str], "SimulatedTA"]:
         """Sample l distinct pool prefixes, probability proportional to
-        exp(weight / (temperature_scale * temperature)). Temperature 0 is the
-        greedy limit: top-l by weight in pool order."""
+        exp(weight / (temperature_scale * temperature)), and return them with
+        the handle that draws the next sample. Temperature 0 is the greedy
+        limit: top-l by weight in pool order."""
         state = self.sim
         n = len(state.pool)
         weights = np.array([w for _, w in state.pool], dtype=np.float64)
         stream = Stream((state.rng_seed, state.calls))
-        state.calls += 1
         if temperature == 0.0:
             order = np.argsort(-weights, kind="stable")
         else:
             # Gumbel top-k: exactly successive softmax sampling w/o replacement.
             keys = weights / (state.temperature_scale * temperature) + stream.gumbel(n)
             order = np.argsort(-keys, kind="stable")
-        return [state.pool[i][0] for i in order[: min(l, n)]]
+        prefixes = [state.pool[i][0] for i in order[: min(l, n)]]
+        return prefixes, replace(self, sim=replace(state, calls=state.calls + 1))
 
     def finetune(self, training_file: bytes, targets: list[str]) -> "SimulatedTA":
         """+1 pool weight per target occurrence; a target not yet in the
@@ -184,12 +185,14 @@ class RemoteTA:
         )
         return remote_handle(client, cfg.model_id, lineage=cfg.ta_lineage)
 
-    def generate(self, request: list[ChatMessage], l: int, temperature: float) -> list[str]:
-        """One chat completion, parsed into at most l prefixes; an
-        unparseable completion is retried within the client's budget."""
-        return self.client.chat(
+    def generate(self, request: list[ChatMessage], l: int, temperature: float) -> tuple[list[str], "RemoteTA"]:
+        """One chat completion, parsed into at most l prefixes, and this
+        handle; an unparseable completion is retried within the client's
+        budget."""
+        prefixes = self.client.chat(
             self.model_id, request, temperature, parse=lambda text: parse_prefixes(text, l)
         )
+        return prefixes, self
 
     def finetune(self, training_file: bytes, targets: list[str]) -> "RemoteTA":
         base = self.base_model_id if self.lineage == "from_base" else self.model_id
@@ -201,10 +204,11 @@ class RemoteTA:
                 "base_model_id": self.base_model_id, "lineage": self.lineage}
 
 
-# Both answer from_config, generate, finetune (returns the tuned handle) and
-# to_dict. A saved handle is read back by trainer.state_from_json, which sets
-# the to_dict keys, typed by the class's annotations, onto a handle built
-# from the config. BACKENDS maps a config's ta_backend to its class.
+# Both answer from_config, generate (returns the prefixes and the handle to
+# ask next), finetune (returns the tuned handle) and to_dict. A saved handle
+# is read back by trainer.state_from_json, which sets the to_dict keys,
+# typed by the class's annotations, onto a handle built from the config.
+# BACKENDS maps a config's ta_backend to its class.
 TAHandle = SimulatedTA | RemoteTA
 BACKENDS = {cls.backend: cls for cls in (SimulatedTA, RemoteTA)}
 
@@ -295,8 +299,9 @@ def parse_prefixes(completion_text: str, l: int) -> list[str]:
 
 def generate(
     h: TAHandle, request: list[ChatMessage], l: int, temperature: float = 1.0
-) -> list[str]:
-    """Ask the assistant model for l candidate prefixes."""
+) -> tuple[list[str], TAHandle]:
+    """Ask the assistant model for l candidate prefixes. Returns them and
+    the handle to ask next; h itself is left unchanged."""
     if l < 1:
         raise ValidationError(f"l must be >= 1, got {l}")
     if temperature < 0:
@@ -304,9 +309,24 @@ def generate(
     return h.generate(request, l, temperature)
 
 
-def proposer(h: TAHandle, mp: MetaPrompt, temperature: float = 1.0) -> Callable[["PrefixHistory", int], list[str]]:
-    """The search's propose(history, l): h's l candidates for history rendered under mp."""
-    return lambda history, l: generate(h, render_generation_request(mp, history, l), l, temperature)
+class Proposer:
+    """The search's propose(history, l): the l candidates of `handle` for
+    history rendered under mp. Each call moves `handle` on to the one
+    generate returns, so the caller reads the handle the search left from
+    it, and the handle it started from stays unchanged."""
+
+    def __init__(self, handle: TAHandle, mp: MetaPrompt, temperature: float):
+        self.handle, self.mp, self.temperature = handle, mp, temperature
+
+    def __call__(self, history: "PrefixHistory", l: int) -> list[str]:
+        request = render_generation_request(self.mp, history, l)
+        prefixes, self.handle = generate(self.handle, request, l, self.temperature)
+        return prefixes
+
+
+def proposer(h: TAHandle, mp: MetaPrompt, temperature: float = 1.0) -> Proposer:
+    """The search's propose(history, l), starting from h."""
+    return Proposer(h, mp, temperature)
 
 
 def finetune(h: TAHandle, training_file: bytes) -> TAHandle:

@@ -230,7 +230,8 @@ class RunReport:
 @dataclass(frozen=True)
 class RunContext:
     """Derived, non-serialized run inputs: datasets, the meta-prompt and
-    the featurizer. Fully determined by the config, so resumed runs rebuild it."""
+    the token tables of each split the run reads. Fully determined by the
+    config, so resumed runs rebuild it."""
 
     cfg: RunConfig
     train: Dataset
@@ -242,11 +243,21 @@ class RunContext:
     def kind(self) -> MetricKind:
         return MetricKind(self.cfg.metric)
 
+    def _tables(self, data: Dataset) -> student_mod.Featurizer:
+        return student_mod.Featurizer(self.cfg.dims, self.cfg.hash_seed, [ex.text for ex in data.examples])
+
+    # Built on first use, so prepare builds none. Per split, so a candidate
+    # prefix token is folded over the val vocabulary only, and a training
+    # prefix's over the train vocabulary only.
     @functools.cached_property
-    def featurizer(self) -> student_mod.Featurizer:
-        """Token tables over the train and val texts, built on first use, so prepare builds none."""
-        texts = [ex.text for ex in self.train.examples + self.val.examples]
-        return student_mod.Featurizer(self.cfg.dims, self.cfg.hash_seed, texts)
+    def train_featurizer(self) -> student_mod.Featurizer:
+        """Token tables over the train texts, which train_pass uses."""
+        return self._tables(self.train)
+
+    @functools.cached_property
+    def val_featurizer(self) -> student_mod.Featurizer:
+        """Token tables over the val texts, which every scorer uses."""
+        return self._tables(self.val)
 
 
 def prepare(cfg: RunConfig) -> RunContext:
@@ -275,13 +286,13 @@ def init_state(cfg: RunConfig, ctx: RunContext) -> RunState:
     zero student scores every prefix alike, and a tie goes after the
     entries it equals, so that proposal is the best entry epoch 0 trains on."""
     student = student_mod.init_params(cfg.dims, ctx.train.class_count)
-    ta = build_ta(cfg)
-    score = scorer(student_mod.freeze(student), ctx.val, ctx.kind, ctx.featurizer)
+    score = scorer(student_mod.freeze(student), ctx.val, ctx.kind, ctx.val_featurizer)
     history = seed_history(score)
-    s0 = ta_mod.proposer(ta, ctx.mp, cfg.temperature)(history, 1)[0]
+    propose = ta_mod.proposer(build_ta(cfg), ctx.mp, cfg.temperature)
+    s0 = propose(history, 1)[0]
     origin = Origin(kind="generated", epoch=0, round=-1)
     history = insert_sorted(history, ScoredPrefix(prefix=s0, score=score(s0), origin=origin))
-    return RunState(student=student, ta=ta, history=history, records=())
+    return RunState(student=student, ta=propose.handle, history=history, records=())
 
 
 def _epoch_shuffle_seed(base: int, epoch: int) -> int:
@@ -292,11 +303,11 @@ def run_epoch(state: RunState, ctx: RunContext) -> tuple[RunState, bytes | None]
     """One full epoch: student training on the current best prefix, history
     collection against the frozen checkpoint, dialogue-gradient
     construction, and assistant-model tuning. A tuning failure is recorded
-    and skipped; student progress is never thrown away."""
+    and skipped; student progress is never thrown away. `state` is left
+    unchanged, so the same state always gives the same epoch."""
     cfg = ctx.cfg
     e = state.epoch
     history = state.history
-    ta_handle = state.ta
     train_prefix = history.best().prefix
 
     # (1) student training
@@ -307,14 +318,16 @@ def run_epoch(state: RunState, ctx: RunContext) -> tuple[RunState, bytes | None]
         train_prefix,
         cfg.lr,
         shuffle_seed=_epoch_shuffle_seed(cfg.shuffle_seed, e),
-        featurizer=ctx.featurizer,
+        featurizer=ctx.train_featurizer,
     )
 
     # (2) freeze, refresh scores, collect
     student = student_mod.freeze(student)
-    score = scorer(student, ctx.val, ctx.kind, ctx.featurizer)
+    score = scorer(student, ctx.val, ctx.kind, ctx.val_featurizer)
     history = carry_over(history, score, cfg.k)
-    history, rounds = collect(ta_mod.proposer(state.ta, ctx.mp, cfg.temperature), score, history, cfg.k, cfg.l, epoch=e)
+    propose = ta_mod.proposer(state.ta, ctx.mp, cfg.temperature)
+    history, rounds = collect(propose, score, history, cfg.k, cfg.l, epoch=e)
+    ta_handle = propose.handle  # the assistant model as the search left it
 
     # (3) dialogue gradients
     windows = build_windows(history, cfg.w)

@@ -54,8 +54,8 @@ class TestGenerate:
         with MockOpenAIServer(completions=["alpha one\nbeta two"]) as server:
             handle = remote_handle(make_client(server), "base-model")
             request = render_generation_request(make_mp(), _history(), 2)
-            out = generate(handle, request, 2, 1.0)
-            assert out == ["alpha one", "beta two"]
+            out, after = generate(handle, request, 2, 1.0)
+            assert out == ["alpha one", "beta two"] and after is handle
             chats = server.requests_for("/v1/chat/completions")
             assert len(chats) == 1
             assert chats[0].headers["Authorization"] == "Bearer test-key"
@@ -99,14 +99,14 @@ class TestGenerate:
         with MockOpenAIServer(fail_first=2, completions=["good prefix"]) as server:
             handle = remote_handle(make_client(server), "base-model")
             request = render_generation_request(make_mp(), _history(), 1)
-            assert generate(handle, request, 1, 1.0) == ["good prefix"]
+            assert generate(handle, request, 1, 1.0) == (["good prefix"], handle)
             assert len(server.requests_for("/v1/chat/completions")) == 3
 
     def test_rate_limit_retried(self):
         with MockOpenAIServer(fail_first=1, fail_status=429, completions=["good prefix"]) as server:
             handle = remote_handle(make_client(server), "base-model")
             request = render_generation_request(make_mp(), _history(), 1)
-            assert generate(handle, request, 1, 1.0) == ["good prefix"]
+            assert generate(handle, request, 1, 1.0) == (["good prefix"], handle)
             assert len(server.requests_for("/v1/chat/completions")) == 2
 
     def test_rate_limit_on_every_attempt_raises(self):
@@ -131,7 +131,7 @@ class TestGenerate:
         with MockOpenAIServer(completions=[bad, "good prefix"]) as server:
             handle = remote_handle(make_client(server), "base-model")
             request = render_generation_request(make_mp(), _history(), 1)
-            assert generate(handle, request, 1, 1.0) == ["good prefix"]
+            assert generate(handle, request, 1, 1.0) == (["good prefix"], handle)
             assert len(server.requests_for("/v1/chat/completions")) == 2
 
     @pytest.mark.parametrize("header,expected", [("0.25", 0.25), ("100", 5.0), ("soon", 0.01)])

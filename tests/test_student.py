@@ -26,6 +26,7 @@ from gpta import (
 )
 from gpta import student
 from gpta.dataset import Dataset, TextExample
+from gpta.metrics import MetricKind, evaluate, scorer
 from gpta.student import Gradient, StudentParams, batch_logits, params_from_dict, params_to_dict
 
 
@@ -415,6 +416,86 @@ def test_train_pass_is_bit_identical_to_the_per_example_reference(run, texts):
     want, want_loss = reference_train_pass(params, train, prefix, lr, hash_seed, shuffle_seed)
     assert np.array_equal(got.weights, want.weights) and np.array_equal(got.bias, want.bias)
     assert repr(got_loss) == repr(want_loss)
+
+
+def reference_segment_sums(columns, lengths):
+    """Per run of `lengths` consecutive columns, their sum; zero for an empty run."""
+    sums = np.zeros((len(columns), len(lengths)))
+    nonempty = lengths > 0
+    sums[:, nonempty] = np.add.reduceat(columns, (np.cumsum(lengths) - lengths)[nonempty], axis=1)
+    return sums
+
+
+def reference_batch_logits(params, texts, prefix, hash_seed):
+    """batch_logits by the column-gather formula it replaced, from tables
+    built here: each sum in the order that formula took it."""
+    dims, weights, seeded = params.dims, params.weights, student._FNV_OFFSET ^ hash_seed
+    tokens = [student.tokenize(text) for text in texts]
+    vocab = sorted({x for ts in tokens for x in ts})
+    ids = {x: i for i, x in enumerate(vocab)}
+    flat = np.array([ids[x] for ts in tokens for x in ts], dtype=np.int64)
+    lengths = np.array([len(ts) for ts in tokens])
+    unigram_rows = np.array([fnv1a64(x, hash_seed) % dims for x in vocab], dtype=np.int64)
+    z = params.bias[:, None] + reference_segment_sums(weights[:, unigram_rows[flat]], lengths)
+    p_toks = student.tokenize(prefix)
+    u = [fnv1a64(q, hash_seed) % dims for q in p_toks]
+    z = z + weights[:, u].sum(axis=1, keepdims=True)
+    if p_toks:
+        starts = [student._fold(seeded, q + student._PAIR_SEP) for q in p_toks]
+        rows = [np.array([student._fold(start, x) % dims for x in vocab], dtype=np.int64) for start in starts]
+        pairs = sum(weights[:, r] for r in rows)
+        z += reference_segment_sums(pairs[:, flat], lengths)
+    return z.T
+
+
+# Tokens of no text, next to the texts' own, so a prefix holds both.
+OUTSIDE_TOKENS = st.sampled_from(["zq", "unseen", "Ωmega"])
+
+
+@st.composite
+def scoring_worlds(draw):
+    """Frozen params whose weights span many magnitudes and hold signed
+    zeros, texts (some blank, and at times of one distinct token) with
+    their labels, tables over none, some, all or more than the texts, and
+    prefixes of 0 to 20 tokens."""
+    class_count = draw(st.integers(2, 6))
+    dims = 1 << draw(st.integers(1, 12))
+    text_tokens = draw(st.sampled_from([TRAIN_TOKENS, st.just("a")]))
+    blank = st.sampled_from(["", " ", "\t\u3000 \n"])
+    texts = draw(st.lists(st.lists(text_tokens, max_size=12).map(" ".join) | blank, min_size=1, max_size=30))
+    labels = draw(st.lists(st.integers(0, class_count - 1), min_size=len(texts), max_size=len(texts)))
+    data = Dataset(tuple(TextExample(t, y) for t, y in zip(texts, labels)), class_count)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = rng.standard_normal((class_count, dims)) * 10.0 ** rng.integers(-8, 9, (class_count, dims))
+    weights[rng.random(weights.shape) < 0.1] = -0.0
+    weights[rng.random(weights.shape) < 0.1] = 0.0
+    params = StudentParams(weights, rng.standard_normal(class_count), frozen=True)
+    hash_seed = draw(st.integers(-(2**70), 2**70))
+    covered = draw(st.sampled_from(["none", "some", "all", "more"]))
+    table_texts = {"none": [], "some": texts[: len(texts) // 2], "all": texts,
+                   "more": texts + ["zq unseen", "b focus extra"]}[covered]
+    featurizer = student.Featurizer(dims, hash_seed, table_texts)
+    prefix = st.lists(TRAIN_TOKENS | OUTSIDE_TOKENS, max_size=20).map(" ".join)
+    prefixes = draw(st.lists(prefix, min_size=1, max_size=4))
+    return params, data, featurizer, hash_seed, prefixes
+
+
+# No max_examples: the CI step reruns these under the "bit-identity" profile (tests/conftest.py).
+@settings(deadline=None)
+@given(world=scoring_worlds())
+def test_batch_logits_and_scorer_are_bit_identical_to_the_column_gather_formula(world):
+    """Each prefix's logits equal the reference's byte for byte, and each
+    metric's score is evaluate's on the reference logits."""
+    params, data, featurizer, hash_seed, prefixes = world
+    texts = [ex.text for ex in data.examples]
+    logits = batch_logits(params, data, featurizer)
+    scores = {kind: scorer(params, data, kind, featurizer) for kind in MetricKind}
+    for prefix in prefixes:
+        want = reference_batch_logits(params, texts, prefix, hash_seed)
+        got = logits(prefix)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        for kind, score in scores.items():
+            assert repr(score(prefix)) == repr(evaluate(kind, want, data.labels(), class_count=data.class_count))
 
 
 def test_train_pass_on_a_whitespace_only_text_under_the_empty_prefix():

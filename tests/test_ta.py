@@ -127,51 +127,64 @@ class TestChatMessage:
             ChatMessage("user", "ok \udc80")
 
 
+def draws(h, l, count):
+    """`count` successive generate calls, each on the handle the last returned."""
+    out = []
+    for _ in range(count):
+        prefixes, h = generate(h, [], l, 1.0)
+        out.append(prefixes)
+    return out
+
+
 class TestSimulatedGenerate:
     def test_full_pool_when_l_equals_size(self):
         pool = [(f"p{i}", 0.0) for i in range(6)]
         h = simulated_handle(pool, rng_seed=1)
-        out = generate(h, [], 6, 1.0)
+        out, _ = generate(h, [], 6, 1.0)
         assert sorted(out) == sorted(p for p, _ in pool)
 
     def test_l_larger_than_pool_clamps(self):
         h = simulated_handle([("only", 0.0), ("two", 0.0)], rng_seed=1)
-        assert len(generate(h, [], 10, 1.0)) == 2
+        assert len(generate(h, [], 10, 1.0)[0]) == 2
 
     def test_heavy_weight_dominates(self):
         pool = [("favored", 10.0)] + [(f"p{i}", 0.0) for i in range(39)]
         h = simulated_handle(pool, rng_seed=3)
-        hits = sum(generate(h, [], 1, 1.0)[0] == "favored" for _ in range(100))
+        hits = sum(prefixes[0] == "favored" for prefixes in draws(h, 1, 100))
         assert hits >= 95
 
     def test_deterministic_across_runs(self):
         pool = [(f"p{i}", float(i % 3)) for i in range(10)]
         a = simulated_handle(pool, rng_seed=42)
         b = simulated_handle(pool, rng_seed=42)
-        seq_a = [generate(a, [], 4, 1.0) for _ in range(5)]
-        seq_b = [generate(b, [], 4, 1.0) for _ in range(5)]
-        assert seq_a == seq_b
+        assert draws(a, 4, 5) == draws(b, 4, 5)
 
     def test_calls_advance_state(self):
+        """generate leaves its handle as it was and returns one whose
+        counter is one higher, which draws anew."""
         h = simulated_handle([(f"p{i}", 0.0) for i in range(10)], rng_seed=7)
-        first = generate(h, [], 3, 1.0)
-        second = generate(h, [], 3, 1.0)
-        assert h.sim.calls == 2
+        first, after = generate(h, [], 3, 1.0)
+        assert h.sim.calls == 0 and after.sim.calls == 1
+        assert generate(h, [], 3, 1.0) == (first, after)
+        second, _ = generate(after, [], 3, 1.0)
         assert first != second  # overwhelmingly likely under distinct draws
 
     def test_temperature_zero_is_greedy(self):
         pool = [("low", 0.0), ("high", 5.0), ("mid", 2.0)]
         h = simulated_handle(pool, rng_seed=0)
-        assert generate(h, [], 2, 0.0) == ["high", "mid"]
+        assert generate(h, [], 2, 0.0)[0] == ["high", "mid"]
 
     def test_proposer_is_generate_on_the_rendered_request(self):
+        """The proposer asks the handle the last call returned, and holds
+        it; the handle it started from is left unchanged."""
         pool = [(f"p{i}", float(i % 3)) for i in range(10)]
         a, b = simulated_handle(pool, rng_seed=5), simulated_handle(pool, rng_seed=5)
         propose = proposer(a, make_mp(), 0.5)
         h = history_of(("p1", 0.2))
         for l in (1, 3):
-            assert propose(h, l) == generate(b, render_generation_request(make_mp(), h, l), l, 0.5)
-        assert a.sim.calls == b.sim.calls == 2
+            expected, b = generate(b, render_generation_request(make_mp(), h, l), l, 0.5)
+            assert propose(h, l) == expected
+        assert propose.handle == b and b.sim.calls == 2 and a.sim.calls == 0
         with pytest.raises(ValidationError, match="l must be >= 1"):
             propose(h, 0)
 

@@ -305,21 +305,44 @@ class TestConfig:
         assert len(report.records) == RunConfig(data_path=str(data)).epochs
 
     def test_prepare_builds_no_tables_and_each_run_builds_its_own(self, desk_config, tmp_path, monkeypatch):
-        """prepare leaves the featurizer unbuilt (the benchmark times it as
-        set-up); each run, and each resume, builds its own tables on first use."""
-        contexts = []
+        """prepare leaves the token tables unbuilt (the benchmark times it as
+        set-up); each run, and each resume, builds exactly one table over
+        the train texts and one over the val texts on first use, and no
+        scorer or train_pass falls back to tables of its own."""
+        contexts, built, fallbacks = [], [], []
 
         def spy(cfg):
             ctx = prepare(cfg)
-            assert "featurizer" not in vars(ctx)
+            assert not {"train_featurizer", "val_featurizer"} & vars(ctx).keys()
             contexts.append(ctx)
             return ctx
 
+        class Counted(student_mod.Featurizer):
+            def __init__(self, dims, hash_seed, texts):
+                built.append(list(texts))
+                super().__init__(dims, hash_seed, texts)
+
+        def featurizer_for(featurizer, dims, data):
+            chosen = original(featurizer, dims, data)
+            if chosen is not featurizer:
+                fallbacks.append(len(data))
+            return chosen
+
+        original = student_mod._featurizer_for
         monkeypatch.setattr(trainer_mod, "prepare", spy)
+        monkeypatch.setattr(student_mod, "Featurizer", Counted)
+        monkeypatch.setattr(student_mod, "_featurizer_for", featurizer_for)
         run(desk_config(epochs=1), tmp_path / "run")
         run(desk_config(epochs=2), tmp_path / "run", resume_from=tmp_path / "run" / "state_epoch0.json")
-        assert len(contexts) == 2 and contexts[0].featurizer is not contexts[1].featurizer
-        assert all(ctx.featurizer._rows for ctx in contexts)
+        assert len(contexts) == 2 and fallbacks == []
+        # A run scores before it trains, a resume trains first.
+        splits = [split for ctx in contexts for split in (ctx.train, ctx.val)]
+        assert sorted(built) == sorted([ex.text for ex in split.examples] for split in splits)
+        assert contexts[0].train_featurizer is not contexts[1].train_featurizer
+        for ctx in contexts:
+            assert ctx.train_featurizer._ids.keys() == {ex.text for ex in ctx.train.examples}
+            assert ctx.val_featurizer._ids.keys() == {ex.text for ex in ctx.val.examples}
+            assert ctx.train_featurizer._rows and ctx.val_featurizer._rows
 
     def test_loader_converts_to_field_types(self):
         cfg = RunConfig.from_dict(
@@ -427,6 +450,20 @@ class TestRunEpoch:
                 r.epoch for r in state.records if r.val_best == state.best.score
             )
             assert state.best.prefix == histories[state.best.epoch].best().prefix
+
+    def test_run_epoch_is_a_pure_function_of_its_state(self, desk_config):
+        """Two calls on one state give the same epoch and leave the state as
+        it was, the simulated assistant's draw counter included: init_state
+        leaves it at 1, and the epoch's rounds move it on in the new state."""
+        cfg = desk_config()
+        ctx = prepare(cfg)
+        state = init_state(cfg, ctx)
+        before = state_to_json(state)
+        assert state.ta.sim.calls == 1
+        (first, first_gradients), (second, second_gradients) = run_epoch(state, ctx), run_epoch(state, ctx)
+        assert state_to_json(first) == state_to_json(second) and first_gradients == second_gradients
+        assert state_to_json(state) == before and state.ta.sim.calls == 1
+        assert first.ta.sim.calls > 1
 
     def test_generation_counts_epochs(self, desk_config):
         cfg = desk_config()
