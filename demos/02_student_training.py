@@ -8,6 +8,7 @@ class priors.
 """
 
 from gpta import (
+    Featurizer,
     MetricKind,
     featurize,
     freeze,
@@ -28,10 +29,12 @@ f_prefixed = featurize("focus here", "k0w1 noise4", dims=1 << 12, hash_seed=0)
 print(f"feature count without prefix: {len(f_plain)}, with prefix: {len(f_prefixed)}")
 print(f"new indices contributed by the prefix: {sorted(set(f_prefixed) - set(f_plain))}")
 
+# the train split as token tables: every text's tokens, hashed with one seed
+train_tables = Featurizer(dims=1 << 12, hash_seed=0, data=train)
 params = init_params(dims=1 << 12, class_count=2)
 for i in range(3):
     params, mean_loss = train_pass(
-        params, train, prefix="focus here", lr=0.1, shuffle_seed=i
+        params, train_tables, prefix="focus here", lr=0.1, shuffle_seed=i
     )
     acc = sum(
         predict(params, "focus here", ex.text) == ex.label for ex in train.examples

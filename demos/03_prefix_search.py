@@ -1,7 +1,8 @@
 """Search for good prefixes with the simulated assistant model.
 
 The search sees the student only through a score function: the frozen
-student's accuracy on validation data with a candidate prefix prepended.
+student's accuracy on validation data with a candidate prefix prepended,
+read from the validation split's token tables.
 It sees the assistant model only through a propose function,
 `proposer(ta, mp)`, which renders the history into a request and asks the
 model for candidates.
@@ -11,6 +12,7 @@ next candidates, so it always sees the best results last.
 """
 
 from gpta import (
+    Featurizer,
     MetaPrompt,
     MetricKind,
     collect,
@@ -30,7 +32,8 @@ data = synth_generate(class_count=2, per_class=200, vocab_size=120, noise=0.1, s
 train, val, _ = split(data, (0.7, 0.2, 0.1), seed=13)
 
 params = init_params(dims=1 << 12, class_count=2)
-params, _ = train_pass(params, train, prefix="focus on tokens", lr=0.1, shuffle_seed=0)
+train_tables = Featurizer(dims=1 << 12, hash_seed=0, data=train)
+params, _ = train_pass(params, train_tables, prefix="focus on tokens", lr=0.1, shuffle_seed=0)
 frozen = freeze(params)
 
 # half the pool shares the training prefix's "focus" token (useful family),
@@ -46,7 +49,7 @@ mp = MetaPrompt(
     label_semantics=("0: class0", "1: class1"),
 )
 
-score = scorer(frozen, val, MetricKind.ACCURACY)
+score = scorer(frozen, Featurizer(dims=1 << 12, hash_seed=0, data=val), MetricKind.ACCURACY)
 
 h0 = seed_history(score)
 print(f"seeded history: baseline (empty prefix) scores {h0.entries[0].score:.4f}")

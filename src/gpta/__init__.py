@@ -46,6 +46,7 @@ from .history import (
 from .metrics import MetricKind, evaluate, score_prefix, scorer
 from .remote import RemoteClient
 from .student import (
+    Featurizer,
     Gradient,
     StudentParams,
     featurize,

@@ -1,7 +1,7 @@
 """Evaluation metrics, all normalized to higher-is-better so the history
 sort has a single orientation. Mean loss is negated at this boundary for
-the same reason. `scorer` turns a frozen student, a split and a metric
-into the prefix search's score function.
+the same reason. `scorer` turns a frozen student, a split's token tables
+and a metric into the prefix search's score function.
 """
 
 import enum
@@ -65,23 +65,17 @@ def evaluate(
     raise ValidationError(f"unknown metric kind {kind!r}")
 
 
-def scorer(
-    frozen: StudentParams,
-    data: Dataset,
-    kind: MetricKind,
-    featurizer: Featurizer | None = None,
-) -> Callable[[str], float]:
-    """The metric of the frozen student on `data` as a function of the
-    prefix prepended to every input. `batch_logits` (over `featurizer`'s
-    tables when they hold data's texts) does the part no prefix changes
-    once, and the labels become one array, here; each call then scores one
-    prefix's logits with `evaluate`."""
-    logits = batch_logits(frozen, data, featurizer)
-    labels = np.array(data.labels())
-    return lambda prefix: evaluate(kind, logits(prefix), labels, class_count=data.class_count)
+def scorer(frozen: StudentParams, tables: Featurizer, kind: MetricKind) -> Callable[[str], float]:
+    """The metric of the frozen student on the split `tables.data` as a
+    function of the prefix prepended to every input. `batch_logits` over
+    the tables does the part no prefix changes once, and the labels
+    become one array, here; each call then scores one prefix's logits
+    with `evaluate`."""
+    logits = batch_logits(frozen, tables)
+    labels = np.array(tables.data.labels())
+    return lambda prefix: evaluate(kind, logits(prefix), labels, class_count=tables.data.class_count)
 
 
 def score_prefix(student: StudentParams, prefix: str, eval_set: Dataset, kind: MetricKind, hash_seed: int = 0) -> float:
     """One prefix's metric of the frozen student over eval_set, hashed with hash_seed."""
-    featurizer = Featurizer(student.dims, hash_seed, [ex.text for ex in eval_set.examples])
-    return scorer(student, eval_set, kind, featurizer)(prefix)
+    return scorer(student, Featurizer(student.dims, hash_seed, eval_set), kind)(prefix)

@@ -19,16 +19,14 @@ round `exp`/`log` differently. CI's run of the digest manifest
 
 `featurize` is the from-scratch reference, and `forward`, `loss`, `grad`,
 `sgd_step` and `predict` are the per-example oracles built on it: tests
-compare against them, and no run reaches them. Training uses a
-`Featurizer`, which merges the same features for a block of texts at
-once from per-run token tables and hands each text's over as index and
-count arrays; `train_pass` steps on those arrays, bit-identical
-to `grad` + `sgd_step`. Scoring uses `batch_logits`, which factors a whole
-split's logits through a split's tables; a run keeps one `Featurizer` over
-its train texts and one over its val texts. Both take the tables from
-`_featurizer_for`: the ones given when they hold every text of the data,
-else new ones over the data's texts with the given tables' hash seed.
-`batch_logits` gathers with `take` and adds a prefix's columns one token
+compare against them, and no run reaches them. A `Featurizer` holds the
+token tables of one split, and the hash seed, and stands in for that
+split: `train_pass` and `batch_logits` take it alone. Training merges
+the features of a block of texts at once from the tables and steps on
+each text's index and count arrays, bit-identical to `grad` +
+`sgd_step`. Scoring factors a whole split's logits through its tables; a
+run keeps one `Featurizer` over its train split and one over its val
+split. `batch_logits` gathers with `take` and adds a prefix's columns one token
 at a time, in token order: numpy's `.sum` over a gather picks its order
 from the memory layout, pairwise over a C-ordered `take` from 8 columns
 on, so only a spelled-out order keeps the scores' bytes.
@@ -107,17 +105,19 @@ def featurize(prefix: str, text: str, dims: int, hash_seed: int = 0) -> FeatureV
 
 
 class Featurizer:
-    """`featurize(prefix, text, dims, hash_seed)` for each of `texts`, as
-    index and count arrays, from tables built here: each text as
-    vocabulary ids, each vocabulary token's unigram index and, per prefix
-    token when first seen, its pair index with every vocabulary token.
-    Features are merged a block of texts at a time under one prefix
-    (`_build`), and `featurize` looks one text up in the last block. A
+    """The split `data` with the token tables that hash its texts: each
+    text as vocabulary ids, each vocabulary token's unigram index and, per
+    prefix token when first seen, its pair index with every vocabulary
+    token. `featurize` gives `featurize(prefix, text, dims, hash_seed)`
+    for a text of `data` as index and count arrays. Features are merged a
+    block of texts at a time under one prefix (`_build`), and `featurize`
+    looks one text up in the last block. `len` counts data's examples. A
     plain class, so the benchmark's tracer counts `featurize` calls here."""
 
-    def __init__(self, dims: int, hash_seed: int, texts: list[str]):
+    def __init__(self, dims: int, hash_seed: int, data: Dataset):
         _check_dims(dims)
-        self.dims, self.hash_seed = dims, hash_seed
+        self.dims, self.hash_seed, self.data = dims, hash_seed, data
+        texts = [ex.text for ex in data.examples]
         # Longest first, so the tokens still being folded at byte j are a leading slice.
         encoded = dict.fromkeys(t.encode() for text in texts for t in tokenize(text))
         self._vocab = sorted(encoded, key=len, reverse=True)
@@ -131,6 +131,9 @@ class Featurizer:
         self._rows: dict[str, np.ndarray] = {}  # prefix token -> its pair index with each vocabulary token
         self._prefixes: dict[str, tuple[list[int], list[np.ndarray]]] = {}  # prefix -> _prefix_indices(prefix)
         self._block: tuple = (None,)  # the last block's prefix, text -> slot, slot offsets, indices, counts
+
+    def __len__(self) -> int:
+        return len(self.data)
 
     def _fold_vocab(self, starts: list[int]) -> np.ndarray:
         """Row i: the index of every vocabulary token under FNV-1a continued
@@ -146,7 +149,7 @@ class Featurizer:
     def featurize(self, prefix: str, text: str) -> tuple[np.ndarray, np.ndarray]:
         """featurize(prefix, text, self.dims, self.hash_seed) as two arrays:
         its keys in the same order, and their counts as float64. `text`
-        must be one of the featurizer's texts. Read from the block last
+        must be a text of `data`. Read from the block last
         built for `prefix` when it holds `text`, else from a new one-text
         block; the arrays are views into that block."""
         if self._block[0] != prefix or text not in self._block[1]:
@@ -207,15 +210,9 @@ class Featurizer:
         return self._prefixes[prefix]
 
 
-def _featurizer_for(featurizer: Featurizer | None, dims: int, data: Dataset) -> Featurizer:
-    """`featurizer` when its tables hold every text of data, else new tables
-    over data's texts with its hash_seed, or seed 0 when none is given. A
-    featurizer given must hash with the student's dims, else ValidationError."""
-    if featurizer is not None and featurizer.dims != dims:
-        raise ValidationError(f"the featurizer hashes with dims {featurizer.dims}, not the student's {dims}")
-    if featurizer is None or any(ex.text not in featurizer._ids for ex in data.examples):
-        return Featurizer(dims, featurizer.hash_seed if featurizer else 0, [ex.text for ex in data.examples])
-    return featurizer
+def _check_tables(tables: Featurizer, dims: int) -> None:
+    if tables.dims != dims:
+        raise ValidationError(f"the featurizer hashes with dims {tables.dims}, not the student's {dims}")
 
 
 @dataclass(frozen=True)
@@ -350,23 +347,18 @@ TRAIN_BLOCK = 128
 
 
 def train_pass(
-    params: StudentParams,
-    train: Dataset,
-    prefix: str,
-    lr: float,
-    shuffle_seed: int = 0,
-    featurizer: Featurizer | None = None,
+    params: StudentParams, train: Featurizer, prefix: str, lr: float, shuffle_seed: int = 0
 ) -> tuple[StudentParams, float]:
-    """One shuffled pass of per-example SGD with `prefix` prepended to
-    every input, in the order `Stream(shuffle_seed).permutation` draws.
-    Returns the new params and the mean pre-update loss, each example's
-    loss floored as in `loss`. Features come from the tables
-    `_featurizer_for` takes for `featurizer`, hashed with their seed. An
-    empty `train`, or a label outside [0, class_count), raises
-    ValidationError before any update.
+    """One shuffled pass of per-example SGD over the split `train.data`
+    with `prefix` prepended to every input, in the order
+    `Stream(shuffle_seed).permutation` draws. Returns the new params and
+    the mean pre-update loss, each example's loss floored as in `loss`.
+    Features come from `train`'s tables, hashed with their seed. An empty
+    split, a label outside [0, class_count), or tables of other dims than
+    the student's raise ValidationError before any update.
 
     The shuffled order is walked in blocks of TRAIN_BLOCK examples, whose
-    features the featurizer merges at once. Each example's update is
+    features the tables merge at once. Each example's update is
     applied sparsely, at its active feature indices only, through a flat
     view of the weights; coordinates outside the support have zero
     gradient. The columns are gathered class-major, as `_logits` takes
@@ -385,10 +377,11 @@ def train_pass(
     if not len(train):
         raise ValidationError("cannot train on an empty dataset")
     class_count, dims = params.weights.shape
-    for ex in train.examples:
+    examples = train.data.examples
+    for ex in examples:
         if not 0 <= ex.label < class_count:
             raise ValidationError(f"label {ex.label} out of range for {class_count} classes")
-    featurizer = _featurizer_for(featurizer, dims, train)
+    _check_tables(train, dims)
     weights = params.weights.copy()
     flat_weights = weights.reshape(-1)
     bias = params.bias.tolist()
@@ -397,10 +390,10 @@ def train_pass(
     label_probs = []
     coef_column = np.empty((class_count, 1))
     for start in range(0, len(order), TRAIN_BLOCK):
-        block = [train.examples[i] for i in order[start : start + TRAIN_BLOCK]]
-        featurizer._build(prefix, [ex.text for ex in block])
+        block = [examples[i] for i in order[start : start + TRAIN_BLOCK]]
+        train._build(prefix, [ex.text for ex in block])
         for ex in block:
-            idx, vals = featurizer.featurize(prefix, ex.text)
+            idx, vals = train.featurize(prefix, ex.text)
             flat = idx + class_offsets  # of weights[:, idx], class-major
             gathered = flat_weights[flat]
             product = gathered * vals
@@ -434,19 +427,17 @@ def _segment_summer(lengths: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return sums
 
 
-def batch_logits(
-    params: StudentParams, data: Dataset, featurizer: Featurizer | None = None
-) -> Callable[[str], np.ndarray]:
-    """The frozen student's logits on every example of `data` as a
-    function of the prefix: an examples x classes matrix whose row for
-    text x equals `_logits` of featurize(prefix, x) up to summation order.
+def batch_logits(params: StudentParams, tables: Featurizer) -> Callable[[str], np.ndarray]:
+    """The frozen student's logits on every example of the split
+    `tables.data` as a function of the prefix: an examples x classes
+    matrix whose row for text x equals `_logits` of featurize(prefix, x)
+    up to summation order. The tables must hash with the student's dims.
 
     Logits are linear in the hashed counts, so a row splits into b + W·u(x),
     computed here once, plus per prefix p the columns of p's unigrams and
     x's tokens gathered from M_p = sum over q in p of W[:, rows[q]], where
-    rows[q] is q's pair index with each vocabulary token. The tables are
-    those `_featurizer_for` takes for `featurizer`, and hash with their
-    seed; the per-example runs of tokens are laid out here once.
+    rows[q] is q's pair index with each vocabulary token, hashed with the
+    tables' seed; the per-example runs of tokens are laid out here once.
 
     Every sum has a fixed order: p's unigram columns are added one at a
     time in token order, M_p row by row in token order, and each example's
@@ -456,18 +447,18 @@ def batch_logits(
     """
     if not params.frozen:
         raise StateError("scoring requires a frozen student")
-    if not len(data):
+    if not len(tables):
         raise ValidationError("cannot score an empty dataset")
-    featurizer = _featurizer_for(featurizer, params.dims, data)
-    ids = [featurizer._ids[ex.text] for ex in data.examples]
+    _check_tables(tables, params.dims)
+    ids = [tables._ids[ex.text] for ex in tables.data.examples]
     flat = np.concatenate(ids)
     segment_sums = _segment_summer(np.array([len(i) for i in ids]))
     weights = params.weights
-    class_count, vocab = weights.shape[0], len(featurizer._vocab)
-    base = params.bias[:, None] + segment_sums(weights.take(featurizer._unigrams[flat], axis=1))
+    class_count, vocab = weights.shape[0], len(tables._vocab)
+    base = params.bias[:, None] + segment_sums(weights.take(tables._unigrams[flat], axis=1))
 
     def logits(prefix: str) -> np.ndarray:
-        unigrams, rows = featurizer._prefix_indices(prefix)
+        unigrams, rows = tables._prefix_indices(prefix)
         prefix_unigrams = np.zeros(class_count)
         for u in unigrams:
             prefix_unigrams += weights[:, u]

@@ -230,8 +230,8 @@ class RunReport:
 @dataclass(frozen=True)
 class RunContext:
     """Derived, non-serialized run inputs: datasets, the meta-prompt and
-    the token tables of each split the run reads. Fully determined by the
-    config, so resumed runs rebuild it."""
+    the token tables that stand in for the train and val splits. Fully
+    determined by the config, so resumed runs rebuild it."""
 
     cfg: RunConfig
     train: Dataset
@@ -243,21 +243,18 @@ class RunContext:
     def kind(self) -> MetricKind:
         return MetricKind(self.cfg.metric)
 
-    def _tables(self, data: Dataset) -> student_mod.Featurizer:
-        return student_mod.Featurizer(self.cfg.dims, self.cfg.hash_seed, [ex.text for ex in data.examples])
-
     # Built on first use, so prepare builds none. Per split, so a candidate
     # prefix token is folded over the val vocabulary only, and a training
     # prefix's over the train vocabulary only.
     @functools.cached_property
     def train_featurizer(self) -> student_mod.Featurizer:
-        """Token tables over the train texts, which train_pass uses."""
-        return self._tables(self.train)
+        """The train split's token tables, which train_pass takes."""
+        return student_mod.Featurizer(self.cfg.dims, self.cfg.hash_seed, self.train)
 
     @functools.cached_property
     def val_featurizer(self) -> student_mod.Featurizer:
-        """Token tables over the val texts, which every scorer uses."""
-        return self._tables(self.val)
+        """The val split's token tables, which every scorer takes."""
+        return student_mod.Featurizer(self.cfg.dims, self.cfg.hash_seed, self.val)
 
 
 def prepare(cfg: RunConfig) -> RunContext:
@@ -280,13 +277,14 @@ def build_ta(cfg: RunConfig) -> ta_mod.TAHandle:
     return ta_mod.BACKENDS[cfg.ta_backend].from_config(cfg)
 
 
-def init_state(cfg: RunConfig, ctx: RunContext) -> RunState:
+def init_state(ctx: RunContext) -> RunState:
     """The state before epoch 0: a zero student, and a history of the empty
     prefix plus the assistant model's first proposal (origin round -1). The
     zero student scores every prefix alike, and a tie goes after the
     entries it equals, so that proposal is the best entry epoch 0 trains on."""
+    cfg = ctx.cfg
     student = student_mod.init_params(cfg.dims, ctx.train.class_count)
-    score = scorer(student_mod.freeze(student), ctx.val, ctx.kind, ctx.val_featurizer)
+    score = scorer(student_mod.freeze(student), ctx.val_featurizer, ctx.kind)
     history = seed_history(score)
     propose = ta_mod.proposer(build_ta(cfg), ctx.mp, cfg.temperature)
     s0 = propose(history, 1)[0]
@@ -313,17 +311,12 @@ def run_epoch(state: RunState, ctx: RunContext) -> tuple[RunState, bytes | None]
     # (1) student training
     student = student_mod.unfreeze(state.student)
     student, train_loss = student_mod.train_pass(
-        student,
-        ctx.train,
-        train_prefix,
-        cfg.lr,
-        shuffle_seed=_epoch_shuffle_seed(cfg.shuffle_seed, e),
-        featurizer=ctx.train_featurizer,
+        student, ctx.train_featurizer, train_prefix, cfg.lr, shuffle_seed=_epoch_shuffle_seed(cfg.shuffle_seed, e)
     )
 
     # (2) freeze, refresh scores, collect
     student = student_mod.freeze(student)
-    score = scorer(student, ctx.val, ctx.kind, ctx.val_featurizer)
+    score = scorer(student, ctx.val_featurizer, ctx.kind)
     history = carry_over(history, score, cfg.k)
     propose = ta_mod.proposer(state.ta, ctx.mp, cfg.temperature)
     history, rounds = collect(propose, score, history, cfg.k, cfg.l, epoch=e)
@@ -465,7 +458,7 @@ def run(cfg: RunConfig, out_dir: str | Path, resume_from: str | Path | None = No
             raise ValidationError(f"cannot resume: the state has {state.epoch} epochs, the config {cfg.epochs}")
         logger.info("resuming from %s at epoch %d", resume_from, state.epoch)
     else:
-        state = init_state(cfg, ctx)
+        state = init_state(ctx)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_atomic(out_dir / "config.json", config_to_json(cfg))
 

@@ -35,7 +35,7 @@ from gpta import (
 )
 from gpta.fileio import record_from_json
 from gpta.remote import RemoteClient
-from gpta.student import StudentParams, forward, grad, loss
+from gpta.student import Featurizer, StudentParams, forward, grad, loss
 from gpta.ta import remote_handle, render_generation_request, SimState
 
 from conftest import DESK_POOL, FAMILY_PREFIXES
@@ -134,7 +134,7 @@ def test_criterion_2_history_invariants():
         for seed in range(12):
             data = synth_generate(2, 30, 60, 0.1, seed)
             p = init_params(512, 2)
-            p, _ = train_pass(p, data, "alpha beta", 0.1, shuffle_seed=seed)
+            p, _ = train_pass(p, Featurizer(512, 0, data), "alpha beta", 0.1, shuffle_seed=seed)
             frozen = freeze(p)
             pool = [(f"alpha word {i}", 1.0) for i in range(10)]
             pool += [(f"junk word {i}", 0.0) for i in range(10)]
@@ -282,7 +282,7 @@ def test_criterion_8_remote_protocol_conformance():
     with criterion(8, "remote protocol conformance"):
         data = synth_generate(2, 30, 60, 0.1, 5)
         p = init_params(512, 2)
-        p, _ = train_pass(p, data, "alpha", 0.1, shuffle_seed=1)
+        p, _ = train_pass(p, Featurizer(512, 0, data), "alpha", 0.1, shuffle_seed=1)
         frozen = freeze(p)
 
         score = scorer(frozen, data)

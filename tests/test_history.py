@@ -70,7 +70,7 @@ def oracle_score(frozen, prefix, data, kind, hash_seed):
 def trained_student():
     data = synth_generate(2, 60, 80, 0.1, 3)
     p = init_params(1024, 2)
-    p, _ = train_pass(p, data, "focus here", 0.1, shuffle_seed=2)
+    p, _ = train_pass(p, Featurizer(1024, 0, data), "focus here", 0.1, shuffle_seed=2)
     return freeze(p), data
 
 
@@ -117,17 +117,13 @@ class TestScorePrefix:
         log_dims=st.integers(1, 18),
         hash_seed=st.integers(-(2**70), 2**70),
         prefixes=st.lists(PREFIXES, min_size=1, max_size=3),
-        tables_cover=st.floats(0.0, 1.0),
         blank_at=st.none() | st.integers(0, 2**16),
     )
-    def test_batch_logits_match_the_per_example_oracle(
-        self, world, log_dims, hash_seed, prefixes, tables_cover, blank_at
-    ):
+    def test_batch_logits_match_the_per_example_oracle(self, world, log_dims, hash_seed, prefixes, blank_at):
         """Each row of batch_logits is within 1e-12 of _logits over
         featurize for its text alone. The weights are random, prefix tokens
-        may lie outside the texts, the featurizer's tables may cover only
-        some texts (the tables that replace them keep their seed), and a
-        text without tokens may sit anywhere."""
+        may lie outside the texts, and a text without tokens may sit
+        anywhere."""
         classes, per_class, vocab, seed = world
         examples = list(synth_generate(classes, per_class, vocab, 0.2, seed).examples)
         if blank_at is not None:
@@ -135,8 +131,7 @@ class TestScorePrefix:
         dims, rng = 2**log_dims, np.random.default_rng(seed)
         frozen = StudentParams(rng.standard_normal((classes, dims)), rng.standard_normal(classes), frozen=True)
         texts = [ex.text for ex in examples]
-        featurizer = Featurizer(dims, hash_seed, texts[: round(tables_cover * len(texts))])
-        logits = batch_logits(frozen, Dataset(tuple(examples), classes), featurizer)
+        logits = batch_logits(frozen, Featurizer(dims, hash_seed, Dataset(tuple(examples), classes)))
         for prefix in prefixes:
             expected = [oracle_logits(frozen, prefix, text, hash_seed) for text in texts]
             np.testing.assert_allclose(logits(prefix), expected, rtol=0, atol=1e-12)
@@ -150,7 +145,7 @@ class TestScorePrefix:
         examples = list(data.examples[:5])
         for i in blank:
             examples[i] = TextExample(text="  \n ", label=examples[i].label)
-        logits = batch_logits(frozen, Dataset(tuple(examples), data.class_count))
+        logits = batch_logits(frozen, Featurizer(frozen.dims, 0, Dataset(tuple(examples), data.class_count)))
         for prefix in ("", "focus here"):
             expected = [oracle_logits(frozen, prefix, ex.text, 0) for ex in examples]
             np.testing.assert_allclose(logits(prefix), expected, rtol=0, atol=1e-12)
@@ -163,11 +158,8 @@ class TestScorePrefix:
         lr=st.sampled_from([0.0, 0.5]),
         train_prefix=PREFIXES,
         prefixes=st.lists(PREFIXES, min_size=1, max_size=3),
-        tables_cover=st.floats(0.0, 1.0),
     )
-    def test_scores_match_the_per_example_oracle(
-        self, world, log_dims, hash_seed, lr, train_prefix, prefixes, tables_cover
-    ):
+    def test_scores_match_the_per_example_oracle(self, world, log_dims, hash_seed, lr, train_prefix, prefixes):
         """metrics.scorer against the reference path (featurize each example,
         then predict, or forward and loss). The two paths sum the logits in
         different orders, so neg_loss agrees within 1e-12, and accuracy and
@@ -178,15 +170,14 @@ class TestScorePrefix:
         data = synth_generate(classes, per_class, vocab, 0.2, seed)
         dims = 2**log_dims
         texts = [ex.text for ex in data.examples]
-        tables = Featurizer(dims, hash_seed, texts)
-        params, _ = train_pass(init_params(dims, classes), data, train_prefix, lr, shuffle_seed=seed, featurizer=tables)
+        tables = Featurizer(dims, hash_seed, data)
+        params, _ = train_pass(init_params(dims, classes), tables, train_prefix, lr, shuffle_seed=seed)
         frozen = freeze(params)
-        featurizer = Featurizer(dims, hash_seed, texts[: round(tables_cover * len(texts))])
         for prefix in prefixes:
             top_two = np.sort([oracle_logits(frozen, prefix, text, hash_seed) for text in texts])[:, -2:]
             clear = lr == 0 or (top_two[:, 1] - top_two[:, 0]).min() > 1e-9
             for kind in MetricKind:
-                got = metrics.scorer(frozen, data, kind, featurizer)(prefix)
+                got = metrics.scorer(frozen, tables, kind)(prefix)
                 expected = oracle_score(frozen, prefix, data, kind, hash_seed)
                 if kind is MetricKind.NEG_MEAN_LOSS:
                     assert abs(got - expected) <= 1e-12
@@ -196,17 +187,16 @@ class TestScorePrefix:
     @pytest.mark.parametrize("dims,hash_seed", [(512, 0), (2048, 0)])
     def test_rejects_a_featurizer_that_hashes_otherwise(self, trained_student, dims, hash_seed):
         frozen, data = trained_student
-        featurizer = Featurizer(dims, hash_seed, [ex.text for ex in data.examples])
+        featurizer = Featurizer(dims, hash_seed, data)
         with pytest.raises(ValidationError, match="featurizer hashes with dims"):
-            metrics.scorer(frozen, data, MetricKind.ACCURACY, featurizer)("focus here")
+            metrics.scorer(frozen, featurizer, MetricKind.ACCURACY)("focus here")
 
     def test_accepts_a_featurizer_whose_seed_is_congruent_modulo_2_64(self, trained_student):
         """Tables with seeds 3 - 2^64 and 3 score every metric alike, and as
         score_prefix with hash_seed 3 does."""
         frozen, data = trained_student
-        texts = [ex.text for ex in data.examples]
         for kind in MetricKind:
-            congruent, plain = (metrics.scorer(frozen, data, kind, Featurizer(1024, s, texts)) for s in (3 - 2**64, 3))
+            congruent, plain = (metrics.scorer(frozen, Featurizer(1024, s, data), kind) for s in (3 - 2**64, 3))
             for prefix in ("", "focus here"):
                 assert congruent(prefix) == plain(prefix) == score_prefix(frozen, prefix, data, kind, 3)
 
@@ -265,7 +255,7 @@ class TestInsertSorted:
 
 def scorer(frozen, data):
     """The search's score function: a prefix's accuracy on data against frozen."""
-    return metrics.scorer(frozen, data, MetricKind.ACCURACY)
+    return metrics.scorer(frozen, Featurizer(frozen.dims, 0, data), MetricKind.ACCURACY)
 
 
 def imported_parts(module) -> set[str]:
@@ -333,7 +323,7 @@ def seeded(frozen, data, prefixes):
 def small_world(seed=0, pool_size=30):
     data = synth_generate(2, 40, 60, 0.1, seed)
     p = init_params(512, 2)
-    p, _ = train_pass(p, data, "alpha beta", 0.1, shuffle_seed=seed)
+    p, _ = train_pass(p, Featurizer(512, 0, data), "alpha beta", 0.1, shuffle_seed=seed)
     frozen = freeze(p)
     pool = [(f"alpha variant {i}", 1.0) for i in range(pool_size // 2)]
     pool += [(f"junk token {i}", 0.0) for i in range(pool_size - pool_size // 2)]

@@ -11,6 +11,7 @@ import pytest
 
 import gpta
 from gpta import (
+    Featurizer,
     FinetuneError,
     ProtocolError,
     TransportError,
@@ -464,5 +465,5 @@ def _history():
 def _scored_world():
     data = synth_generate(2, 30, 60, 0.1, 5)
     p = init_params(512, 2)
-    p, _ = train_pass(p, data, "alpha", 0.1, shuffle_seed=1)
+    p, _ = train_pass(p, Featurizer(512, 0, data), "alpha", 0.1, shuffle_seed=1)
     return freeze(p), data

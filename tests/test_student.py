@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpta import (
+    Featurizer,
     StateError,
     ValidationError,
     featurize,
@@ -110,6 +111,11 @@ def test_featurize_matches_pair_string_reference(calls):
     assert_featurize_matches_reference(*calls)
 
 
+def unlabeled(texts: list[str]) -> Dataset:
+    """A split of `texts`, every label 0, for tables over just those texts."""
+    return Dataset(tuple(TextExample(text, 0) for text in texts), 2)
+
+
 def items(features) -> list:
     """A Featurizer's (indices, counts) arrays as featurize's (key, count)
     items, after checking the arrays' dtypes."""
@@ -127,7 +133,7 @@ def test_featurizer_matches_featurize(calls, seed):
     prefixes, texts, seeds, dims_list = calls
     for seed in seeds + [seed, seed + 2**64, -1 - seed]:
         for dims in dims_list:
-            featurizer = student.Featurizer(dims, seed, texts)
+            featurizer = Featurizer(dims, seed, unlabeled(texts))
             for prefix in prefixes:
                 expected = [list(featurize(prefix, text, dims, seed).items()) for text in texts]
                 assert [items(featurizer.featurize(prefix, text)) for text in texts] == expected
@@ -148,9 +154,9 @@ def test_featurize_does_not_depend_on_call_history():
     featurizers = {}
     in_sequence = []
     for prefix, text, dims, seed in calls:
-        featurizer = featurizers.setdefault((dims, seed), student.Featurizer(dims, seed, texts))
+        featurizer = featurizers.setdefault((dims, seed), Featurizer(dims, seed, unlabeled(texts)))
         in_sequence.append(items(featurizer.featurize(prefix, text)))
-    from_cold = [items(student.Featurizer(dims, seed, texts).featurize(prefix, text)) for prefix, text, dims, seed in calls]
+    from_cold = [items(Featurizer(dims, seed, unlabeled(texts)).featurize(prefix, text)) for prefix, text, dims, seed in calls]
     oracle = [list(featurize(*c).items()) for c in calls]
     assert in_sequence == from_cold
     assert in_sequence == oracle
@@ -159,7 +165,7 @@ def test_featurize_does_not_depend_on_call_history():
 def test_featurizer_builds_its_tables_at_construction():
     """The text tables are built with the featurizer; a prefix token's
     pair row only when a prefix holding it is first used."""
-    featurizer = student.Featurizer(64, 0, ["a b", "c"])
+    featurizer = Featurizer(64, 0, unlabeled(["a b", "c"]))
     assert set(featurizer._ids) == {"a b", "c"} and featurizer._rows == {}
     featurizer.featurize("p q", "a b")
     assert set(featurizer._rows) == {"p", "q"}
@@ -262,7 +268,7 @@ def test_frozen_params_refuse_updates():
         sgd_step(p, g, 0.1)
     d = synth_generate(2, 5, 40, 0.0, 1)
     with pytest.raises(StateError):
-        train_pass(p, d, "", 0.1)
+        train_pass(p, Featurizer(16, 0, d), "", 0.1)
     # read-only ops still work
     assert predict(p, "", "k0w1") == 0
     forward(p, featurize("", "k0w1", 16, 0))
@@ -271,20 +277,16 @@ def test_frozen_params_refuse_updates():
 def test_train_pass_lr_zero_keeps_params():
     d = synth_generate(2, 10, 40, 0.0, 3)
     p = init_params(256, 2)
-    new_p, mean_loss = train_pass(p, d, "", lr=0.0, shuffle_seed=1)
+    new_p, mean_loss = train_pass(p, Featurizer(256, 0, d), "", lr=0.0, shuffle_seed=1)
     assert np.array_equal(new_p.weights, p.weights)
     assert mean_loss == pytest.approx(math.log(2))
-
-
-def tables(dims, hash_seed, data):
-    return student.Featurizer(dims, hash_seed, [ex.text for ex in data.examples])
 
 
 def test_train_pass_deterministic():
     d = synth_generate(2, 20, 60, 0.1, 4)
     p = init_params(1024, 2)
-    a, la = train_pass(p, d, "look", 0.1, shuffle_seed=9, featurizer=tables(1024, 3, d))
-    b, lb = train_pass(p, d, "look", 0.1, shuffle_seed=9, featurizer=tables(1024, 3, d))
+    a, la = train_pass(p, Featurizer(1024, 3, d), "look", 0.1, shuffle_seed=9)
+    b, lb = train_pass(p, Featurizer(1024, 3, d), "look", 0.1, shuffle_seed=9)
     assert np.array_equal(a.weights, b.weights)
     assert la == lb
 
@@ -293,7 +295,7 @@ def test_train_pass_deterministic():
 def test_train_pass_rejects_a_featurizer_that_hashes_otherwise(dims, hash_seed):
     d = synth_generate(2, 20, 60, 0.1, 4)
     with pytest.raises(ValidationError, match="featurizer hashes with dims"):
-        train_pass(init_params(1024, 2), d, "look", 0.1, featurizer=tables(dims, hash_seed, d))
+        train_pass(init_params(1024, 2), Featurizer(dims, hash_seed, d), "look", 0.1)
 
 
 def test_train_pass_accepts_a_featurizer_whose_seed_is_congruent_modulo_2_64():
@@ -301,44 +303,25 @@ def test_train_pass_accepts_a_featurizer_whose_seed_is_congruent_modulo_2_64():
     bit-identically; seed 0 trains otherwise."""
     d = synth_generate(2, 20, 60, 0.1, 4)
     p = init_params(1024, 2)
-    a, la = train_pass(p, d, "look", 0.1, shuffle_seed=9, featurizer=tables(1024, 3 - 2**64, d))
-    b, lb = train_pass(p, d, "look", 0.1, shuffle_seed=9, featurizer=tables(1024, 3, d))
+    a, la = train_pass(p, Featurizer(1024, 3 - 2**64, d), "look", 0.1, shuffle_seed=9)
+    b, lb = train_pass(p, Featurizer(1024, 3, d), "look", 0.1, shuffle_seed=9)
     assert np.array_equal(a.weights, b.weights) and np.array_equal(a.bias, b.bias) and la == lb
-    assert not np.array_equal(a.weights, train_pass(p, d, "look", 0.1, shuffle_seed=9)[0].weights)
-    congruent, plain = (batch_logits(freeze(a), d, tables(1024, seed, d)) for seed in (3 - 2**64, 3))
+    assert not np.array_equal(a.weights, train_pass(p, Featurizer(1024, 0, d), "look", 0.1, shuffle_seed=9)[0].weights)
+    congruent, plain = (batch_logits(freeze(a), Featurizer(1024, seed, d)) for seed in (3 - 2**64, 3))
     for prefix in ("", "look", "k0w1 words unseen"):
         assert np.array_equal(congruent(prefix), plain(prefix))
 
 
-@pytest.mark.parametrize("cover", ["subset", "superset"])
-def test_train_pass_and_batch_logits_take_tables_that_miss_or_exceed_the_texts(cover):
-    """Tables over a strict subset of the data's texts are replaced by new
-    ones with their seed, and tables over a superset are used; either way
-    weights, bias, loss and logits are bit-identical to a call with tables
-    of the same seed over exactly the data's texts."""
-    d = synth_generate(2, 20, 60, 0.1, 4)
-    texts = [ex.text for ex in d.examples]
-    others = [ex.text for ex in synth_generate(3, 5, 90, 0.3, 5).examples] + ["Words NO text holds"]
-    featurizer = student.Featurizer(1024, 3, texts[: len(texts) // 2] if cover == "subset" else others + texts)
-    a, la = train_pass(init_params(1024, 2), d, "look here", 0.1, shuffle_seed=9, featurizer=featurizer)
-    b, lb = train_pass(init_params(1024, 2), d, "look here", 0.1, shuffle_seed=9, featurizer=tables(1024, 3, d))
-    assert np.array_equal(a.weights, b.weights) and np.array_equal(a.bias, b.bias) and la == lb
-    with_tables, exact = batch_logits(freeze(a), d, featurizer), batch_logits(freeze(a), d, tables(1024, 3, d))
-    for prefix in ("", "look here", "k0w1 words unseen"):
-        assert np.array_equal(with_tables(prefix), exact(prefix))
-    assert bool(featurizer._rows) == (cover == "superset")
-
-
 def test_train_pass_refuses_an_empty_dataset():
     with pytest.raises(ValidationError, match="cannot train on an empty dataset"):
-        train_pass(init_params(64, 2), Dataset((), 2), "", 0.1)
+        train_pass(init_params(64, 2), Featurizer(64, 0, Dataset((), 2)), "", 0.1)
 
 
 def test_train_pass_learns_synthetic():
     d = synth_generate(2, 200, 120, 0.0, 13)
-    p = init_params(4096, 2)
+    p, tables = init_params(4096, 2), Featurizer(4096, 0, d)
     for i in range(3):
-        p, _ = train_pass(p, d, "", 0.1, shuffle_seed=i)
+        p, _ = train_pass(p, tables, "", 0.1, shuffle_seed=i)
     acc = sum(predict(p, "", ex.text) == ex.label for ex in d.examples) / len(d)
     assert acc > 0.95
 
@@ -350,7 +333,7 @@ def test_train_pass_equals_grad_plus_sgd_step():
     p1 = init_params(dims, 2)
     p2 = init_params(dims, 2)
     order = np.random.default_rng(3).permutation(len(d))
-    p1, _ = train_pass(p1, d, "hint", 0.05, shuffle_seed=3, featurizer=tables(dims, 1, d))
+    p1, _ = train_pass(p1, Featurizer(dims, 1, d), "hint", 0.05, shuffle_seed=3)
     for i in order:
         ex = d.examples[i]
         f = featurize("hint", ex.text, dims, 1)
@@ -401,18 +384,11 @@ def training_runs(draw):
 
 # No max_examples: the CI step reruns these under the "bit-identity" profile (tests/conftest.py).
 @settings(deadline=None)
-@given(run=training_runs(), texts=st.sampled_from(["none", "all", "replaced"]))
-def test_train_pass_is_bit_identical_to_the_per_example_reference(run, texts):
-    """Tables over the train texts, tables over no text (which train_pass
-    replaces, keeping their seed), or none at all (seed 0)."""
+@given(run=training_runs())
+def test_train_pass_is_bit_identical_to_the_per_example_reference(run):
+    """train_pass on the train split's tables, hashed with the drawn seed."""
     params, train, prefix, lr, hash_seed, shuffle_seed = run
-    featurizer = None
-    if texts == "none":
-        hash_seed = 0
-    else:
-        covered = train.examples if texts == "all" else ()
-        featurizer = student.Featurizer(params.dims, hash_seed, [ex.text for ex in covered])
-    got, got_loss = train_pass(params, train, prefix, lr, shuffle_seed, featurizer)
+    got, got_loss = train_pass(params, Featurizer(params.dims, hash_seed, train), prefix, lr, shuffle_seed)
     want, want_loss = reference_train_pass(params, train, prefix, lr, hash_seed, shuffle_seed)
     assert np.array_equal(got.weights, want.weights) and np.array_equal(got.bias, want.bias)
     assert repr(got_loss) == repr(want_loss)
@@ -456,8 +432,7 @@ OUTSIDE_TOKENS = st.sampled_from(["zq", "unseen", "Ωmega"])
 def scoring_worlds(draw):
     """Frozen params whose weights span many magnitudes and hold signed
     zeros, texts (some blank, and at times of one distinct token) with
-    their labels, tables over none, some, all or more than the texts, and
-    prefixes of 0 to 20 tokens."""
+    their labels, the tables over them, and prefixes of 0 to 20 tokens."""
     class_count = draw(st.integers(2, 6))
     dims = 1 << draw(st.integers(1, 12))
     text_tokens = draw(st.sampled_from([TRAIN_TOKENS, st.just("a")]))
@@ -471,13 +446,9 @@ def scoring_worlds(draw):
     weights[rng.random(weights.shape) < 0.1] = 0.0
     params = StudentParams(weights, rng.standard_normal(class_count), frozen=True)
     hash_seed = draw(st.integers(-(2**70), 2**70))
-    covered = draw(st.sampled_from(["none", "some", "all", "more"]))
-    table_texts = {"none": [], "some": texts[: len(texts) // 2], "all": texts,
-                   "more": texts + ["zq unseen", "b focus extra"]}[covered]
-    featurizer = student.Featurizer(dims, hash_seed, table_texts)
     prefix = st.lists(TRAIN_TOKENS | OUTSIDE_TOKENS, max_size=20).map(" ".join)
     prefixes = draw(st.lists(prefix, min_size=1, max_size=4))
-    return params, data, featurizer, hash_seed, prefixes
+    return params, Featurizer(dims, hash_seed, data), hash_seed, prefixes
 
 
 # No max_examples: the CI step reruns these under the "bit-identity" profile (tests/conftest.py).
@@ -486,10 +457,11 @@ def scoring_worlds(draw):
 def test_batch_logits_and_scorer_are_bit_identical_to_the_column_gather_formula(world):
     """Each prefix's logits equal the reference's byte for byte, and each
     metric's score is evaluate's on the reference logits."""
-    params, data, featurizer, hash_seed, prefixes = world
+    params, tables, hash_seed, prefixes = world
+    data = tables.data
     texts = [ex.text for ex in data.examples]
-    logits = batch_logits(params, data, featurizer)
-    scores = {kind: scorer(params, data, kind, featurizer) for kind in MetricKind}
+    logits = batch_logits(params, tables)
+    scores = {kind: scorer(params, tables, kind) for kind in MetricKind}
     for prefix in prefixes:
         want = reference_batch_logits(params, texts, prefix, hash_seed)
         got = logits(prefix)
@@ -502,7 +474,7 @@ def test_train_pass_on_a_whitespace_only_text_under_the_empty_prefix():
     """No features: only the bias moves, exactly as in the reference."""
     train = Dataset((TextExample(" \t ", 1),), 3)
     params = StudentParams(weights=np.ones((3, 8)), bias=np.array([0.5, -1.0, 2.0]))
-    got, got_loss = train_pass(params, train, "", 0.5, featurizer=tables(8, 4, train))
+    got, got_loss = train_pass(params, Featurizer(8, 4, train), "", 0.5)
     want, want_loss = reference_train_pass(params, train, "", 0.5, 4, 0)
     assert np.array_equal(got.weights, params.weights) and np.array_equal(got.weights, want.weights)
     assert np.array_equal(got.bias, want.bias) and not np.array_equal(got.bias, params.bias)
@@ -512,9 +484,9 @@ def test_train_pass_on_a_whitespace_only_text_under_the_empty_prefix():
 @pytest.mark.parametrize("label", [3, 7, -1])
 def test_train_pass_refuses_a_label_outside_the_classes_before_any_update(label):
     train = Dataset(tuple(TextExample(f"k{i} words", i % 3) for i in range(BLOCK + 1)) + (TextExample("x", label),), 3)
-    featurizer = student.Featurizer(64, 0, [ex.text for ex in train.examples])
+    featurizer = Featurizer(64, 0, train)
     with pytest.raises(ValidationError, match=f"label {label} out of range for 3 classes"):
-        train_pass(init_params(64, 3), train, "p", 0.1, featurizer=featurizer)
+        train_pass(init_params(64, 3), featurizer, "p", 0.1)
     assert featurizer._block[0] is None  # no block built, so no example was stepped
 
 
@@ -547,7 +519,7 @@ def test_prefix_changes_prediction_by_construction():
 def test_featurize_and_predict_are_pure():
     d = synth_generate(2, 5, 40, 0.1, 9)
     p = init_params(512, 2)
-    p, _ = train_pass(p, d, "steady", 0.1, shuffle_seed=4, featurizer=tables(512, 4, d))
+    p, _ = train_pass(p, Featurizer(512, 4, d), "steady", 0.1, shuffle_seed=4)
     for ex in d.examples:
         assert featurize("steady", ex.text, 512, 4) == featurize("steady", ex.text, 512, 4)
         assert predict(p, "steady", ex.text, 4) == predict(p, "steady", ex.text, 4)

@@ -307,9 +307,8 @@ class TestConfig:
     def test_prepare_builds_no_tables_and_each_run_builds_its_own(self, desk_config, tmp_path, monkeypatch):
         """prepare leaves the token tables unbuilt (the benchmark times it as
         set-up); each run, and each resume, builds exactly one table over
-        the train texts and one over the val texts on first use, and no
-        scorer or train_pass falls back to tables of its own."""
-        contexts, built, fallbacks = [], [], []
+        the train split and one over the val split on first use."""
+        contexts, built = [], []
 
         def spy(cfg):
             ctx = prepare(cfg)
@@ -318,28 +317,21 @@ class TestConfig:
             return ctx
 
         class Counted(student_mod.Featurizer):
-            def __init__(self, dims, hash_seed, texts):
-                built.append(list(texts))
-                super().__init__(dims, hash_seed, texts)
+            def __init__(self, dims, hash_seed, data):
+                built.append(data)
+                super().__init__(dims, hash_seed, data)
 
-        def featurizer_for(featurizer, dims, data):
-            chosen = original(featurizer, dims, data)
-            if chosen is not featurizer:
-                fallbacks.append(len(data))
-            return chosen
-
-        original = student_mod._featurizer_for
         monkeypatch.setattr(trainer_mod, "prepare", spy)
         monkeypatch.setattr(student_mod, "Featurizer", Counted)
-        monkeypatch.setattr(student_mod, "_featurizer_for", featurizer_for)
         run(desk_config(epochs=1), tmp_path / "run")
         run(desk_config(epochs=2), tmp_path / "run", resume_from=tmp_path / "run" / "state_epoch0.json")
-        assert len(contexts) == 2 and fallbacks == []
+        assert len(contexts) == 2
         # A run scores before it trains, a resume trains first.
         splits = [split for ctx in contexts for split in (ctx.train, ctx.val)]
-        assert sorted(built) == sorted([ex.text for ex in split.examples] for split in splits)
+        assert sorted(map(id, built)) == sorted(map(id, splits))
         assert contexts[0].train_featurizer is not contexts[1].train_featurizer
         for ctx in contexts:
+            assert ctx.train_featurizer.data is ctx.train and ctx.val_featurizer.data is ctx.val
             assert ctx.train_featurizer._ids.keys() == {ex.text for ex in ctx.train.examples}
             assert ctx.val_featurizer._ids.keys() == {ex.text for ex in ctx.val.examples}
             assert ctx.train_featurizer._rows and ctx.val_featurizer._rows
@@ -386,7 +378,7 @@ class TestRunEpoch:
         the entries it equals, so the first proposal is the best entry."""
         cfg = desk_config(metric=metric)
         ctx = prepare(cfg)
-        state = init_state(cfg, ctx)
+        state = init_state(ctx)
         empty, s0 = state.history.entries
         assert (empty.prefix, empty.score) == ("", s0.score) and s0.prefix
         assert state.history.best() == s0
@@ -397,7 +389,7 @@ class TestRunEpoch:
     def test_a_first_proposal_of_the_empty_prefix_is_trained_on(self, desk_config):
         cfg = desk_config(k=3, w=1, l=3, temperature=0.0, sim_pool=(("", 1.0), ("a", 0.0), ("b", 0.0)))
         ctx = prepare(cfg)
-        state = init_state(cfg, ctx)
+        state = init_state(ctx)
         assert [e.prefix for e in state.history.entries] == [""]
         state, _ = run_epoch(state, ctx)
         assert state.records[0].train_prefix == ""
@@ -405,7 +397,7 @@ class TestRunEpoch:
     def test_single_epoch_contracts(self, desk_config):
         cfg = desk_config(epochs=1)
         ctx = prepare(cfg)
-        state = init_state(cfg, ctx)
+        state = init_state(ctx)
         new_state, gradients = run_epoch(state, ctx)
 
         assert new_state.epoch == 1
@@ -422,7 +414,7 @@ class TestRunEpoch:
     def test_history_trimmed_and_regrown_each_epoch(self, desk_config):
         cfg = desk_config(epochs=2)
         ctx = prepare(cfg)
-        state = init_state(cfg, ctx)
+        state = init_state(ctx)
         state, _ = run_epoch(state, ctx)
         first_history = state.history
         state, _ = run_epoch(state, ctx)
@@ -440,7 +432,7 @@ class TestRunEpoch:
             # 2, 2 and 1, and under accuracy epoch 3 ties it.
             cfg = desk_config(metric=metric, epochs=5, k=9)
             ctx = prepare(cfg)
-            state = init_state(cfg, ctx)
+            state = init_state(ctx)
             histories = []
             for _ in range(cfg.epochs):
                 state, _ = run_epoch(state, ctx)
@@ -457,7 +449,7 @@ class TestRunEpoch:
         leaves it at 1, and the epoch's rounds move it on in the new state."""
         cfg = desk_config()
         ctx = prepare(cfg)
-        state = init_state(cfg, ctx)
+        state = init_state(ctx)
         before = state_to_json(state)
         assert state.ta.sim.calls == 1
         (first, first_gradients), (second, second_gradients) = run_epoch(state, ctx), run_epoch(state, ctx)
@@ -468,7 +460,7 @@ class TestRunEpoch:
     def test_generation_counts_epochs(self, desk_config):
         cfg = desk_config()
         ctx = prepare(cfg)
-        state = init_state(cfg, ctx)
+        state = init_state(ctx)
         for expected in range(1, cfg.epochs + 1):
             state, _ = run_epoch(state, ctx)
             assert state.ta.generation == expected
@@ -478,7 +470,7 @@ class TestStateSerialization:
     def test_round_trip_byte_identical(self, desk_config):
         cfg = desk_config(epochs=1)
         ctx = prepare(cfg)
-        state, _ = run_epoch(init_state(cfg, ctx), ctx)
+        state, _ = run_epoch(init_state(ctx), ctx)
         text = state_to_json(state)
         back = state_from_json(text, cfg)
         assert state_to_json(back) == text
@@ -486,7 +478,7 @@ class TestStateSerialization:
     def test_reader_names_the_mistyped_value(self, desk_config):
         cfg = desk_config(epochs=1)
         ctx = prepare(cfg)
-        state, _ = run_epoch(init_state(cfg, ctx), ctx)
+        state, _ = run_epoch(init_state(ctx), ctx)
         obj = json.loads(state_to_json(state))
         obj["records"][0]["train_loss"] = "x"
         with pytest.raises(ValidationError, match=r"\$\.records\[0\]\.train_loss: expected number, got str"):
@@ -499,7 +491,7 @@ class TestStateSerialization:
         """A state file, unlike a config, takes no bare string for a pool entry."""
         cfg = desk_config(epochs=1)
         ctx = prepare(cfg)
-        state, _ = run_epoch(init_state(cfg, ctx), ctx)
+        state, _ = run_epoch(init_state(ctx), ctx)
         obj = json.loads(state_to_json(state))
         obj["ta"]["sim"]["pool"][0] = "bare"
         with pytest.raises(ValidationError, match=r"\$\.ta\.sim\.pool\[0\]: expected a \[prefix, weight\] pair$"):
@@ -508,7 +500,7 @@ class TestStateSerialization:
     def test_reader_refuses_a_student_of_other_dims(self, desk_config):
         cfg = desk_config(epochs=1)
         ctx = prepare(cfg)
-        state, _ = run_epoch(init_state(cfg, ctx), ctx)
+        state, _ = run_epoch(init_state(ctx), ctx)
         with pytest.raises(ValidationError, match="dims 4096, the config 8192"):
             state_from_json(state_to_json(state), desk_config(epochs=1, dims=8192))
 
@@ -681,7 +673,7 @@ class TestSmallConfigs:
         # k=2, w=1 exercises the carryover trim's tight corner
         cfg = desk_config(epochs=3, k=2, w=1, l=2)
         ctx = prepare(cfg)
-        state = init_state(cfg, ctx)
+        state = init_state(ctx)
         for _ in range(3):
             state, _ = run_epoch(state, ctx)
         assert state.epoch == 3
@@ -722,7 +714,7 @@ class TestFinetuneFailureTolerance:
         cfg = desk_config(epochs=1)
         ctx = prepare(cfg)
         with caplog.at_level(logging.WARNING):
-            state, _ = run_epoch(init_state(cfg, ctx), ctx)
+            state, _ = run_epoch(init_state(ctx), ctx)
         rec = state.records[0]
         assert rec.finetune_error is not None
         assert "provider says no" in rec.finetune_error
