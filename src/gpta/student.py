@@ -17,6 +17,10 @@ is not pinned: another OS's libm, and glibc on a CPU without FMA, may
 round `exp`/`log` differently. CI's run of the digest manifest
 (tests/data/run_digests.json) checks the bytes.
 
+The student holds only the weight columns it has touched, as its
+checkpoint stores them; a column it does not hold reads as zero, and no
+path builds the dense class_count x dims matrix.
+
 `featurize` is the from-scratch reference, and `forward`, `loss`, `grad`,
 `sgd_step` and `predict` are the per-example oracles built on it: tests
 compare against them, and no run reaches them. A `Featurizer` holds the
@@ -34,6 +38,7 @@ on, so only a spelled-out order keeps the scores' bytes.
 
 import json
 import math
+from array import array
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, replace
@@ -61,7 +66,8 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _PAIR_SEP = "\x01"
 
 DEFAULT_DIMS = 1 << 18
-# A student allocates a dense class_count x dims weight matrix, so dims is bounded.
+# Each training pass and each scorer maps features to the student's columns
+# through an int32 array of dims entries (64 MiB at 2^24), so dims is bounded.
 MAX_DIMS = 1 << 24
 
 
@@ -106,7 +112,8 @@ def featurize(prefix: str, text: str, dims: int, hash_seed: int = 0) -> FeatureV
 
 class Featurizer:
     """The split `data` with the token tables that hash its texts: each
-    text as vocabulary ids, each vocabulary token's unigram index and, per
+    text as vocabulary ids (each distinct text tokenized once, its ids a
+    view into one array), each vocabulary token's unigram index and, per
     prefix token when first seen, its pair index with every vocabulary
     token. `featurize` gives `featurize(prefix, text, dims, hash_seed)`
     for a text of `data` as index and count arrays. Features are merged a
@@ -117,13 +124,21 @@ class Featurizer:
     def __init__(self, dims: int, hash_seed: int, data: Dataset):
         _check_dims(dims)
         self.dims, self.hash_seed, self.data = dims, hash_seed, data
-        texts = [ex.text for ex in data.examples]
+        texts = dict.fromkeys(ex.text for ex in data.examples)
+        # Each token numbered by its first appearance; one pass, holding no text's token list.
+        numbers, seen, ends = array("q"), {}, []
+        for text in texts:
+            numbers.extend(seen.setdefault(t, len(seen)) for t in tokenize(text))
+            ends.append(len(numbers))
+        encoded = [t.encode() for t in seen]
         # Longest first, so the tokens still being folded at byte j are a leading slice.
-        encoded = dict.fromkeys(t.encode() for text in texts for t in tokenize(text))
-        self._vocab = sorted(encoded, key=len, reverse=True)
-        ids = {token.decode(): i for i, token in enumerate(self._vocab)}
-        # text -> vocabulary id of each token
-        self._ids = {text: np.array([ids[t] for t in tokenize(text)], dtype=np.int64) for text in texts}
+        order = sorted(range(len(encoded)), key=lambda i: len(encoded[i]), reverse=True)
+        self._vocab = [encoded[i] for i in order]
+        vocab_id = np.empty(len(order), dtype=np.int64)
+        vocab_id[order] = np.arange(len(order))
+        flat = vocab_id[np.frombuffer(numbers, dtype=np.int64)]
+        # text -> vocabulary id of each token, as views into one array
+        self._ids = {text: flat[start:end] for text, start, end in zip(texts, [0] + ends, ends)}
         # Column j holds byte j of each token longer than j: a padded byte matrix without the padding.
         self._columns = [np.array([t[j] for t in self._vocab if len(t) > j], dtype=np.uint64)
                          for j in range(max(map(len, self._vocab), default=0))]
@@ -215,36 +230,61 @@ def _check_tables(tables: Featurizer, dims: int) -> None:
         raise ValidationError(f"the featurizer hashes with dims {tables.dims}, not the student's {dims}")
 
 
+def _check_columns(columns, dims: int) -> None:
+    # Columns past int64 make np.diff use floats or Python ints; rounding keeps their order.
+    if len(columns) and (columns[0] < 0 or columns[-1] >= dims or (np.diff(columns) <= 0).any()):
+        raise ValidationError(f"student columns must be strictly increasing within [0, {dims})")
+
+
 @dataclass(frozen=True)
 class StudentParams:
-    """Weights and bias of the classifier. Treated as immutable: training
-    operations return new instances and refuse to run while frozen."""
+    """Weights and bias of the classifier, held as they are saved: the
+    weight columns the student has touched, at the feature indices
+    `columns`, and no other. Every other column of the class_count x dims
+    weight matrix is zero. Treated as immutable: training operations
+    return new instances and refuse to run while frozen."""
 
-    weights: np.ndarray  # (class_count, dims)
+    columns: np.ndarray  # (n,) int64 feature indices, strictly ascending in [0, dims)
+    weights: np.ndarray  # (class_count, n)
     bias: np.ndarray  # (class_count,)
+    dims: int
     frozen: bool = False
+
+    def __post_init__(self):
+        _check_columns(self.columns, self.dims)
+        if self.weights.ndim != 2 or self.weights.shape[1] != len(self.columns):
+            raise ValidationError(
+                f"student weights have shape {self.weights.shape}, not class_count x {len(self.columns)} columns"
+            )
+        if self.bias.shape != self.weights.shape[:1]:
+            raise ValidationError(f"student bias has shape {self.bias.shape}, not ({self.weights.shape[0]},)")
 
     @property
     def class_count(self) -> int:
         return self.weights.shape[0]
 
-    @property
-    def dims(self) -> int:
-        return self.weights.shape[1]
-
 
 @dataclass(frozen=True)
 class Gradient:
-    weights: np.ndarray  # (class_count, dims)
+    """The loss gradient at the weight columns of the feature indices
+    `columns`, and at the bias; every other weight's gradient is zero."""
+
+    columns: np.ndarray  # (n,) distinct feature indices
+    weights: np.ndarray  # (class_count, n)
     bias: np.ndarray  # (class_count,)
 
 
-def init_params(dims: int, class_count: int) -> StudentParams:
-    """Zero-initialized parameters: the uniform-probability starting point."""
+def _check_shape(dims: int, class_count: int) -> None:
     _check_dims(dims)
     if class_count < 2:
         raise ValidationError(f"class_count must be >= 2, got {class_count}")
-    return StudentParams(weights=np.zeros((class_count, dims)), bias=np.zeros(class_count))
+
+
+def init_params(dims: int, class_count: int) -> StudentParams:
+    """Zero-initialized parameters, which hold no column: the
+    uniform-probability starting point."""
+    _check_shape(dims, class_count)
+    return StudentParams(np.zeros(0, dtype=np.int64), np.zeros((class_count, 0)), np.zeros(class_count), dims)
 
 
 def freeze(params: StudentParams) -> StudentParams:
@@ -255,15 +295,45 @@ def unfreeze(params: StudentParams) -> StudentParams:
     return replace(params, frozen=False)
 
 
-def _logits(weights: np.ndarray, bias: np.ndarray, f: FeatureVector) -> np.ndarray:
-    """Logits b + W·f. The product's columns are gathered class-major with
-    `take`, so each class's dot is one pairwise `np.add.reduce` over a
-    contiguous row, in f's key order; no BLAS sums it."""
-    z = bias.copy()
+def _union(*parts: np.ndarray) -> np.ndarray:
+    """The distinct indices of `parts`, ascending: a sort and a mask of the
+    entries that differ from the one before (np.unique allocates ~1.2 MiB
+    on its first call in a process)."""
+    merged = np.sort(np.concatenate(parts))
+    keep = np.ones(len(merged), dtype=bool)
+    np.not_equal(merged[1:], merged[:-1], out=keep[1:])
+    return merged[keep]
+
+
+def _column_map(columns: np.ndarray, dims: int) -> np.ndarray:
+    """An int32 array of dims entries that maps feature j to 1 + the
+    position of j in `columns`, and every feature outside `columns` to 0."""
+    column_map = np.zeros(dims, dtype=np.int32)
+    column_map[columns] = np.arange(1, len(columns) + 1, dtype=np.int32)
+    return column_map
+
+
+def _feature_arrays(f: FeatureVector) -> tuple[np.ndarray, np.ndarray]:
+    """f's keys and values as int64 and float64 arrays, in f's order."""
+    idx = np.fromiter(f.keys(), dtype=np.int64, count=len(f))
+    return idx, np.fromiter(f.values(), dtype=np.float64, count=len(f))
+
+
+def _logits(params: StudentParams, f: FeatureVector) -> np.ndarray:
+    """Logits b + W·f. f's columns are gathered class-major into a
+    C-ordered array, so each class's dot is one pairwise `np.add.reduce`
+    over a contiguous row, in f's key order; no BLAS sums it. f's keys
+    are looked up in `columns` by binary search, and a column the student
+    does not hold reads zero, so nothing of the size of dims is made."""
+    z = params.bias.copy()
     if f:
-        idx = np.fromiter(f.keys(), dtype=np.int64, count=len(f))
-        vals = np.fromiter(f.values(), dtype=np.float64, count=len(f))
-        z += np.add.reduce(weights.take(idx, axis=1) * vals, axis=1)
+        idx, vals = _feature_arrays(f)
+        pos = np.searchsorted(params.columns, idx)
+        held = pos < len(params.columns)
+        held[held] = params.columns[pos[held]] == idx[held]
+        gathered = np.zeros((params.class_count, len(idx)))
+        gathered[:, held] = params.weights[:, pos[held]]
+        z += np.add.reduce(gathered * vals, axis=1)
     return z
 
 
@@ -297,7 +367,7 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 def forward(params: StudentParams, f: FeatureVector) -> np.ndarray:
     """Class probability vector softmax(W·f + b)."""
-    return _softmax(_logits(params.weights, params.bias, f))
+    return _softmax(_logits(params, f))
 
 
 def loss(probs: np.ndarray, label: int) -> float:
@@ -319,24 +389,29 @@ def _mean_loss(label_probs: list[float]) -> float:
 
 
 def grad(params: StudentParams, f: FeatureVector, label: int) -> Gradient:
-    """Analytic cross-entropy gradient: dW_c = (p_c - 1{c=label})·f,
-    db_c = p_c - 1{c=label}."""
+    """Analytic cross-entropy gradient at f's columns, in f's key order:
+    dW_c = (p_c - 1{c=label})·f, db_c = p_c - 1{c=label}."""
     probs = forward(params, f)
     coef = probs.copy()
     coef[label] -= 1.0
-    gw = np.zeros_like(params.weights)
-    for idx, val in f.items():
-        gw[:, idx] += coef * val
-    return Gradient(weights=gw, bias=coef)
+    idx, vals = _feature_arrays(f)
+    return Gradient(columns=idx, weights=np.multiply.outer(coef, vals), bias=coef)
 
 
 def sgd_step(params: StudentParams, g: Gradient, lr: float) -> StudentParams:
-    """One gradient-descent step theta - lr·g. Refuses frozen params."""
+    """One gradient-descent step theta - lr·g, over params' columns widened
+    by g's; a column outside g's keeps its weights. Refuses frozen params."""
     if params.frozen:
         raise StateError("cannot update frozen params")
     if lr < 0:
         raise ValidationError(f"lr must be >= 0, got {lr}")
-    return replace(params, weights=params.weights - lr * g.weights, bias=params.bias - lr * g.bias)
+    missing = np.sort(np.setdiff1d(g.columns, params.columns, assume_unique=True))
+    at = np.searchsorted(params.columns, missing)
+    columns = np.insert(params.columns, at, missing)
+    weights = np.insert(params.weights, at, 0.0, axis=1) if len(missing) else params.weights.copy()
+    stepped = np.searchsorted(columns, g.columns)
+    weights[:, stepped] -= lr * g.weights
+    return replace(params, columns=columns, weights=weights, bias=params.bias - lr * g.bias)
 
 
 # Training examples whose features train_pass merges at once: enough to
@@ -357,12 +432,15 @@ def train_pass(
     split, a label outside [0, class_count), or tables of other dims than
     the student's raise ValidationError before any update.
 
-    The shuffled order is walked in blocks of TRAIN_BLOCK examples, whose
-    features the tables merge at once. Each example's update is
-    applied sparsely, at its active feature indices only, through a flat
-    view of the weights; coordinates outside the support have zero
-    gradient. The columns are gathered class-major, as `_logits` takes
-    them, so each class's dot is the same `np.add.reduce`. The class
+    The student's columns are first widened to every feature the pass
+    can reach: the tables' unigram row, and the prefix's unigram indices
+    and pair rows. One int32 column map then takes each feature to its
+    column. The shuffled order is walked in blocks of TRAIN_BLOCK
+    examples, whose features the tables merge at once. Each example's
+    update is applied sparsely, at its active feature indices only,
+    through a flat view of the weights; coordinates outside the support
+    have zero gradient. The columns are gathered class-major, as
+    `_logits` takes them, so each class's dot is the same `np.add.reduce`. The class
     vector (logits, softmax, bias and its update) is held in Python
     floats and goes through `_softmax_row`, whose operations `forward`'s
     `_softmax` repeats. The products and the weight update are those of
@@ -376,16 +454,21 @@ def train_pass(
         raise ValidationError(f"lr must be >= 0, got {lr}")
     if not len(train):
         raise ValidationError("cannot train on an empty dataset")
-    class_count, dims = params.weights.shape
+    class_count, dims = params.class_count, params.dims
     examples = train.data.examples
     for ex in examples:
         if not 0 <= ex.label < class_count:
             raise ValidationError(f"label {ex.label} out of range for {class_count} classes")
     _check_tables(train, dims)
-    weights = params.weights.copy()
+    unigrams, rows = train._prefix_indices(prefix)
+    columns = _union(params.columns, train._unigrams, np.array(unigrams, dtype=np.int64), *rows)
+    column_map = _column_map(columns, dims)
+    weights = np.zeros((class_count, len(columns)))
+    weights[:, column_map[params.columns] - 1] = params.weights
     flat_weights = weights.reshape(-1)
     bias = params.bias.tolist()
-    classes, class_offsets = range(class_count), np.arange(0, class_count * dims, dims)[:, None]
+    # Feature j's weight for class c sits at column_map[j] + class_offsets[c] of the flat weights.
+    classes, class_offsets = range(class_count), np.arange(class_count)[:, None] * len(columns) - 1
     order = Stream(shuffle_seed).permutation(len(train))
     label_probs = []
     coef_column = np.empty((class_count, 1))
@@ -394,7 +477,7 @@ def train_pass(
         train._build(prefix, [ex.text for ex in block])
         for ex in block:
             idx, vals = train.featurize(prefix, ex.text)
-            flat = idx + class_offsets  # of weights[:, idx], class-major
+            flat = column_map[idx] + class_offsets  # of weights[:, idx's columns], class-major
             gathered = flat_weights[flat]
             product = gathered * vals
             coef = np.add.reduce(product, axis=1).tolist()
@@ -409,7 +492,7 @@ def train_pass(
             flat_weights[flat] = np.subtract(gathered, product, out=gathered)
             for c in classes:
                 bias[c] -= lr * coef[c]
-    return replace(params, weights=weights, bias=np.array(bias)), _mean_loss(label_probs)
+    return replace(params, columns=columns, weights=weights, bias=np.array(bias)), _mean_loss(label_probs)
 
 
 def _segment_summer(lengths: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -438,6 +521,8 @@ def batch_logits(params: StudentParams, tables: Featurizer) -> Callable[[str], n
     x's tokens gathered from M_p = sum over q in p of W[:, rows[q]], where
     rows[q] is q's pair index with each vocabulary token, hashed with the
     tables' seed; the per-example runs of tokens are laid out here once.
+    W is read through one int32 column map, built here, in which every
+    column the student does not hold reads a zero column.
 
     Every sum has a fixed order: p's unigram columns are added one at a
     time in token order, M_p row by row in token order, and each example's
@@ -453,18 +538,20 @@ def batch_logits(params: StudentParams, tables: Featurizer) -> Callable[[str], n
     ids = [tables._ids[ex.text] for ex in tables.data.examples]
     flat = np.concatenate(ids)
     segment_sums = _segment_summer(np.array([len(i) for i in ids]))
-    weights = params.weights
-    class_count, vocab = weights.shape[0], len(tables._vocab)
-    base = params.bias[:, None] + segment_sums(weights.take(tables._unigrams[flat], axis=1))
+    column_map = _column_map(params.columns, params.dims)
+    class_count, vocab = params.class_count, len(tables._vocab)
+    weights = np.zeros((class_count, 1 + len(params.columns)))  # column 0 stands for every column not held
+    weights[:, 1:] = params.weights
+    base = params.bias[:, None] + segment_sums(weights.take(column_map[tables._unigrams][flat], axis=1))
 
     def logits(prefix: str) -> np.ndarray:
         unigrams, rows = tables._prefix_indices(prefix)
         prefix_unigrams = np.zeros(class_count)
         for u in unigrams:
-            prefix_unigrams += weights[:, u]
+            prefix_unigrams += weights[:, column_map[u]]
         z = base + prefix_unigrams[:, None]
         if rows:
-            gathered = weights.take(rows, axis=1)  # classes x prefix tokens x vocabulary
+            gathered = weights.take(column_map.take(rows), axis=1)  # classes x prefix tokens x vocabulary
             pairs = np.zeros((class_count, vocab))
             for i in range(len(rows)):
                 pairs += gathered[:, i]
@@ -477,7 +564,7 @@ def batch_logits(params: StudentParams, tables: Featurizer) -> Callable[[str], n
 def predict(params: StudentParams, prefix: str, text: str, hash_seed: int = 0) -> int:
     """Argmax class for the prefixed input; ties break to the lowest index."""
     f = featurize(prefix, text, params.dims, hash_seed)
-    return int(np.argmax(_logits(params.weights, params.bias, f)))
+    return int(np.argmax(_logits(params, f)))
 
 
 def params_to_dict(params: StudentParams) -> dict:
@@ -486,13 +573,13 @@ def params_to_dict(params: StudentParams) -> dict:
     columns' values row-major as class_count x len(columns). Hashed
     features leave most columns at zero, so this is far smaller than the
     dense matrix. Floats serialize via repr, so the round-trip is lossless."""
-    columns = np.flatnonzero(params.weights.any(axis=0))
+    nonzero = np.flatnonzero(params.weights.any(axis=0))
     return {
         "dims": params.dims,
         "class_count": params.class_count,
         "bias": params.bias.tolist(),
-        "columns": columns.tolist(),
-        "weights": params.weights[:, columns].reshape(-1).tolist(),
+        "columns": params.columns[nonzero].tolist(),
+        "weights": params.weights[:, nonzero].reshape(-1).tolist(),
     }
 
 
@@ -532,14 +619,16 @@ def params_from_dict(obj: dict) -> StudentParams:
     dims, class_count, columns = saved.dims, saved.class_count, saved.columns
     if len(saved.bias) != class_count:
         raise ValidationError("bias length does not match class_count")
-    weights = init_params(dims, class_count).weights
-    # Columns past int64 make np.diff use floats or Python ints; rounding keeps their order.
-    if columns and (columns[0] < 0 or columns[-1] >= dims or (np.diff(columns) <= 0).any()):
-        raise ValidationError(f"student columns must be strictly increasing within [0, {dims})")
+    _check_shape(dims, class_count)
+    _check_columns(columns, dims)
     if len(saved.weights) != class_count * len(columns):
         raise ValidationError(
             f"student weights length {len(saved.weights)} != class_count x columns "
             f"= {class_count} x {len(columns)}"
         )
-    weights[:, list(columns)] = np.array(saved.weights).reshape(class_count, len(columns))
-    return StudentParams(weights=weights, bias=np.array(saved.bias))
+    return StudentParams(
+        np.array(columns, dtype=np.int64),
+        np.array(saved.weights).reshape(class_count, len(columns)),
+        np.array(saved.bias),
+        dims,
+    )

@@ -4,10 +4,11 @@ model whose pool contains a planted family of genuinely useful prefixes
 next to junk prefixes with disjoint tokens.
 """
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
-from gpta import RunConfig, synth_generate, write_jsonl
+from gpta import RunConfig, StudentParams, synth_generate, write_jsonl
 
 # Ten times hypothesis's default budget of 100 examples, for properties that
 # set no max_examples of their own. CI reruns the bit-identity properties
@@ -34,6 +35,20 @@ JUNK_PREFIXES = tuple(f"junk filler phrase {i}" for i in range(30))
 DESK_POOL = tuple((p, 2.0) for p in FAMILY_PREFIXES) + tuple(
     (p, 0.0) for p in JUNK_PREFIXES
 )
+
+
+def dense_student(weights, bias, frozen=False):
+    """The student whose class_count x dims weight matrix is `weights`: it
+    holds every column."""
+    return StudentParams(np.arange(weights.shape[1]), weights, bias, weights.shape[1], frozen)
+
+
+def dense_weights(part, dims):
+    """The class_count x dims weight matrix of a StudentParams, or of a
+    Gradient, with zero in every column it does not hold."""
+    dense = np.zeros((len(part.bias), dims))
+    dense[:, part.columns] = part.weights
+    return dense
 
 
 def pytest_collection_modifyitems(items):

@@ -35,10 +35,10 @@ from gpta import (
 )
 from gpta.fileio import record_from_json
 from gpta.remote import RemoteClient
-from gpta.student import Featurizer, StudentParams, forward, grad, loss
+from gpta.student import Featurizer, forward, grad, loss
 from gpta.ta import remote_handle, render_generation_request, SimState
 
-from conftest import DESK_POOL, FAMILY_PREFIXES
+from conftest import DESK_POOL, FAMILY_PREFIXES, dense_student, dense_weights
 from mock_openai import MockOpenAIServer
 from test_history import scorer
 from test_ta import finetune_file, make_mp
@@ -64,7 +64,7 @@ def test_criterion_1_gradient_correctness():
         for _ in range(100):
             dims = 16
             classes = int(rng.integers(2, 6))
-            params = StudentParams(weights=rng.normal(0, 1, (classes, dims)), bias=rng.normal(0, 1, classes))
+            params = dense_student(rng.normal(0, 1, (classes, dims)), rng.normal(0, 1, classes))
             nnz = int(rng.integers(2, 6))
             f = {
                 int(i): float(rng.integers(1, 4))
@@ -72,11 +72,12 @@ def test_criterion_1_gradient_correctness():
             }
             label = int(rng.integers(classes))
             analytic = grad(params, f, label)
+            analytic_weights = dense_weights(analytic, dims)
 
             def loss_at(w, b):
                 return loss(
                     forward(
-                        StudentParams(weights=w, bias=b), f
+                        dense_student(w, b), f
                     ),
                     label,
                 )
@@ -87,7 +88,7 @@ def test_criterion_1_gradient_correctness():
                     wp[c, j] += h
                     wm[c, j] -= h
                     numeric = (loss_at(wp, params.bias) - loss_at(wm, params.bias)) / (2 * h)
-                    a = analytic.weights[c, j]
+                    a = analytic_weights[c, j]
                     if abs(a) > 1e-6:
                         assert abs(a - numeric) / abs(a) < 1e-4
                 bp, bm = params.bias.copy(), params.bias.copy()

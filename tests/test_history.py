@@ -32,8 +32,9 @@ from gpta import (
 from gpta import history, metrics
 from gpta.history import Origin, RoundStats, carry_over
 from gpta.dataset import Dataset, TextExample
-from gpta.student import Featurizer, StudentParams, _logits, batch_logits, featurize, forward, loss
+from gpta.student import Featurizer, _logits, batch_logits, featurize, forward, loss
 
+from conftest import dense_student
 from test_metrics import macro_f1_loop, rows
 from test_ta import make_mp
 
@@ -50,7 +51,7 @@ PREFIXES = st.lists(
 
 def oracle_logits(frozen, prefix, text, hash_seed):
     """One text's logits from the reference per-example path."""
-    return _logits(frozen.weights, frozen.bias, featurize(prefix, text, frozen.dims, hash_seed))
+    return _logits(frozen, featurize(prefix, text, frozen.dims, hash_seed))
 
 
 def oracle_score(frozen, prefix, data, kind, hash_seed):
@@ -129,7 +130,7 @@ class TestScorePrefix:
         if blank_at is not None:
             examples.insert(blank_at % (len(examples) + 1), TextExample(text=" \t ", label=0))
         dims, rng = 2**log_dims, np.random.default_rng(seed)
-        frozen = StudentParams(rng.standard_normal((classes, dims)), rng.standard_normal(classes), frozen=True)
+        frozen = dense_student(rng.standard_normal((classes, dims)), rng.standard_normal(classes), frozen=True)
         texts = [ex.text for ex in examples]
         logits = batch_logits(frozen, Featurizer(dims, hash_seed, Dataset(tuple(examples), classes)))
         for prefix in prefixes:

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,9 +19,11 @@ from gpta import (
     grad,
     init_params,
     load_checkpoint,
+    load_jsonl,
     loss,
     predict,
     save_checkpoint,
+    score_prefix,
     sgd_step,
     synth_generate,
     train_pass,
@@ -29,6 +33,8 @@ from gpta import student
 from gpta.dataset import Dataset, TextExample
 from gpta.metrics import MetricKind, evaluate, scorer
 from gpta.student import Gradient, StudentParams, batch_logits, params_from_dict, params_to_dict
+
+from conftest import dense_student, dense_weights
 
 
 def reference_fnv1a64(data: bytes, seed: int = 0) -> int:
@@ -186,7 +192,7 @@ def test_forward_uniform_for_zero_params():
 
 
 def test_forward_two_class_cases():
-    p = StudentParams(weights=np.array([[math.log(3.0)], [0.0]]), bias=np.zeros(2))
+    p = dense_student(np.array([[math.log(3.0)], [0.0]]), np.zeros(2))
     # dims=1 is not constructible through init_params; exercise the math directly
     probs = forward(p, {0: 1.0})
     assert np.allclose(probs, [0.75, 0.25])
@@ -218,7 +224,7 @@ def finite_difference(params, f, label, h=1e-5):
     gb = np.zeros_like(params.bias)
 
     def loss_at(w, b):
-        p = StudentParams(weights=w, bias=b)
+        p = dense_student(w, b)
         return loss(forward(p, f), label)
 
     for c in range(params.class_count):
@@ -231,7 +237,7 @@ def finite_difference(params, f, label, h=1e-5):
         bp[c] += h
         bm[c] -= h
         gb[c] = (loss_at(params.weights, bp) - loss_at(params.weights, bm)) / (2 * h)
-    return Gradient(weights=gw, bias=gb)
+    return Gradient(np.arange(params.dims), gw, gb)
 
 
 def test_grad_matches_finite_differences():
@@ -239,12 +245,12 @@ def test_grad_matches_finite_differences():
     for _ in range(20):
         dims = 8
         classes = int(rng.integers(2, 5))
-        params = StudentParams(weights=rng.normal(0, 1, (classes, dims)), bias=rng.normal(0, 1, classes))
+        params = dense_student(rng.normal(0, 1, (classes, dims)), rng.normal(0, 1, classes))
         f = {int(i): float(rng.integers(1, 4)) for i in rng.choice(dims, 3, replace=False)}
         label = int(rng.integers(classes))
         analytic = grad(params, f, label)
         numeric = finite_difference(params, f, label)
-        for a, n in ((analytic.weights, numeric.weights), (analytic.bias, numeric.bias)):
+        for a, n in ((dense_weights(analytic, dims), numeric.weights), (analytic.bias, numeric.bias)):
             mask = np.abs(a) > 1e-6
             rel = np.abs(a[mask] - n[mask]) / np.abs(a[mask])
             assert rel.max() < 1e-4
@@ -252,18 +258,18 @@ def test_grad_matches_finite_differences():
 
 def test_sgd_step_arithmetic():
     p = init_params(2, 2)
-    p = StudentParams(weights=np.array([[1.0, 0.0], [0.0, 0.0]]), bias=np.zeros(2))
-    g = Gradient(weights=np.array([[0.5, 0.0], [0.0, 0.0]]), bias=np.zeros(2))
+    p = dense_student(np.array([[1.0, 0.0], [0.0, 0.0]]), np.zeros(2))
+    g = Gradient(np.arange(2), np.array([[0.5, 0.0], [0.0, 0.0]]), np.zeros(2))
     stepped = sgd_step(p, g, 0.1)
     assert stepped.weights[0, 0] == pytest.approx(0.95)
-    zero_g = Gradient(weights=np.zeros((2, 2)), bias=np.zeros(2))
+    zero_g = Gradient(np.arange(2), np.zeros((2, 2)), np.zeros(2))
     assert np.array_equal(sgd_step(p, zero_g, 0.1).weights, p.weights)
     assert np.array_equal(sgd_step(p, g, 0.0).weights, p.weights)
 
 
 def test_frozen_params_refuse_updates():
     p = freeze(init_params(16, 2))
-    g = Gradient(weights=np.zeros((2, 16)), bias=np.zeros(2))
+    g = Gradient(np.arange(16), np.zeros((2, 16)), np.zeros(2))
     with pytest.raises(StateError):
         sgd_step(p, g, 0.1)
     d = synth_generate(2, 5, 40, 0.0, 1)
@@ -276,7 +282,7 @@ def test_frozen_params_refuse_updates():
 
 def test_train_pass_lr_zero_keeps_params():
     d = synth_generate(2, 10, 40, 0.0, 3)
-    p = init_params(256, 2)
+    p = dense_student(np.zeros((2, 256)), np.zeros(2))
     new_p, mean_loss = train_pass(p, Featurizer(256, 0, d), "", lr=0.0, shuffle_seed=1)
     assert np.array_equal(new_p.weights, p.weights)
     assert mean_loss == pytest.approx(math.log(2))
@@ -365,8 +371,9 @@ BLOCK = student.TRAIN_BLOCK
 
 @st.composite
 def training_runs(draw):
-    """Params (zero or drawn), a dataset of 1, B - 1, B, B + 1 or 3B + 2
-    examples for the train_pass block size B, and the pass's arguments."""
+    """Params (zero, or drawn at a drawn share of the columns), a dataset
+    of 1, B - 1, B, B + 1 or 3B + 2 examples for the train_pass block size
+    B, and the pass's arguments."""
     class_count = draw(st.integers(2, 12))
     dims = 1 << draw(st.integers(1, 18))
     size = draw(st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 2]))
@@ -376,7 +383,8 @@ def training_runs(draw):
     params = init_params(dims, class_count)
     if draw(st.booleans()):
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        params = StudentParams(weights=rng.standard_normal((class_count, dims)), bias=rng.standard_normal(class_count))
+        columns = np.flatnonzero(rng.random(dims) < draw(st.floats(0.0, 1.0)))
+        params = StudentParams(columns, rng.standard_normal((class_count, len(columns))), rng.standard_normal(class_count), dims)
     prefix = " ".join(draw(st.lists(TRAIN_TOKENS, max_size=5)))
     lr = draw(st.sampled_from([0.0, 0.05, 0.5, 3.0]))
     return params, train, prefix, lr, draw(st.integers(-(2**70), 2**70)), draw(st.integers(0, 2**32 - 1))
@@ -405,7 +413,7 @@ def reference_segment_sums(columns, lengths):
 def reference_batch_logits(params, texts, prefix, hash_seed):
     """batch_logits by the column-gather formula it replaced, from tables
     built here: each sum in the order that formula took it."""
-    dims, weights, seeded = params.dims, params.weights, student._FNV_OFFSET ^ hash_seed
+    dims, weights, seeded = params.dims, dense_weights(params, params.dims), student._FNV_OFFSET ^ hash_seed
     tokens = [student.tokenize(text) for text in texts]
     vocab = sorted({x for ts in tokens for x in ts})
     ids = {x: i for i, x in enumerate(vocab)}
@@ -430,9 +438,10 @@ OUTSIDE_TOKENS = st.sampled_from(["zq", "unseen", "Ωmega"])
 
 @st.composite
 def scoring_worlds(draw):
-    """Frozen params whose weights span many magnitudes and hold signed
-    zeros, texts (some blank, and at times of one distinct token) with
-    their labels, the tables over them, and prefixes of 0 to 20 tokens."""
+    """Frozen params that hold a drawn share of the columns, whose weights
+    span many magnitudes and hold signed zeros, texts (some blank, and at
+    times of one distinct token) with their labels, the tables over them,
+    and prefixes of 0 to 20 tokens."""
     class_count = draw(st.integers(2, 6))
     dims = 1 << draw(st.integers(1, 12))
     text_tokens = draw(st.sampled_from([TRAIN_TOKENS, st.just("a")]))
@@ -444,7 +453,8 @@ def scoring_worlds(draw):
     weights = rng.standard_normal((class_count, dims)) * 10.0 ** rng.integers(-8, 9, (class_count, dims))
     weights[rng.random(weights.shape) < 0.1] = -0.0
     weights[rng.random(weights.shape) < 0.1] = 0.0
-    params = StudentParams(weights, rng.standard_normal(class_count), frozen=True)
+    held = rng.random(dims) < draw(st.floats(0.0, 1.0))
+    params = StudentParams(np.flatnonzero(held), weights[:, held], rng.standard_normal(class_count), dims, frozen=True)
     hash_seed = draw(st.integers(-(2**70), 2**70))
     prefix = st.lists(TRAIN_TOKENS | OUTSIDE_TOKENS, max_size=20).map(" ".join)
     prefixes = draw(st.lists(prefix, min_size=1, max_size=4))
@@ -473,7 +483,7 @@ def test_batch_logits_and_scorer_are_bit_identical_to_the_column_gather_formula(
 def test_train_pass_on_a_whitespace_only_text_under_the_empty_prefix():
     """No features: only the bias moves, exactly as in the reference."""
     train = Dataset((TextExample(" \t ", 1),), 3)
-    params = StudentParams(weights=np.ones((3, 8)), bias=np.array([0.5, -1.0, 2.0]))
+    params = dense_student(np.ones((3, 8)), np.array([0.5, -1.0, 2.0]))
     got, got_loss = train_pass(params, Featurizer(8, 4, train), "", 0.5)
     want, want_loss = reference_train_pass(params, train, "", 0.5, 4, 0)
     assert np.array_equal(got.weights, params.weights) and np.array_equal(got.weights, want.weights)
@@ -500,7 +510,7 @@ def test_predict_follows_planted_weights():
     idx = fnv1a64("win") % dims
     w = np.zeros((2, dims))
     w[1, idx] = 5.0
-    p = StudentParams(weights=w, bias=np.zeros(2))
+    p = dense_student(w, np.zeros(2))
     assert predict(p, "", "win") == 1
     assert predict(p, "", "other") == 0
 
@@ -511,7 +521,7 @@ def test_prefix_changes_prediction_by_construction():
     idx = fnv1a64("cue\x01thing") % dims
     w = np.zeros((2, dims))
     w[1, idx] = 5.0
-    p = StudentParams(weights=w, bias=np.zeros(2))
+    p = dense_student(w, np.zeros(2))
     assert predict(p, "cue", "thing") == 1
     assert predict(p, "", "thing") == 0
 
@@ -527,7 +537,7 @@ def test_featurize_and_predict_are_pure():
 
 def test_checkpoint_round_trip(tmp_path):
     rng = np.random.default_rng(8)
-    p = StudentParams(weights=rng.normal(0, 1, (3, 32)), bias=rng.normal(0, 1, 3))
+    p = dense_student(rng.normal(0, 1, (3, 32)), rng.normal(0, 1, 3))
     path = tmp_path / "ckpt.json"
     save_checkpoint(p, path)
     back = load_checkpoint(path)
@@ -557,7 +567,8 @@ def sparse_params(draw):
     weights = np.zeros((class_count, dims))
     weights[:, mask] = rng.choice(values, size=(class_count, int(mask.sum())))
     bias = np.array(draw(st.lists(FINITE, min_size=class_count, max_size=class_count)))
-    return StudentParams(weights=weights, bias=bias)
+    columns = np.flatnonzero(weights.any(axis=0))  # the columns a checkpoint keeps
+    return StudentParams(columns, weights[:, columns], bias, dims)
 
 
 @settings(max_examples=200, deadline=None)
@@ -569,6 +580,77 @@ def test_sparse_params_round_trip(p):
     assert np.array_equal(back.bias, p.bias)
     assert (back.dims, back.class_count) == (p.dims, p.class_count)
     assert json.dumps(params_to_dict(back)) == text
+
+
+@pytest.mark.parametrize("columns", [[4, 1], [4, 4], [-1, 4], [1, 8]])
+def test_student_params_refuse_columns_not_strictly_increasing_within_dims(columns):
+    with pytest.raises(ValidationError, match=re.escape("student columns must be strictly increasing within [0, 8)")):
+        StudentParams(np.array(columns), np.zeros((2, 2)), np.zeros(2), 8)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (2,), (2, 2, 1)])
+def test_student_params_refuse_weights_of_another_shape_than_class_count_x_columns(shape):
+    with pytest.raises(ValidationError, match="student weights have shape"):
+        StudentParams(np.array([1, 4]), np.zeros(shape), np.zeros(2), 8)
+
+
+@pytest.mark.parametrize("length", [1, 3])
+def test_student_params_refuse_a_bias_of_another_length_than_class_count(length):
+    with pytest.raises(ValidationError, match="student bias has shape"):
+        StudentParams(np.array([1, 4]), np.zeros((2, 2)), np.zeros(length), 8)
+
+
+def test_a_wide_checkpoint_loads_and_scores_below_its_dense_matrix(tmp_path):
+    """load_checkpoint + score_prefix of a 2-class student at dims 2^22
+    trace less than its dense 2 x dims float64 matrix (64 MiB): the
+    student holds its saved columns, and scoring maps features to them."""
+    dims = 1 << 22
+    data = synth_generate(2, 20, 40, 0.1, 5)
+    columns = sorted({i for ex in data.examples for i in featurize("look", ex.text, dims)})
+    weights = np.random.default_rng(6).standard_normal(2 * len(columns)).tolist()
+    path = tmp_path / "student.json"
+    path.write_text(json.dumps({"dims": dims, "class_count": 2, "bias": [0.1, -0.1],
+                                "columns": columns, "weights": weights}))
+    tracemalloc.start()
+    try:
+        score = score_prefix(freeze(load_checkpoint(path)), "look", data, MetricKind.ACCURACY)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 <= score <= 1.0
+    assert peak < 2 * dims * 8
+
+
+def per_text_tables(dims, hash_seed, data):
+    """A Featurizer's _vocab, _ids, _columns and _unigrams built text by
+    text: every text's tokens encoded, each text's ids its own array, and
+    each vocabulary token hashed on its own."""
+    texts = [ex.text for ex in data.examples]
+    vocab = sorted(dict.fromkeys(t.encode() for text in texts for t in student.tokenize(text)), key=len, reverse=True)
+    ids = {token.decode(): i for i, token in enumerate(vocab)}
+    text_ids = {text: np.array([ids[t] for t in student.tokenize(text)], dtype=np.int64) for text in texts}
+    columns = [np.array([t[j] for t in vocab if len(t) > j], dtype=np.uint64) for j in range(max(map(len, vocab), default=0))]
+    unigrams = np.array([fnv1a64(t.decode(), hash_seed) % dims for t in vocab], dtype=np.int64)
+    return vocab, text_ids, columns, unigrams
+
+
+def same_arrays(a, b):
+    return a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("texts", ["desk", "duplicates", "whitespace"])
+def test_featurizer_tables_equal_the_per_text_build(texts, desk_dataset_path):
+    data = {
+        "desk": load_jsonl(desk_dataset_path),
+        "duplicates": Dataset(tuple(TextExample(t, 0) for t in ["b a", "café b", "b a", "", "café b", "zz"]), 2),
+        "whitespace": Dataset(tuple(TextExample(t, 1) for t in ["", " ", "\t\u3000 \n", " "]), 2),
+    }[texts]
+    tables = Featurizer(1 << 18, -7, data)
+    vocab, text_ids, columns, unigrams = per_text_tables(1 << 18, -7, data)
+    assert tables._vocab == vocab
+    assert list(tables._ids) == list(text_ids) and all(same_arrays(tables._ids[t], text_ids[t]) for t in text_ids)
+    assert len(tables._columns) == len(columns) and all(map(same_arrays, tables._columns, columns))
+    assert same_arrays(tables._unigrams, unigrams)
 
 
 def test_freeze_unfreeze_round_trip():

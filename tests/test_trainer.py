@@ -5,6 +5,7 @@ import logging
 import re
 import resource
 import sys
+import tracemalloc
 from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
@@ -14,7 +15,6 @@ import pytest
 
 from gpta import (
     RunConfig,
-    StudentParams,
     ValidationError,
     featurize,
     improvement_rate,
@@ -39,6 +39,7 @@ from gpta.trainer import (
 )
 from gpta.student import DEFAULT_DIMS
 
+from conftest import dense_student
 from test_history import imported_parts
 
 
@@ -661,6 +662,22 @@ class TestRun:
             assert straight == (tmp_path / "resumed" / f"state_epoch{e}.json").read_bytes()
             assert len(straight) < 1_000_000
 
+    def test_shipped_dims_run_and_resume_trace_less_than_one_dense_weight_matrix(self, desk_config, tmp_path):
+        """The student holds its touched columns, so neither a run nor a
+        resume allocates a class_count x dims float64 matrix."""
+        cfg = desk_config(dims=DEFAULT_DIMS)
+        matrix = prepare(cfg).train.class_count * cfg.dims * 8
+        tracemalloc.start()
+        try:
+            run(cfg, tmp_path / "run")
+            run_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            run(cfg, tmp_path / "resumed", resume_from=tmp_path / "run" / "state_epoch0.json")
+            resume_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert run_peak < matrix and resume_peak < matrix
+
     def test_config_echo_is_idempotent(self, desk_config, tmp_path):
         cfg = desk_config(epochs=1)
         run(cfg, tmp_path / "run")
@@ -757,7 +774,7 @@ class TestAtomicWrites:
         save_checkpoint(init_params(64, 2), path)
         before = _dir_bytes(tmp_path)
         rng = np.random.default_rng(5)
-        dense = StudentParams(weights=rng.normal(size=(2, 4096)), bias=np.zeros(2))
+        dense = dense_student(rng.normal(size=(2, 4096)), np.zeros(2))
         with file_size_limit(len(before["student.json"]) + 1), pytest.raises(OSError):
             save_checkpoint(dense, path)
         assert _dir_bytes(tmp_path) == before
