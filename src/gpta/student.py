@@ -567,25 +567,36 @@ def predict(params: StudentParams, prefix: str, text: str, hash_seed: int = 0) -
     return int(np.argmax(_logits(params, f)))
 
 
-def params_to_dict(params: StudentParams) -> dict:
-    """Sparse JSON-ready form: `columns` lists, ascending, the feature
+# Values per json.dumps call when a student is written.
+WRITE_SLICE = 2048
+
+
+def _json_items(rows: np.ndarray) -> str:
+    """The values of `rows`, read row-major, as compact JSON array items,
+    encoded WRITE_SLICE at a time by json.dumps's C encoder."""
+    return ",".join(json.dumps(row[i:i + WRITE_SLICE].tolist(), separators=(",", ":"))[1:-1]
+                    for row in np.atleast_2d(rows) for i in range(0, rows.shape[-1], WRITE_SLICE))
+
+
+def params_to_json(params: StudentParams) -> str:
+    """The student as compact JSON: `columns` lists, ascending, the feature
     columns where any class weight is non-zero, and `weights` holds those
-    columns' values row-major as class_count x len(columns). Hashed
-    features leave most columns at zero, so this is far smaller than the
-    dense matrix. Floats serialize via repr, so the round-trip is lossless."""
-    nonzero = np.flatnonzero(params.weights.any(axis=0))
-    return {
-        "dims": params.dims,
-        "class_count": params.class_count,
-        "bias": params.bias.tolist(),
-        "columns": params.columns[nonzero].tolist(),
-        "weights": params.weights[:, nonzero].reshape(-1).tolist(),
-    }
+    columns' values row-major as class_count x len(columns), next to
+    `dims`, `class_count` and `bias`. Floats are written via repr, so the
+    round-trip is lossless. The weights are encoded one slice at a time,
+    so the write holds about twice the text, not a Python float and a repr
+    string per weight."""
+    held = params.weights.any(axis=0)
+    keep = slice(None) if held.all() else held
+    head = json.dumps({"dims": params.dims, "class_count": params.class_count, "bias": params.bias.tolist()},
+                      separators=(",", ":"))
+    columns, weights = _json_items(params.columns[keep]), _json_items(params.weights[:, keep])
+    return f'{head[:-1]},"columns":[{columns}],"weights":[{weights}]}}'
 
 
 def save_checkpoint(params: StudentParams, path: str | Path) -> None:
-    """Write params_to_dict(params) as compact JSON, atomically."""
-    write_atomic(path, json.dumps(params_to_dict(params), separators=(",", ":")))
+    """Write params_to_json(params), atomically."""
+    write_atomic(path, params_to_json(params))
 
 
 def load_checkpoint(path: str | Path) -> StudentParams:
@@ -597,7 +608,7 @@ def load_checkpoint(path: str | Path) -> StudentParams:
 
 @dataclass(frozen=True)
 class _Checkpoint:
-    """The JSON object params_to_dict writes, as the typed reader reads it."""
+    """The JSON object params_to_json writes, as the typed reader reads it."""
 
     dims: int
     class_count: int
@@ -607,7 +618,7 @@ class _Checkpoint:
 
 
 def params_from_dict(obj: dict) -> StudentParams:
-    """Inverse of params_to_dict. The five keys are read by the typed
+    """Inverse of params_to_json, from its parsed object. The five keys are read by the typed
     reader, so errors name the value, e.g. $.student.weights[1]. A dense
     layout (`weights` without `columns`) is rejected, not read."""
     if isinstance(obj, dict) and "weights" in obj and "columns" not in obj:

@@ -10,6 +10,7 @@ occurrence) is the smallest mechanism that lets dialogue-formatted tuning
 provably shift generation toward better prefixes.
 """
 
+import math
 import re
 from dataclasses import asdict, dataclass, replace
 from typing import TYPE_CHECKING, ClassVar, Sequence
@@ -342,11 +343,11 @@ def finetune(h: TAHandle, training_file: bytes) -> TAHandle:
 
 def softmax_pool_mass(state: SimState, prefixes: Sequence[str]) -> float:
     """Probability mass the pool softmax (at temperature 1) places on the
-    given prefixes: the chance a single greedy-free draw emits one of them."""
-    weights = np.array([w for _, w in state.pool], dtype=np.float64)
-    scaled = weights / state.temperature_scale
-    e = np.exp(scaled - scaled.max())
+    given prefixes: the chance a single greedy-free draw emits one of them.
+    Exps are libm's `math.exp`, as in the student's softmax."""
+    scaled = [w / state.temperature_scale for _, w in state.pool]
+    top = max(scaled)
+    exps = [math.exp(v - top) for v in scaled]
     wanted = set(prefixes)
-    mask = np.array([p in wanted for p, _ in state.pool])
-    return float(e[mask].sum() / e.sum())
+    return sum(e for e, (p, _) in zip(exps, state.pool) if p in wanted) / sum(exps)
 

@@ -365,16 +365,17 @@ def improvement_rate(rounds: list[RoundStats]) -> float:
 
 
 def state_to_json(state: RunState) -> str:
-    obj = {
-        "epoch": state.epoch,
-        "student": student_mod.params_to_dict(state.student),
+    """The state file's text: compact JSON and a newline, the student
+    spliced in as params_to_json writes it, so the write holds about twice
+    the text."""
+    rest = json.dumps({
         "student_frozen": state.student.frozen,
         "ta": state.ta.to_dict(),
         "history": state.history.to_list(),
         "best": None if state.best is None else asdict(state.best),
         "records": [asdict(r) for r in state.records],
-    }
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n"
+    }, ensure_ascii=False, separators=(",", ":"))
+    return f'{{"epoch":{state.epoch},"student":{student_mod.params_to_json(state.student)},{rest[1:]}\n'
 
 
 def state_from_json(text: str, cfg: RunConfig) -> RunState:

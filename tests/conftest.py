@@ -8,7 +8,18 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from gpta import RunConfig, StudentParams, synth_generate, write_jsonl
+from gpta import (
+    RunConfig,
+    RunState,
+    ScoredPrefix,
+    StudentParams,
+    insert_sorted,
+    simulated_handle,
+    synth_generate,
+    write_jsonl,
+)
+from gpta.history import PrefixHistory
+from gpta.trainer import EpochRecord
 
 # Ten times hypothesis's default budget of 100 examples, for properties that
 # set no max_examples of their own. CI reruns the bit-identity properties
@@ -49,6 +60,14 @@ def dense_weights(part, dims):
     dense = np.zeros((len(part.bias), dims))
     dense[:, part.columns] = part.weights
     return dense
+
+
+def one_epoch_state(student, prefix="café ☕"):
+    """A run state around `student` after one epoch that trained on
+    `prefix`, which is also in its assistant's pool and its history."""
+    history = insert_sorted(insert_sorted(PrefixHistory(), ScoredPrefix("", 0.25)), ScoredPrefix(prefix, 0.5))
+    record = EpochRecord(0, prefix, 0.7, 0.5, 0.25, 0.5)
+    return RunState(student, simulated_handle(DESK_POOL + ((prefix, 1.0),)), history, (record,))
 
 
 def pytest_collection_modifyitems(items):

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -32,9 +33,10 @@ from gpta import (
 from gpta import student
 from gpta.dataset import Dataset, TextExample
 from gpta.metrics import MetricKind, evaluate, scorer
-from gpta.student import Gradient, StudentParams, batch_logits, params_from_dict, params_to_dict
+from gpta.student import Gradient, StudentParams, batch_logits, params_from_dict
+from gpta.trainer import state_to_json
 
-from conftest import dense_student, dense_weights
+from conftest import dense_student, dense_weights, one_epoch_state
 
 
 def reference_fnv1a64(data: bytes, seed: int = 0) -> int:
@@ -574,12 +576,66 @@ def sparse_params(draw):
 @settings(max_examples=200, deadline=None)
 @given(p=sparse_params())
 def test_sparse_params_round_trip(p):
-    text = json.dumps(params_to_dict(p))
+    text = student.params_to_json(p)
     back = params_from_dict(json.loads(text))
     assert np.array_equal(back.weights, p.weights)
     assert np.array_equal(back.bias, p.bias)
     assert (back.dims, back.class_count) == (p.dims, p.class_count)
-    assert json.dumps(params_to_dict(back)) == text
+    assert student.params_to_json(back) == text
+
+
+def whole_dict(p):
+    """The student's JSON object built whole, every weight a Python float:
+    the formula every student write must reproduce byte for byte."""
+    nonzero = np.flatnonzero(p.weights.any(axis=0))
+    return {"dims": p.dims, "class_count": p.class_count, "bias": p.bias.tolist(),
+            "columns": p.columns[nonzero].tolist(), "weights": p.weights[:, nonzero].reshape(-1).tolist()}
+
+
+SLICE = student.WRITE_SLICE
+ANY_FLOAT = FINITE | st.sampled_from((math.nan, math.inf, -math.inf))
+
+
+@st.composite
+def written_students(draw):
+    """Students that write no column, or weight rows one short of, equal to
+    and one past a write slice (or a total of one slice), or a few columns;
+    they also hold up to 40 all-zero columns (either sign), which a write
+    drops. Weights and bias come from edge floats, NaN and infinities."""
+    class_count = draw(st.integers(2, 4))
+    kept = draw(st.just(0) | st.integers(SLICE - 1, SLICE + 1) | st.sampled_from([SLICE // 2, SLICE // 4])
+                | st.integers(1, 40))
+    n = kept + draw(st.integers(0, 40))
+    dims = 1 << (n.bit_length() + draw(st.integers(1, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = np.sort(rng.choice(dims, size=n, replace=False)).astype(np.int64)
+    weights = rng.choice(draw(st.lists(ANY_FLOAT, min_size=1, max_size=8)), size=(class_count, n))
+    order = rng.permutation(n)
+    written, zero = order[:kept], order[kept:]
+    nonzero = draw(st.lists(ANY_FLOAT.filter(bool), min_size=1, max_size=4))
+    weights[rng.integers(0, class_count, kept), written] = rng.choice(nonzero, size=kept)
+    weights[:, zero] = rng.choice([0.0, -0.0], size=(class_count, len(zero)))
+    bias = np.array(draw(st.lists(ANY_FLOAT, min_size=class_count, max_size=class_count)))
+    return StudentParams(columns, weights, bias, dims, draw(st.booleans()))
+
+
+# No max_examples: the CI step reruns this under the "bit-identity" profile (tests/conftest.py).
+@settings(deadline=None)
+@given(p=written_students())
+def test_student_writes_are_bit_identical_to_the_whole_dict_formula(p, tmp_path_factory):
+    """params_to_json, a checkpoint file and a run state's text, which
+    encode the weights a slice at a time, equal json.dumps of the whole
+    dict: NaN and infinities as JSON's NaN and Infinity, -0.0 kept."""
+    text = json.dumps(whole_dict(p), separators=(",", ":"))
+    assert student.params_to_json(p) == text
+    path = tmp_path_factory.getbasetemp() / "written_student.json"
+    save_checkpoint(p, path)
+    assert path.read_bytes() == text.encode()
+    state = one_epoch_state(p)
+    whole_state = {"epoch": 1, "student": whole_dict(p), "student_frozen": p.frozen, "ta": state.ta.to_dict(),
+                   "history": state.history.to_list(), "best": asdict(state.best),
+                   "records": [asdict(r) for r in state.records]}
+    assert state_to_json(state) == json.dumps(whole_state, ensure_ascii=False, separators=(",", ":")) + "\n"
 
 
 @pytest.mark.parametrize("columns", [[4, 1], [4, 4], [-1, 4], [1, 8]])

@@ -39,7 +39,7 @@ from gpta.trainer import (
 )
 from gpta.student import DEFAULT_DIMS
 
-from conftest import dense_student
+from conftest import dense_student, one_epoch_state
 from test_history import imported_parts
 
 
@@ -475,6 +475,22 @@ class TestStateSerialization:
         text = state_to_json(state)
         back = state_from_json(text, cfg)
         assert state_to_json(back) == text
+
+    def test_state_write_holds_at_most_two_and_a_half_times_its_text(self):
+        """Writing a 4-class student of 50,000 held columns traces a peak of
+        at most 2.5x the returned text, one byte per character as the state
+        is ASCII: the weights are encoded a slice at a time, not held as one
+        Python float and one repr string each."""
+        rng = np.random.default_rng(31)
+        weights, bias = rng.standard_normal((4, 50_000)), rng.standard_normal(4)
+        state = one_epoch_state(student_mod.StudentParams(np.arange(50_000) * 5, weights, bias, 1 << 18), "focus")
+        tracemalloc.start()
+        try:
+            text = state_to_json(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * len(text)
 
     def test_reader_names_the_mistyped_value(self, desk_config):
         cfg = desk_config(epochs=1)
