@@ -4,7 +4,7 @@ The search sees the student only through a score function: the frozen
 student's accuracy on validation data with a candidate prefix prepended,
 read from the validation split's token tables.
 It sees the assistant model only through a propose function,
-`proposer(ta, mp)`, which renders the history into a request and asks the
+`Proposer(ta, mp)`, which renders the history into a request and asks the
 model for candidates.
 The history keeps (prefix, score) pairs sorted ascending: that sorted
 list is exactly what the assistant model conditions on when proposing the
@@ -15,10 +15,10 @@ from gpta import (
     Featurizer,
     MetaPrompt,
     MetricKind,
+    Proposer,
     collect,
     freeze,
     init_params,
-    proposer,
     scorer,
     seed_history,
     simulated_handle,
@@ -54,7 +54,7 @@ score = scorer(frozen, Featurizer(dims=1 << 12, hash_seed=0, data=val), MetricKi
 h0 = seed_history(score)
 print(f"seeded history: baseline (empty prefix) scores {h0.entries[0].score:.4f}")
 
-h, rounds = collect(proposer(ta, mp), score, h0, k=12, l=4)
+h, rounds = collect(Proposer(ta, mp), score, h0, k=12, l=4)
 print("\ncollected history (ascending, best last):")
 for entry in h.entries:
     print(f"  {entry.score:.4f}  {entry.prefix!r}")

@@ -66,12 +66,12 @@ from .student import (
 from .ta import (
     ChatMessage,
     MetaPrompt,
+    Proposer,
     SimState,
     TAHandle,
     finetune,
     generate,
     parse_prefixes,
-    proposer,
     remote_handle,
     render_generation_request,
     simulated_handle,

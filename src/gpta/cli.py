@@ -72,12 +72,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def load_config(path: str | Path) -> RunConfig:
-    """Load and strictly validate a run config; unset keys resolve to the
-    shipped defaults."""
-    return RunConfig.from_dict(read_json(path))
-
-
 def _scale(values: list[float], lo: float, hi: float) -> list[float]:
     vmin, vmax = min(values), max(values)
     if vmax == vmin:
@@ -162,7 +156,7 @@ def emit_report(run_dir: str | Path, out_dir: str | Path) -> None:
 
 
 def _cmd_train(args) -> int:
-    cfg = load_config(args.config)
+    cfg = RunConfig.from_dict(read_json(args.config))
     report = run(cfg, args.out, resume_from=args.resume)
     print(f"run complete: best prefix {report.best.prefix!r} "
           f"scored {report.best.score:.6f} at epoch {report.best.epoch}")

@@ -3,7 +3,7 @@ ascending score order for the assistant model's in-context consumption.
 
 The search sees the student only through `score(prefix) -> float` and the
 assistant model only through `propose(history, l) -> list[str]`; a run
-passes `metrics.scorer` of each frozen checkpoint and `ta.proposer`:
+passes `metrics.scorer` of each frozen checkpoint and a `ta.Proposer`:
 
     h, rounds = collect(propose, score, seed_history(score), k, l, epoch)
     h = carry_over(h, next_score, k)  # the next epoch's starting history

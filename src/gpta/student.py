@@ -571,27 +571,27 @@ def predict(params: StudentParams, prefix: str, text: str, hash_seed: int = 0) -
 WRITE_SLICE = 2048
 
 
-def _json_items(rows: np.ndarray) -> str:
+def _json_items(rows: np.ndarray) -> bytes:
     """The values of `rows`, read row-major, as compact JSON array items,
     encoded WRITE_SLICE at a time by json.dumps's C encoder."""
-    return ",".join(json.dumps(row[i:i + WRITE_SLICE].tolist(), separators=(",", ":"))[1:-1]
-                    for row in np.atleast_2d(rows) for i in range(0, rows.shape[-1], WRITE_SLICE))
+    return b",".join(json.dumps(row[i:i + WRITE_SLICE].tolist(), separators=(",", ":"))[1:-1].encode()
+                     for row in np.atleast_2d(rows) for i in range(0, rows.shape[-1], WRITE_SLICE))
 
 
-def params_to_json(params: StudentParams) -> str:
-    """The student as compact JSON: `columns` lists, ascending, the feature
-    columns where any class weight is non-zero, and `weights` holds those
-    columns' values row-major as class_count x len(columns), next to
-    `dims`, `class_count` and `bias`. Floats are written via repr, so the
-    round-trip is lossless. The weights are encoded one slice at a time,
-    so the write holds about twice the text, not a Python float and a repr
-    string per weight."""
+def params_to_json(params: StudentParams) -> bytes:
+    """The student as compact JSON, in ASCII bytes: `columns` lists,
+    ascending, the feature columns where any class weight is non-zero, and
+    `weights` holds those columns' values row-major as class_count x
+    len(columns), next to `dims`, `class_count` and `bias`. Floats are
+    written via repr, so the round-trip is lossless. The weights are
+    encoded one slice at a time, so the write holds about twice the text,
+    not a Python float and a repr string per weight."""
     held = params.weights.any(axis=0)
     keep = slice(None) if held.all() else held
     head = json.dumps({"dims": params.dims, "class_count": params.class_count, "bias": params.bias.tolist()},
                       separators=(",", ":"))
     columns, weights = _json_items(params.columns[keep]), _json_items(params.weights[:, keep])
-    return f'{head[:-1]},"columns":[{columns}],"weights":[{weights}]}}'
+    return b"".join((head[:-1].encode(), b',"columns":[', columns, b'],"weights":[', weights, b"]}"))
 
 
 def save_checkpoint(params: StudentParams, path: str | Path) -> None:

@@ -316,18 +316,13 @@ class Proposer:
     generate returns, so the caller reads the handle the search left from
     it, and the handle it started from stays unchanged."""
 
-    def __init__(self, handle: TAHandle, mp: MetaPrompt, temperature: float):
+    def __init__(self, handle: TAHandle, mp: MetaPrompt, temperature: float = 1.0):
         self.handle, self.mp, self.temperature = handle, mp, temperature
 
     def __call__(self, history: "PrefixHistory", l: int) -> list[str]:
         request = render_generation_request(self.mp, history, l)
         prefixes, self.handle = generate(self.handle, request, l, self.temperature)
         return prefixes
-
-
-def proposer(h: TAHandle, mp: MetaPrompt, temperature: float = 1.0) -> Proposer:
-    """The search's propose(history, l), starting from h."""
-    return Proposer(h, mp, temperature)
 
 
 def finetune(h: TAHandle, training_file: bytes) -> TAHandle:

@@ -214,16 +214,12 @@ class RunReport:
     best: BestRecord
     records: tuple[EpochRecord, ...]
 
-    @property
-    def improvement_rates(self) -> list[float]:
-        return [r.improvement_rate for r in self.records]
-
     def to_dict(self) -> dict:
         return {
             "best": asdict(self.best),
             "best_state_file": f"state_epoch{self.best.epoch}.json",
             "epochs": [asdict(r) for r in self.records],
-            "improvement_rates": [float(r) for r in self.improvement_rates],
+            "improvement_rates": [r.improvement_rate for r in self.records],
         }
 
 
@@ -286,7 +282,7 @@ def init_state(ctx: RunContext) -> RunState:
     student = student_mod.init_params(cfg.dims, ctx.train.class_count)
     score = scorer(student_mod.freeze(student), ctx.val_featurizer, ctx.kind)
     history = seed_history(score)
-    propose = ta_mod.proposer(build_ta(cfg), ctx.mp, cfg.temperature)
+    propose = ta_mod.Proposer(build_ta(cfg), ctx.mp, cfg.temperature)
     s0 = propose(history, 1)[0]
     origin = Origin(kind="generated", epoch=0, round=-1)
     history = insert_sorted(history, ScoredPrefix(prefix=s0, score=score(s0), origin=origin))
@@ -318,7 +314,7 @@ def run_epoch(state: RunState, ctx: RunContext) -> tuple[RunState, bytes | None]
     student = student_mod.freeze(student)
     score = scorer(student, ctx.val_featurizer, ctx.kind)
     history = carry_over(history, score, cfg.k)
-    propose = ta_mod.proposer(state.ta, ctx.mp, cfg.temperature)
+    propose = ta_mod.Proposer(state.ta, ctx.mp, cfg.temperature)
     history, rounds = collect(propose, score, history, cfg.k, cfg.l, epoch=e)
     ta_handle = propose.handle  # the assistant model as the search left it
 
@@ -364,10 +360,12 @@ def improvement_rate(rounds: list[RoundStats]) -> float:
     return sum(r.exceeded_max for r in rounds) / generated
 
 
-def state_to_json(state: RunState) -> str:
-    """The state file's text: compact JSON and a newline, the student
-    spliced in as params_to_json writes it, so the write holds about twice
-    the text."""
+def state_to_json(state: RunState) -> bytes:
+    """The state file's bytes: compact JSON in UTF-8 and a newline, the
+    student spliced in as params_to_json writes it. The parts are joined as
+    bytes, not as one str, which would store every character at the width
+    of the widest prefix character, so the write holds about twice the
+    file whatever script the prefixes are in."""
     rest = json.dumps({
         "student_frozen": state.student.frozen,
         "ta": state.ta.to_dict(),
@@ -375,10 +373,11 @@ def state_to_json(state: RunState) -> str:
         "best": None if state.best is None else asdict(state.best),
         "records": [asdict(r) for r in state.records],
     }, ensure_ascii=False, separators=(",", ":"))
-    return f'{{"epoch":{state.epoch},"student":{student_mod.params_to_json(state.student)},{rest[1:]}\n'
+    return b"".join((b'{"epoch":%d,"student":' % state.epoch, student_mod.params_to_json(state.student), b",",
+                     rest[1:].encode(), b"\n"))
 
 
-def state_from_json(text: str, cfg: RunConfig) -> RunState:
+def state_from_json(text: str | bytes, cfg: RunConfig) -> RunState:
     """Inverse of state_to_json. Every part is read by the typed reader,
     the saved assistant fields are set onto build_ta(cfg), and the history
     is rebuilt with insert_sorted. Invalid JSON, a missing, unknown or
@@ -447,6 +446,8 @@ def run(cfg: RunConfig, out_dir: str | Path, resume_from: str | Path | None = No
     state_epoch{N}.json and gradients_epoch{N}.jsonl per epoch,
     report.json, and metrics.csv. With resume_from, continues from a saved
     state and reproduces exactly what an uninterrupted run would have done.
+    Builds its own RunContext with prepare(cfg), so a caller that has
+    already prepared loads and splits the data a second time.
     """
     out_dir = Path(out_dir)
     ctx = prepare(cfg)

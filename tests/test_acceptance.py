@@ -12,6 +12,7 @@ import pytest
 
 from gpta import (
     PrefixHistory,
+    Proposer,
     RunConfig,
     ScoredPrefix,
     TransportError,
@@ -24,7 +25,6 @@ from gpta import (
     init_params,
     insert_sorted,
     parse_jsonl,
-    proposer,
     run,
     seed_history,
     serialize_jsonl,
@@ -142,7 +142,7 @@ def test_criterion_2_history_invariants():
             ta = simulated_handle(pool, rng_seed=seed)
             score = scorer(frozen, data)
             h0 = seed_history(score)
-            h, rounds = collect(proposer(ta, make_mp()), score, h0, k=int(3 + seed), l=int(1 + seed % 4))
+            h, rounds = collect(Proposer(ta, make_mp()), score, h0, k=int(3 + seed), l=int(1 + seed % 4))
             scores = [e.score for e in h.entries]
             assert scores == sorted(scores)
             assert len({e.prefix for e in h.entries}) == len(h)
@@ -241,7 +241,7 @@ def test_criterion_5_end_to_end_desk_run(desk_dataset_path, tmp_path):
             state = after
 
         # (d) improvement-rate series recorded and finite
-        rates = report_a.improvement_rates
+        rates = [r.improvement_rate for r in report_a.records]
         assert len(rates) == 3
         assert all(np.isfinite(r) and 0.0 <= r <= 1.0 for r in rates)
 
@@ -304,7 +304,7 @@ def test_criterion_8_remote_protocol_conformance():
         with MockOpenAIServer(completions=completions) as server:
             handle = remote_handle(client(server), "base-model")
             h0 = seed_history(score)
-            _, rounds = collect(proposer(handle, make_mp()), score, h0, k=7, l=3)
+            _, rounds = collect(Proposer(handle, make_mp()), score, h0, k=7, l=3)
             chats = server.requests_for("/v1/chat/completions")
             assert len(chats) == len(rounds) == 2
             for req in chats:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from gpta import (
     MetricKind,
     PrefixHistory,
+    Proposer,
     ScoredPrefix,
     StallError,
     StateError,
@@ -21,7 +22,6 @@ from gpta import (
     init_params,
     insert_sorted,
     predict,
-    proposer,
     score_prefix,
     seed_history,
     simulated_handle,
@@ -337,7 +337,7 @@ class TestCollect:
         frozen, data, ta = small_world()
         h0 = seed_history(scorer(frozen, data))
         k = len(h0) + 5
-        h, rounds = collect(proposer(ta, make_mp()), scorer(frozen, data), h0, k=k, l=5)
+        h, rounds = collect(Proposer(ta, make_mp()), scorer(frozen, data), h0, k=k, l=5)
         assert len(rounds) == 1
         assert len(h) == k
         assert rounds[0].generated == 5
@@ -345,13 +345,13 @@ class TestCollect:
     def test_exact_k_after_overshoot(self):
         frozen, data, ta = small_world(seed=1)
         h0 = seed_history(scorer(frozen, data))
-        h, _ = collect(proposer(ta, make_mp()), scorer(frozen, data), h0, k=8, l=5)
+        h, _ = collect(Proposer(ta, make_mp()), scorer(frozen, data), h0, k=8, l=5)
         assert len(h) == 8
 
     def test_sorted_and_unique_after_collect(self):
         frozen, data, ta = small_world(seed=2)
         h0 = seed_history(scorer(frozen, data))
-        h, _ = collect(proposer(ta, make_mp()), scorer(frozen, data), h0, k=12, l=4)
+        h, _ = collect(Proposer(ta, make_mp()), scorer(frozen, data), h0, k=12, l=4)
         scores = [e.score for e in h.entries]
         assert scores == sorted(scores)
         assert len({e.prefix for e in h.entries}) == len(h)
@@ -360,7 +360,7 @@ class TestCollect:
     def test_max_never_decreases_below_h0(self):
         frozen, data, ta = small_world(seed=3)
         h0 = seeded(frozen, data, ["alpha variant 0"])
-        h, _ = collect(proposer(ta, make_mp()), scorer(frozen, data), h0, k=10, l=3)
+        h, _ = collect(Proposer(ta, make_mp()), scorer(frozen, data), h0, k=10, l=3)
         assert h.best().score >= h0.best().score
 
     def test_stall_when_pool_exhausted(self):
@@ -368,19 +368,19 @@ class TestCollect:
         pool_prefixes = [p for p, _ in ta.sim.pool]
         h0 = seeded(frozen, data, pool_prefixes)
         with pytest.raises(StallError):
-            collect(proposer(ta, make_mp()), scorer(frozen, data), h0,
+            collect(Proposer(ta, make_mp()), scorer(frozen, data), h0,
                     k=len(h0) + 3, l=4)
 
     def test_k_not_above_h0_rejected(self):
         frozen, data, ta = small_world(seed=5)
         h0 = seeded(frozen, data, ["a", "b"])
         with pytest.raises(ValidationError):
-            collect(proposer(ta, make_mp()), scorer(frozen, data), h0, k=3, l=2)
+            collect(Proposer(ta, make_mp()), scorer(frozen, data), h0, k=3, l=2)
 
     def test_round_stats_consistent(self):
         frozen, data, ta = small_world(seed=6)
         h0 = seed_history(scorer(frozen, data))
-        h, rounds = collect(proposer(ta, make_mp()), scorer(frozen, data), h0, k=15, l=4)
+        h, rounds = collect(Proposer(ta, make_mp()), scorer(frozen, data), h0, k=15, l=4)
         for r in rounds:
             assert 0 <= r.exceeded_max <= r.generated
 
@@ -389,7 +389,7 @@ class TestCollect:
         for _ in range(2):
             frozen, data, ta = small_world(seed=7)
             h0 = seed_history(scorer(frozen, data))
-            h, rounds = collect(proposer(ta, make_mp()), scorer(frozen, data), h0, k=12, l=4)
+            h, rounds = collect(Proposer(ta, make_mp()), scorer(frozen, data), h0, k=12, l=4)
             outs.append((h, tuple(rounds)))
         assert outs[0] == outs[1]
 
@@ -459,7 +459,7 @@ class TestCollectScoring:
 
         h0 = insert_sorted(seed_history(score), ScoredPrefix("alpha variant 0", table["alpha variant 0"]))
         calls.clear()
-        h, rounds = collect(proposer(ta, make_mp()), score, h0, k=12, l=4)
+        h, rounds = collect(Proposer(ta, make_mp()), score, h0, k=12, l=4)
         assert set(calls.values()) == {1}
         assert not calls.keys() & h0.prefixes()
         assert h.prefixes() - h0.prefixes() <= calls.keys()

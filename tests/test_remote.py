@@ -13,6 +13,7 @@ import gpta
 from gpta import (
     Featurizer,
     FinetuneError,
+    Proposer,
     ProtocolError,
     TransportError,
     ValidationError,
@@ -21,7 +22,6 @@ from gpta import (
     freeze,
     generate,
     init_params,
-    proposer,
     run,
     seed_history,
     synth_generate,
@@ -68,7 +68,7 @@ class TestGenerate:
     def test_proposer_sends_the_rendered_request(self):
         with MockOpenAIServer(completions=["alpha one\nbeta two\ngamma three"]) as server:
             handle = remote_handle(make_client(server), "base-model")
-            assert proposer(handle, make_mp(), 0.5)(_history(), 2) == ["alpha one", "beta two"]
+            assert Proposer(handle, make_mp(), 0.5)(_history(), 2) == ["alpha one", "beta two"]
             (chat,) = server.requests_for("/v1/chat/completions")
             assert chat.json()["temperature"] == 0.5
             expected = render_generation_request(make_mp(), _history(), 2)
@@ -246,7 +246,7 @@ class TestCollectOverRemote:
             handle = remote_handle(make_client(server), "base-model")
             score = scorer(frozen, data)
             h0 = seed_history(score)
-            h, rounds = collect(proposer(handle, make_mp()), score, h0, k=7, l=3)
+            h, rounds = collect(Proposer(handle, make_mp()), score, h0, k=7, l=3)
             assert len(h) == 7
             assert len(rounds) == 2
             assert len(server.requests_for("/v1/chat/completions")) == 2

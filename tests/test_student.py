@@ -626,16 +626,16 @@ def test_student_writes_are_bit_identical_to_the_whole_dict_formula(p, tmp_path_
     """params_to_json, a checkpoint file and a run state's text, which
     encode the weights a slice at a time, equal json.dumps of the whole
     dict: NaN and infinities as JSON's NaN and Infinity, -0.0 kept."""
-    text = json.dumps(whole_dict(p), separators=(",", ":"))
+    text = json.dumps(whole_dict(p), separators=(",", ":")).encode()
     assert student.params_to_json(p) == text
     path = tmp_path_factory.getbasetemp() / "written_student.json"
     save_checkpoint(p, path)
-    assert path.read_bytes() == text.encode()
+    assert path.read_bytes() == text
     state = one_epoch_state(p)
     whole_state = {"epoch": 1, "student": whole_dict(p), "student_frozen": p.frozen, "ta": state.ta.to_dict(),
                    "history": state.history.to_list(), "best": asdict(state.best),
                    "records": [asdict(r) for r in state.records]}
-    assert state_to_json(state) == json.dumps(whole_state, ensure_ascii=False, separators=(",", ":")) + "\n"
+    assert state_to_json(state) == (json.dumps(whole_state, ensure_ascii=False, separators=(",", ":")) + "\n").encode()
 
 
 @pytest.mark.parametrize("columns", [[4, 1], [4, 4], [-1, 4], [1, 8]])

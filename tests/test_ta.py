@@ -3,6 +3,7 @@ import pytest
 from gpta import (
     ChatMessage,
     MetaPrompt,
+    Proposer,
     ProtocolError,
     ScoredPrefix,
     SimState,
@@ -11,7 +12,6 @@ from gpta import (
     finetune,
     generate,
     parse_prefixes,
-    proposer,
     render_generation_request,
     serialize_jsonl,
     simulated_handle,
@@ -179,7 +179,7 @@ class TestSimulatedGenerate:
         it; the handle it started from is left unchanged."""
         pool = [(f"p{i}", float(i % 3)) for i in range(10)]
         a, b = simulated_handle(pool, rng_seed=5), simulated_handle(pool, rng_seed=5)
-        propose = proposer(a, make_mp(), 0.5)
+        propose = Proposer(a, make_mp(), 0.5)
         h = history_of(("p1", 0.2))
         for l in (1, 3):
             expected, b = generate(b, render_generation_request(make_mp(), h, l), l, 0.5)

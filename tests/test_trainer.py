@@ -476,14 +476,16 @@ class TestStateSerialization:
         back = state_from_json(text, cfg)
         assert state_to_json(back) == text
 
-    def test_state_write_holds_at_most_two_and_a_half_times_its_text(self):
+    @pytest.mark.parametrize("prefix", ["plain words", "café ☕", "clef 𝄞"])
+    def test_state_write_holds_at_most_two_and_a_half_times_its_text(self, prefix):
         """Writing a 4-class student of 50,000 held columns traces a peak of
-        at most 2.5x the returned text, one byte per character as the state
-        is ASCII: the weights are encoded a slice at a time, not held as one
-        Python float and one repr string each."""
+        at most 2.5x the file's UTF-8 size, whatever script the prefix is
+        in: the weights are encoded a slice at a time, not held as one
+        Python float and one repr string each, and no part of the state is
+        held as a str as wide as its widest character."""
         rng = np.random.default_rng(31)
         weights, bias = rng.standard_normal((4, 50_000)), rng.standard_normal(4)
-        state = one_epoch_state(student_mod.StudentParams(np.arange(50_000) * 5, weights, bias, 1 << 18), "focus")
+        state = one_epoch_state(student_mod.StudentParams(np.arange(50_000) * 5, weights, bias, 1 << 18), prefix)
         tracemalloc.start()
         try:
             text = state_to_json(state)
@@ -810,10 +812,10 @@ def test_trainer_imports_nothing_from_remote():
 
 
 def test_trainer_asks_the_assistant_only_through_the_proposer():
-    """Requests are rendered and sent in one place, ta.proposer, which both
+    """Requests are rendered and sent in one place, ta.Proposer, which both
     the first proposal and each epoch's collect go through."""
     tree = ast.parse(Path(trainer_mod.__file__).read_text(encoding="utf-8"))
     called = [node.func for node in ast.walk(tree) if isinstance(node, ast.Call)]
     names = {getattr(f, "attr", None) or getattr(f, "id", None) for f in called}
-    assert "proposer" in names and not names & {"generate", "render_generation_request"}
+    assert "Proposer" in names and not names & {"generate", "render_generation_request"}
     assert not hasattr(trainer_mod, "_rescore")
