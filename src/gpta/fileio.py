@@ -89,7 +89,8 @@ def decoding(what: str):
         raise ValidationError(f"malformed {what}: {type(exc).__name__}: {exc}") from exc
 
 
-_SCALARS = {str: ("string", str), int: ("integer", int), float: ("number", (int, float)), bool: ("boolean", bool)}
+# Each scalar annotation's name in messages and the exact types it takes (no bool for a number, no numpy scalar).
+_SCALARS = {str: ("string", {str}), int: ("integer", {int}), float: ("number", {int, float}), bool: ("boolean", {bool})}
 
 # What a sequence-typed value must be, for the error when it is not.
 _SEQUENCE_EXPECTED = {
@@ -108,8 +109,8 @@ def _from_json(path: str, tp, value):
     """Check a JSON value against a type annotation and return it as that
     type; errors name the JSON path, e.g. $.sim_pool[3][1]. Scalars,
     `X | None`, tuples, lists and dataclasses (via record_from_json) are
-    understood."""
-    if tp in _NUMBER_LISTS and isinstance(value, list):
+    understood, and a tuple is taken wherever a list is."""
+    if tp in _NUMBER_LISTS and isinstance(value, (list, tuple)):
         number, accepted = _NUMBER_LISTS[tp]
         try:
             if set(map(type, value)) <= accepted and (number is int or all(map(math.isfinite, value))):
@@ -118,7 +119,7 @@ def _from_json(path: str, tp, value):
             pass
     if tp in _SCALARS:
         name, accepted = _SCALARS[tp]
-        if isinstance(value, bool) != (tp is bool) or not isinstance(value, accepted):
+        if type(value) not in accepted:
             raise ValidationError(f"$.{path}: expected {name}, got {type(value).__name__}")
         # JSON readers accept NaN and Infinity; this also catches ints too large for a float.
         if tp is float and not abs(value) <= sys.float_info.max:
@@ -131,9 +132,9 @@ def _from_json(path: str, tp, value):
     items = get_args(tp)
     if type(None) in items:
         return None if value is None else _from_json(path, items[0], value)
-    if isinstance(value, list) and (get_origin(tp) is list or items[-1] is Ellipsis):
+    if isinstance(value, (list, tuple)) and (get_origin(tp) is list or items[-1] is Ellipsis):
         items = items[:1] * len(value)
-    if not isinstance(value, list) or len(value) != len(items):
+    if not isinstance(value, (list, tuple)) or len(value) != len(items):
         raise ValidationError(f"$.{path}: expected {_SEQUENCE_EXPECTED.get(tp, 'a list')}")
     return get_origin(tp)(_from_json(f"{path}[{i}]", t, v) for i, (t, v) in enumerate(zip(items, value)))
 

@@ -19,14 +19,12 @@ from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import student as student_mod
 from . import ta as ta_mod
 from .dataset import EXEMPLAR_CAP, Dataset, load_jsonl, make_exemplars, split
 from .dialogue_gradient import DEFAULT_FINETUNE_CAP, FINETUNE_SOFT_LIMIT, build_windows, cap, enrich, serialize_jsonl
 from .errors import FinetuneError, TransportError, ValidationError
-from .fileio import _fields_from_json, _from_json, decoding, encodes, read_text, write_atomic
+from .fileio import _fields_from_json, _from_json, decoding, read_text, write_atomic
 from .history import Origin, PrefixHistory, RoundStats, ScoredPrefix, carry_over, collect, insert_sorted, seed_history
 from .metrics import MetricKind, scorer
 from .rng import seed_word
@@ -68,7 +66,9 @@ REPORTED_SERIES = ("train_loss", "val_best", "val_empty", "improvement_rate")
 @dataclass
 class RunConfig:
     """Resolved run configuration. Field defaults are the shipped defaults
-    and field metadata their limits; see from_dict for the strict JSON loader."""
+    and field metadata their limits. Building one runs the JSON loader's
+    checks, so lists become tuples, numpy scalars are refused and messages
+    name $.<field>; from_dict is the loader for a decoded JSON object."""
 
     data_path: str
     split_fractions: tuple[float, float, float] = (0.8, 0.1, 0.1)
@@ -106,18 +106,18 @@ class RunConfig:
     ta_lineage: str = field(default="continual", metadata={"choices": ta_mod.LINEAGES})
 
     def __post_init__(self):
+        for f in fields(self):  # every type, then every limit
+            setattr(self, f.name, _from_json(f.name, f.type, getattr(self, f.name)))
         for f in fields(self):
             value = getattr(self, f.name)
-            if not all(map(encodes, _strings(value))):
-                raise ValidationError(f"{f.name} holds a string that does not encode as UTF-8")
-            if f.type in (float, tuple[float, float, float]) and not np.isfinite(value).all():
-                raise ValidationError(f"{f.name} must be finite, got {value}")
             for kind, limit in f.metadata.items():
                 if kind == "choices":
                     if value not in limit:
                         raise ValidationError(f"unknown {f.name} {value!r}; expected one of {list(limit)}")
                 elif not _COMPARISONS[kind][0](value, limit):
                     raise ValidationError(f"{f.name} must be {_COMPARISONS[kind][1]} {limit}, got {value}")
+        if not self.data_path:
+            raise ValidationError("$.data_path: expected a non-empty path")
         student_mod._check_dims(self.dims)
         if not self.w < self.k:
             raise ValidationError(f"w < k required, got w={self.w}, k={self.k}")
@@ -131,36 +131,29 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "RunConfig":
-        """Strict loader: unknown keys and type mismatches are errors, so a
-        misspelled hyperparameter cannot silently fall back to a default.
-        Each value is checked against its field's annotation."""
+        """Strict loader: unknown keys are errors, so a misspelled
+        hyperparameter cannot silently fall back to a default. A sim_pool
+        entry may be a bare prefix, of weight 0; the constructor checks types."""
         if not isinstance(obj, dict):
             raise ValidationError("config must be a JSON object")
-        types = {f.name: f.type for f in fields(cls)}
-        kwargs = {}
-        for key, value in obj.items():
-            if key not in types:
+        names = {f.name for f in fields(cls)}
+        for key in obj:
+            if key not in names:
                 raise ValidationError(f"unknown config key $.{key}")
-            if key == "sim_pool" and isinstance(value, list):
-                value = [[v, 0.0] if isinstance(v, str) else v for v in value]  # a bare prefix has weight 0
-                for i, v in enumerate(value):
-                    if not (isinstance(v, list) and len(v) == 2):
-                        raise ValidationError(f"$.sim_pool[{i}]: expected a string or [prefix, weight] pair")
-            kwargs[key] = _from_json(key, types[key], value)
-        if "data_path" not in kwargs:
+        if "data_path" not in obj:
             raise ValidationError("missing required config key $.data_path")
-        return cls(**kwargs)
+        pool = obj.get("sim_pool")
+        if isinstance(pool, list):
+            pool = [[v, 0.0] if isinstance(v, str) else v for v in pool]
+            for i, v in enumerate(pool):
+                if not (isinstance(v, list) and len(v) == 2):
+                    raise ValidationError(f"$.sim_pool[{i}]: expected a string or [prefix, weight] pair")
+            obj = {**obj, "sim_pool": pool}
+        return cls(**obj)
 
 
 def _to_json(value):
     return [_to_json(v) for v in value] if isinstance(value, tuple) else value
-
-
-def _strings(value) -> list[str]:
-    """The strings of a config value: the value itself, or those nested in its tuples."""
-    if isinstance(value, tuple):
-        return [s for v in value for s in _strings(v)]
-    return [value] if isinstance(value, str) else []
 
 
 @dataclass(frozen=True)

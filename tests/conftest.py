@@ -70,6 +70,32 @@ def one_epoch_state(student, prefix="café ☕"):
     return RunState(student, simulated_handle(DESK_POOL + ((prefix, 1.0),)), history, (record,))
 
 
+@pytest.fixture
+def every_reply_closed(monkeypatch):
+    """The replies any urllib opener returns during the test, an HTTPError
+    for a 4xx or 5xx included; at teardown each must be closed. The leak
+    filters below miss an unclosed reply: urllib closes the socket once a
+    body is read to its end, and an HTTPError left open is collected
+    without a warning."""
+    import urllib.request
+    from urllib.error import HTTPError
+
+    replies, opened = [], urllib.request.OpenerDirector.open
+
+    def spy(self, *args, **kwargs):
+        try:
+            replies.append(opened(self, *args, **kwargs))
+        except HTTPError as exc:
+            replies.append(exc)
+            raise
+        return replies[-1]
+
+    monkeypatch.setattr(urllib.request.OpenerDirector, "open", spy)
+    yield replies
+    unclosed = [r.status for r in replies if not r.closed]
+    assert not unclosed, f"replies left open, by status: {unclosed}"
+
+
 def pytest_collection_modifyitems(items):
     """Fail a test that leaks a file handle or socket: the leak surfaces as
     a ResourceWarning, or as an unraisable one when raised in __del__."""

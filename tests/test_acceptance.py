@@ -279,7 +279,7 @@ def test_criterion_7_config_defaults(desk_dataset_path, caplog):
         assert any("150" in r.message for r in caplog.records)
 
 
-def test_criterion_8_remote_protocol_conformance():
+def test_criterion_8_remote_protocol_conformance(every_reply_closed):
     with criterion(8, "remote protocol conformance"):
         data = synth_generate(2, 30, 60, 0.1, 5)
         p = init_params(512, 2)

@@ -522,6 +522,7 @@ INVALID_CONFIG_VALUES = {
     "lone-surrogate-in-sim-pool": ('"sim_pool": ["x\\ud800"]', "$.sim_pool[0][0]: expected a string that encodes as UTF-8"),
     "base-url-without-scheme": ('"ta_backend": "remote", "base_url": "api.openai.com"',
                                 "base_url must be an absolute http or https URL with a host"),
+    "empty-data-path": ('"data_path": ""', "$.data_path: expected a non-empty path"),  # the last data_path wins
 }
 
 

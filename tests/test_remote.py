@@ -5,7 +5,6 @@ import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
-from urllib.error import HTTPError
 
 import pytest
 
@@ -35,6 +34,9 @@ from gpta.trainer import state_from_json
 from mock_openai import MockOpenAIServer
 from test_history import scorer
 from test_ta import finetune_file, make_mp
+
+# Every test here that reaches a server leaves each reply closed.
+pytestmark = pytest.mark.usefixtures("every_reply_closed")
 
 
 def make_client(server, **kwargs) -> RemoteClient:
@@ -429,27 +431,14 @@ class TestTransport:
         assert chat.path == "/v1/chat/completions"
         assert chat.headers["Host"] == "gpta.invalid"
 
-    def test_every_reply_is_closed(self, monkeypatch):
-        replies = []
+    def test_every_reply_is_closed(self, every_reply_closed):
         with MockOpenAIServer(fail_first=1) as server:
             client = make_client(server)
-            opened = client._opener.open
-
-            def spy(*args, **kwargs):
-                try:
-                    replies.append(opened(*args, **kwargs))
-                except HTTPError as exc:
-                    replies.append(exc)
-                    raise
-                return replies[-1]
-
-            monkeypatch.setattr(client._opener, "open", spy)
             assert client.chat("base-model", [], 1.0) == "Think step by step"  # a 500, then a 200
             with pytest.raises(TransportError, match="HTTP 404: .*no such route /v1/nope"):
                 client._request("GET", "/v1/nope")
             assert len(server.requests) == 3  # the 404 is not retried
-        assert [getattr(r, "code", 200) for r in replies] == [500, 200, 404]
-        assert all(r.closed for r in replies)
+        assert [getattr(r, "code", 200) for r in every_reply_closed] == [500, 200, 404]
 
 
 def _history():

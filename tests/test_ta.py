@@ -196,6 +196,11 @@ class TestSimulatedGenerate:
         with pytest.raises(ValidationError):
             simulated_handle([("a", 0.0), ("a", 1.0)])
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_non_finite_pool_weight_rejected(self, weight):
+        with pytest.raises(ValidationError, match="non-finite pool weight for 'a'"):
+            simulated_handle([("a", weight), ("b", 0.0)])
+
     def test_nonpositive_temperature_scale_rejected(self):
         with pytest.raises(ValidationError, match="temperature_scale must be positive"):
             SimState([("a", 0.0)], temperature_scale=0)

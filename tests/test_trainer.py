@@ -174,6 +174,7 @@ CONFIG_ERRORS = {
         {"data_path": "x", "sim_pool": ["ok", "bad \ud800"]},
         "$.sim_pool[1][0]: expected a string that encodes as UTF-8",
     ),
+    "empty-data-path": ({"data_path": ""}, "$.data_path: expected a non-empty path"),
 }
 
 
@@ -234,7 +235,22 @@ class TestConfig:
     def test_a_string_that_does_not_encode_as_utf8_is_refused(self, desk_config, tmp_path, field, value):
         """Such a string could not be written to config.json, so the run
         would crash after creating its directory."""
-        with pytest.raises(ValidationError, match=f"^{field} holds a string that does not encode as UTF-8"):
+        with pytest.raises(ValidationError, match=rf"^\$\.{field}(\[\d+\])*: expected a string that encodes as UTF-8$"):
+            run(desk_config(**{field: value}), tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("field,value", [
+        ("data_path", Path("x.jsonl")),
+        ("lr", True),
+        ("epochs", "5"),
+        ("k", "9"),
+        ("dims", 4096.0),
+        ("epochs", np.int64(3)),
+    ], ids=["path", "bool-lr", "str-epochs", "str-k", "float-dims", "numpy-epochs"])
+    def test_a_value_the_loader_would_refuse_is_refused_when_built(self, desk_config, tmp_path, field, value):
+        """Building a config in Python runs the JSON loader's type checks,
+        so the run is never reached and leaves no directory."""
+        with pytest.raises(ValidationError, match=rf"^\$\.{field}: expected "):
             run(desk_config(**{field: value}), tmp_path / "run")
         assert not (tmp_path / "run").exists()
 
@@ -280,7 +296,7 @@ class TestConfig:
         ("split_fractions", (0.8, float("nan"), 0.1)),
     ])
     def test_constructor_rejects_non_finite_floats(self, key, value):
-        with pytest.raises(ValidationError, match=rf"^{key} must be finite, got "):
+        with pytest.raises(ValidationError, match=rf"^\$\.{key}(\[1\])?: expected a finite number, got "):
             RunConfig(data_path="x", **{key: value})
 
     def test_reachable_k_counts_distinct_prefixes_and_the_empty_one(self):
@@ -291,12 +307,14 @@ class TestConfig:
         remote = {"data_path": "x", "ta_backend": "remote", "sim_pool": pool, "k": 50}
         assert RunConfig.from_dict(remote).k == 50
 
+    # A NaN weight meets the type check before the assistant is built;
+    # tests/test_ta.py covers SimState's own check of it.
     @pytest.mark.parametrize("pool,message", [
         ((("a", 0.0), ("a", 1.0), ("b", 0.0)), "duplicate pool prefix 'a'"),
-        ((("a", float("nan")), ("b", 0.0)), "non-finite pool weight for 'a'"),
+        ((("a", float("nan")), ("b", 0.0)), "$.sim_pool[0][1]: expected a finite number, got nan"),
     ], ids=["repeated-prefix", "nan-weight"])
     def test_config_is_checked_by_building_its_assistant(self, pool, message):
-        with pytest.raises(ValidationError, match=message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
             RunConfig(data_path="x", k=3, w=1, sim_pool=pool)
 
     def test_bare_default_config_runs(self, tmp_path):
@@ -697,7 +715,10 @@ class TestRun:
         assert run_peak < matrix and resume_peak < matrix
 
     def test_config_echo_is_idempotent(self, desk_config, tmp_path):
-        cfg = desk_config(epochs=1)
+        # Built in Python, a list becomes a tuple and an int in a float field a float, as the loader makes them.
+        cfg = desk_config(epochs=1, split_fractions=[0.8, 0.1, 0.1], lr=1)
+        assert cfg.split_fractions == (0.8, 0.1, 0.1) and (cfg.lr, type(cfg.lr)) == (1.0, float)
+        assert RunConfig.from_dict(cfg.to_dict()) == cfg
         run(cfg, tmp_path / "run")
         echoed = json.loads((tmp_path / "run" / "config.json").read_text())
         assert RunConfig.from_dict(echoed) == cfg
