@@ -123,24 +123,14 @@ class Stream:
 
     def permutation(self, n: int) -> list[int]:
         """A shuffled range(n): Fisher-Yates from the top, each swap index by
-        masked rejection on 32-bit draws. One loop on local state."""
+        masked rejection on 32-bit draws (`_next32`)."""
         order = list(range(n))
-        state, inc, half = self._state, self._inc, self._half
         for i in range(n - 1, 0, -1):
             mask = (1 << i.bit_length()) - 1
-            while True:
-                if half is None:
-                    state = (state * _PCG_MULT + inc) & _M128
-                    word, rot = ((state >> 64) ^ state) & _M64, state >> 122
-                    word = ((word >> rot) | (word << (64 - rot))) & _M64
-                    j, half = word & _M32, word >> 32
-                else:
-                    j, half = half, None
-                j &= mask
-                if j <= i:
-                    break
+            j = self._next32() & mask
+            while j > i:
+                j = self._next32() & mask
             order[i], order[j] = order[j], order[i]
-        self._state, self._half = state, half
         return order
 
     def integers(self, low: int, high: int | None = None) -> int:

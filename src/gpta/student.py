@@ -40,7 +40,7 @@ import json
 import math
 from array import array
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
@@ -114,12 +114,13 @@ class Featurizer:
     """The split `data` with the token tables that hash its texts: each
     text as vocabulary ids (each distinct text tokenized once, its ids a
     view into one array), each vocabulary token's unigram index and, per
-    prefix token when first seen, its pair index with every vocabulary
-    token. `featurize` gives `featurize(prefix, text, dims, hash_seed)`
-    for a text of `data` as index and count arrays. Features are merged a
-    block of texts at a time under one prefix (`_build`), and `featurize`
-    looks one text up in the last block. `len` counts data's examples. A
-    plain class, so the benchmark's tracer counts `featurize` calls here."""
+    prefix token from first use until `retain` drops it, its unigram index
+    and pair index with every vocabulary token. `featurize` gives
+    `featurize(prefix, text, dims, hash_seed)` for a text of `data` as
+    index and count arrays. Features are merged a block of texts at a time
+    under one prefix (`_build`), and `featurize` looks one text up in the
+    last block. `len` counts data's examples. A plain class, so the
+    benchmark's tracer counts `featurize` calls here."""
 
     def __init__(self, dims: int, hash_seed: int, data: Dataset):
         _check_dims(dims)
@@ -143,8 +144,7 @@ class Featurizer:
         self._columns = [np.array([t[j] for t in self._vocab if len(t) > j], dtype=np.uint64)
                          for j in range(max(map(len, self._vocab), default=0))]
         self._unigrams = self._fold_vocab([_FNV_OFFSET ^ hash_seed])[0]
-        self._rows: dict[str, np.ndarray] = {}  # prefix token -> its pair index with each vocabulary token
-        self._prefixes: dict[str, tuple[list[int], list[np.ndarray]]] = {}  # prefix -> _prefix_indices(prefix)
+        self._tokens: dict[str, tuple[int, np.ndarray]] = {}  # prefix token -> its unigram index, its pair row
         self._block: tuple = (None,)  # the last block's prefix, text -> slot, slot offsets, indices, counts
 
     def __len__(self) -> int:
@@ -214,15 +214,20 @@ class Featurizer:
 
     def _prefix_indices(self, prefix: str) -> tuple[list[int], list[np.ndarray]]:
         """The unigram index and the pair-index row of each token of
-        `prefix`, in order. Worked out once per prefix; the tokens no
-        earlier prefix held are folded in one pass."""
-        if prefix not in self._prefixes:
-            p_toks, seeded = tokenize(prefix), _FNV_OFFSET ^ self.hash_seed
-            new = list(dict.fromkeys(p_tok for p_tok in p_toks if p_tok not in self._rows))
-            self._rows.update(zip(new, self._fold_vocab([_fold(seeded, p_tok + _PAIR_SEP) for p_tok in new])))
-            unigrams = [_fold(seeded, p_tok) % self.dims for p_tok in p_toks]
-            self._prefixes[prefix] = unigrams, [self._rows[p_tok] for p_tok in p_toks]
-        return self._prefixes[prefix]
+        `prefix`, in order. The tokens the table lacks are folded in one
+        pass, each row copied out of the pass's matrix so `retain` frees it."""
+        p_toks, seeded = tokenize(prefix), _FNV_OFFSET ^ self.hash_seed
+        if new := list(dict.fromkeys(p_tok for p_tok in p_toks if p_tok not in self._tokens)):
+            rows = self._fold_vocab([_fold(seeded, p_tok + _PAIR_SEP) for p_tok in new])
+            self._tokens.update((tok, (_fold(seeded, tok) % self.dims, row.copy())) for tok, row in zip(new, rows))
+        held = [self._tokens[p_tok] for p_tok in p_toks]
+        return [unigram for unigram, _ in held], [row for _, row in held]
+
+    def retain(self, prefixes: Iterable[str]) -> None:
+        """Drop every token the prefixes lack. A token's entry depends on the
+        token alone, so one needed again is folded again to the same values."""
+        kept = {p_tok for prefix in prefixes for p_tok in tokenize(prefix)}
+        self._tokens = {p_tok: entry for p_tok, entry in self._tokens.items() if p_tok in kept}
 
 
 def _check_tables(tables: Featurizer, dims: int) -> None:

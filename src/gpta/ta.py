@@ -94,7 +94,7 @@ class SimState:
             if prefix in seen:
                 raise ValidationError(f"duplicate pool prefix {prefix!r}")
             seen.add(prefix)
-            if not np.isfinite(weight):
+            if not math.isfinite(weight):
                 raise ValidationError(f"non-finite pool weight for {prefix!r}")
         if self.temperature_scale <= 0:
             raise ValidationError("temperature_scale must be positive")

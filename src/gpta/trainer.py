@@ -309,6 +309,9 @@ def run_epoch(state: RunState, ctx: RunContext) -> tuple[RunState, bytes | None]
     history = carry_over(history, score, cfg.k)
     propose = ta_mod.Proposer(state.ta, ctx.mp, cfg.temperature)
     history, rounds = collect(propose, score, history, cfg.k, cfg.l, epoch=e)
+    # The token tables keep the rows the next epoch reads: the history's on val, the next training prefix's on train.
+    ctx.val_featurizer.retain(history.prefixes())
+    ctx.train_featurizer.retain([history.best().prefix])
     ta_handle = propose.handle  # the assistant model as the search left it
 
     # (3) dialogue gradients

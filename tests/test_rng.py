@@ -43,7 +43,8 @@ SPANS = st.sampled_from([1, 2, 3, 7, 2**31, 3 * 2**30 + 1, 2**32 - 1, 2**32, 2**
 DRAWS = st.lists(
     st.just(("random",))
     | st.tuples(st.just("below"), SPANS)
-    | st.tuples(st.just("between"), st.integers(0, 2**20), SPANS),
+    | st.tuples(st.just("between"), st.integers(0, 2**20), SPANS)
+    | st.tuples(st.just("permutation"), st.integers(0, 300)),
     max_size=40,
 )
 
@@ -52,11 +53,14 @@ DRAWS = st.lists(
 @given(entropy=ENTROPY, draws=DRAWS)
 def test_interleaved_integers_and_random_match_numpy(entropy, draws):
     """One stream, as synth_generate draws: 32-bit spans take one half of a
-    64-bit output and leave the other for the next 32-bit draw."""
+    64-bit output and leave the other for the next 32-bit draw, and a
+    permutation's swap indices share that half with them."""
     ours, theirs = Stream(entropy), numpy_stream(entropy)
     for kind, *args in draws:
         if kind == "random":
             assert repr(ours.random()) == repr(theirs.random())
+        elif kind == "permutation":
+            assert ours.permutation(args[0]) == theirs.permutation(args[0]).tolist()
         elif kind == "below":
             assert ours.integers(args[0]) == theirs.integers(args[0])
         else:

@@ -174,9 +174,35 @@ def test_featurizer_builds_its_tables_at_construction():
     """The text tables are built with the featurizer; a prefix token's
     pair row only when a prefix holding it is first used."""
     featurizer = Featurizer(64, 0, unlabeled(["a b", "c"]))
-    assert set(featurizer._ids) == {"a b", "c"} and featurizer._rows == {}
+    assert set(featurizer._ids) == {"a b", "c"} and featurizer._tokens == {}
     featurizer.featurize("p q", "a b")
-    assert set(featurizer._rows) == {"p", "q"}
+    assert set(featurizer._tokens) == {"p", "q"}
+
+
+def test_token_table_folds_only_tokens_it_does_not_hold(monkeypatch):
+    """A prefix whose tokens are all held folds nothing; one pass folds
+    only the new tokens, each once; `retain` keeps the tokens of the
+    prefixes it is given, and a dropped token folds again to the same
+    indices."""
+    featurizer = Featurizer(64, 3, unlabeled(["a b", "c a"]))
+    passes = []
+    fold_vocab = featurizer._fold_vocab
+    monkeypatch.setattr(featurizer, "_fold_vocab", lambda starts: passes.append(len(starts)) or fold_vocab(starts))
+    first = featurizer._prefix_indices("p q p")
+    assert passes == [2]
+    featurizer._prefix_indices("q p")
+    featurizer._prefix_indices("")
+    assert passes == [2]
+    featurizer._prefix_indices("q r")
+    assert passes == [2, 1] and set(featurizer._tokens) == {"p", "q", "r"}
+    # Each row owns its memory, so a dropped row is freed.
+    assert all(row.base is None for _, row in featurizer._tokens.values())
+    featurizer.retain(["r", "q q"])
+    assert set(featurizer._tokens) == {"q", "r"}
+    again = featurizer._prefix_indices("p q p")
+    assert passes == [2, 1, 1]
+    assert again[0] == first[0]
+    assert all(np.array_equal(x, y) for x, y in zip(again[1], first[1], strict=True))
 
 
 def test_featurize_rejects_bad_dims():

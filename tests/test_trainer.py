@@ -353,7 +353,7 @@ class TestConfig:
             assert ctx.train_featurizer.data is ctx.train and ctx.val_featurizer.data is ctx.val
             assert ctx.train_featurizer._ids.keys() == {ex.text for ex in ctx.train.examples}
             assert ctx.val_featurizer._ids.keys() == {ex.text for ex in ctx.val.examples}
-            assert ctx.train_featurizer._rows and ctx.val_featurizer._rows
+            assert ctx.train_featurizer._tokens and ctx.val_featurizer._tokens
 
     def test_loader_converts_to_field_types(self):
         cfg = RunConfig.from_dict(
@@ -475,6 +475,25 @@ class TestRunEpoch:
         assert state_to_json(first) == state_to_json(second) and first_gradients == second_gradients
         assert state_to_json(state) == before and state.ta.sim.calls == 1
         assert first.ta.sim.calls > 1
+
+    @pytest.mark.parametrize("metric", ["accuracy", "neg_loss"])
+    def test_token_tables_keep_only_the_tokens_the_next_epoch_reads(self, desk_config, metric):
+        """After each epoch the val table holds exactly the distinct tokens
+        of the history's prefixes, and the train table those of the prefix
+        it trained on that the next training prefix also holds, so neither
+        grows with the prefixes proposed over the run."""
+        ctx = prepare(desk_config(metric=metric))
+        state = init_state(ctx)
+        val_counts = []
+        for _ in range(ctx.cfg.epochs):
+            state, _ = run_epoch(state, ctx)
+            history_tokens = {t for p in state.history.prefixes() for t in student_mod.tokenize(p)}
+            assert set(ctx.val_featurizer._tokens) == history_tokens
+            trained, following = (set(student_mod.tokenize(p)) for p in (state.records[-1].train_prefix,
+                                                                          state.history.best().prefix))
+            assert set(ctx.train_featurizer._tokens) == trained & following
+            val_counts.append(len(history_tokens))
+        assert max(val_counts) == val_counts[0]
 
     def test_generation_counts_epochs(self, desk_config):
         cfg = desk_config()
