@@ -50,7 +50,7 @@ ta = simulated_handle(pool, rng_seed=5)
 
 targets = sorted({g.target for g in windows})
 before = softmax_pool_mass(ta.sim, targets)
-tuned = finetune(ta, data)
+tuned = finetune(ta, data, [ex.messages[2].content for ex in examples])
 after = softmax_pool_mass(tuned.sim, targets)
 print(f"\nsampling mass on the tuning targets: {before:.4f} -> {after:.4f}")
 print(f"model generation: {ta.generation} -> {tuned.generation}")

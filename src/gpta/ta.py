@@ -15,8 +15,6 @@ import re
 from dataclasses import asdict, dataclass, replace
 from typing import TYPE_CHECKING, ClassVar, Sequence
 
-import numpy as np
-
 from .dataset import TextExample
 from .errors import ProtocolError, ValidationError
 from .fileio import encodes
@@ -100,6 +98,8 @@ class SimState:
             raise ValidationError("temperature_scale must be positive")
         if self.rng_seed < 0:
             raise ValidationError(f"rng_seed must be >= 0, got {self.rng_seed}")
+        if self.calls < 0:
+            raise ValidationError(f"calls must be >= 0, got {self.calls}")
 
 
 @dataclass(frozen=True)
@@ -128,16 +128,15 @@ class SimulatedTA:
         the handle that draws the next sample. Temperature 0 is the greedy
         limit: top-l by weight in pool order."""
         state = self.sim
-        n = len(state.pool)
-        weights = np.array([w for _, w in state.pool], dtype=np.float64)
-        stream = Stream((state.rng_seed, state.calls))
-        if temperature == 0.0:
-            order = np.argsort(-weights, kind="stable")
+        scale = state.temperature_scale * temperature
+        if scale == 0.0:  # temperature 0, or a product that underflows to it: the greedy limit
+            keys = [w for _, w in state.pool]
         else:
             # Gumbel top-k: exactly successive softmax sampling w/o replacement.
-            keys = weights / (state.temperature_scale * temperature) + stream.gumbel(n)
-            order = np.argsort(-keys, kind="stable")
-        prefixes = [state.pool[i][0] for i in order[: min(l, n)]]
+            gumbels = Stream((state.rng_seed, state.calls)).gumbel(len(state.pool))
+            keys = [w / scale + g for (_, w), g in zip(state.pool, gumbels)]
+        order = sorted(range(len(keys)), key=lambda i: -keys[i])  # stable: ties keep pool order
+        prefixes = [state.pool[i][0] for i in order[:l]]
         return prefixes, replace(self, sim=replace(state, calls=state.calls + 1))
 
     def finetune(self, training_file: bytes, targets: list[str]) -> "SimulatedTA":
@@ -170,12 +169,14 @@ class RemoteTA:
     def __post_init__(self):
         if self.lineage not in LINEAGES:
             raise ValidationError(f"unknown lineage {self.lineage!r}")
+        if not (self.model_id and self.base_model_id):
+            raise ValidationError("model_id and base_model_id must be non-empty")
 
     @classmethod
     def from_config(cls, cfg: "RunConfig") -> "RemoteTA":
         """A handle on cfg.model_id through a client for cfg.base_url, which
         refuses a URL that is not absolute http or https."""
-        if not (cfg.base_url and cfg.model_id):
+        if not cfg.base_url:
             raise ValidationError("remote backend requires base_url and model_id")
         client = RemoteClient(
             base_url=cfg.base_url,
@@ -325,15 +326,13 @@ class Proposer:
         return prefixes
 
 
-def finetune(h: TAHandle, training_file: bytes) -> TAHandle:
-    """Tune the assistant model on a serialized dialogue file and return a
-    handle to the tuned model (generation + 1); h itself is left unchanged.
-    The input must parse as the fine-tune wire format with at least one
-    example."""
-    from .dialogue_gradient import parse_jsonl  # import here: module cycle
-
-    examples = parse_jsonl(training_file)
-    return h.finetune(training_file, [ex.messages[2].content for ex in examples])
+def finetune(h: TAHandle, training_file: bytes, targets: list[str]) -> TAHandle:
+    """Tune the assistant model on a serialized dialogue file whose
+    assistant messages are targets, and return a handle to the tuned model
+    (generation + 1); h itself is left unchanged. Refuses empty targets."""
+    if not targets:
+        raise ValidationError("finetune needs at least one target")
+    return h.finetune(training_file, targets)
 
 
 def softmax_pool_mass(state: SimState, prefixes: Sequence[str]) -> float:

@@ -324,7 +324,7 @@ def run_epoch(state: RunState, ctx: RunContext) -> tuple[RunState, bytes | None]
     if examples:
         gradients = serialize_jsonl(examples)
         try:
-            ta_handle = ta_mod.finetune(ta_handle, gradients)
+            ta_handle = ta_mod.finetune(ta_handle, gradients, [ex.messages[2].content for ex in examples])
         except (TransportError, FinetuneError) as exc:
             finetune_error = str(exc)
             logger.warning("epoch %d: fine-tune failed, keeping current model: %s", e, exc)

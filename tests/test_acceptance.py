@@ -319,7 +319,7 @@ def test_criterion_8_remote_protocol_conformance(every_reply_closed):
         # finetune: upload -> job create -> poll -> handle swap
         with MockOpenAIServer(job_statuses=["running", "succeeded"]) as server:
             handle = remote_handle(client(server), "base-model")
-            tuned = finetune(handle, finetune_file(["alpha one"]))
+            tuned = finetune(handle, finetune_file(["alpha one"]), ["alpha one"])
             assert tuned.model_id == "ft:mock-model:v1"
             assert tuned.generation == 1
             paths = [r.path for r in server.requests]

@@ -286,6 +286,7 @@ MALFORMED_STATES = {
     "string-frozen": _set("student_frozen", value="yes"),
     "string-sim-calls": _set("ta", "sim", "calls", value="1"),
     "negative-sim-rng-seed": _set("ta", "sim", "rng_seed", value=-1),
+    "negative-sim-calls": _set("ta", "sim", "calls", value=-1),
     "number-history-prefix": _set("history", 0, "prefix", value=3),
     "generated-origin-without-place": _set("history", 0, "origin", value={"kind": "generated"}),
     "unknown-top-level-key": _set("extra", value=1),

@@ -152,7 +152,7 @@ class TestFinetune:
         with MockOpenAIServer(job_statuses=["running", "running", "succeeded"]) as server:
             handle = remote_handle(make_client(server), "base-model")
             data = finetune_file(["good prefix"])
-            new = finetune(handle, data)
+            new = finetune(handle, data, ["good prefix"])
 
             assert new.model_id == "ft:mock-model:v1"
             assert new.generation == 1
@@ -180,7 +180,7 @@ class TestFinetune:
         with MockOpenAIServer(job_statuses=["failed"]) as server:
             handle = remote_handle(make_client(server), "base-model")
             with pytest.raises(FinetuneError, match="failed"):
-                finetune(handle, finetune_file(["x"]))
+                finetune(handle, finetune_file(["x"]), ["x"])
             assert handle.model_id == "base-model"
             assert handle.generation == 0
 
@@ -188,13 +188,13 @@ class TestFinetune:
         with MockOpenAIServer(job_statuses=["running"]) as server:
             handle = remote_handle(make_client(server, finetune_timeout=0.05), "base-model")
             with pytest.raises(FinetuneError, match="still"):
-                finetune(handle, finetune_file(["x"]))
+                finetune(handle, finetune_file(["x"]), ["x"])
 
     def test_from_base_lineage_always_tunes_base(self):
         with MockOpenAIServer() as server:
             handle = remote_handle(make_client(server), "base-model", lineage="from_base")
-            tuned = finetune(handle, finetune_file(["x"]))
-            tuned = finetune(tuned, finetune_file(["y"]))
+            tuned = finetune(handle, finetune_file(["x"]), ["x"])
+            tuned = finetune(tuned, finetune_file(["y"]), ["y"])
             creates = [
                 r
                 for r in server.requests_for("/v1/fine_tuning/jobs")
@@ -206,8 +206,8 @@ class TestFinetune:
     def test_continual_lineage_chains_models(self):
         with MockOpenAIServer() as server:
             handle = remote_handle(make_client(server), "base-model")
-            tuned = finetune(handle, finetune_file(["x"]))
-            finetune(tuned, finetune_file(["y"]))
+            tuned = finetune(handle, finetune_file(["x"]), ["x"])
+            finetune(tuned, finetune_file(["y"]), ["y"])
             creates = [
                 r
                 for r in server.requests_for("/v1/fine_tuning/jobs")
@@ -230,7 +230,7 @@ class TestFinetune:
         with MockOpenAIServer(replies=replies) as server:
             handle = remote_handle(make_client(server), "base-model")
             with pytest.raises(FinetuneError) as info:
-                finetune(handle, finetune_file(["x"]))
+                finetune(handle, finetune_file(["x"]), ["x"])
             assert route in str(info.value) and key in str(info.value)
             method, path = route.split(" ")
             assert len([r for r in server.requests_for(path) if r.method == method]) == 1

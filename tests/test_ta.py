@@ -1,4 +1,9 @@
+from dataclasses import replace
+
+import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from gpta import (
     ChatMessage,
@@ -19,7 +24,8 @@ from gpta import (
 )
 from gpta.dialogue_gradient import FinetuneExample
 from gpta.history import PrefixHistory, insert_sorted
-from gpta.ta import render_history_lines, render_system_content
+from gpta.rng import Stream
+from gpta.ta import SimulatedTA, render_history_lines, render_system_content
 
 
 def make_mp(with_exemplars=False):
@@ -174,6 +180,13 @@ class TestSimulatedGenerate:
         h = simulated_handle(pool, rng_seed=0)
         assert generate(h, [], 2, 0.0)[0] == ["high", "mid"]
 
+    def test_temperature_that_underflows_the_scale_is_greedy(self):
+        """A temperature times temperature_scale that rounds to 0 takes the
+        greedy limit, as temperature 0 does, rather than dividing by zero."""
+        pool = [("low", -1.0), ("zero", 0.0), ("high", 5.0), ("mid", 2.0), ("tie", 2.0)]
+        h = simulated_handle(pool, rng_seed=0, temperature_scale=1e-200)
+        assert generate(h, [], 5, 1e-200)[0] == generate(h, [], 5, 0.0)[0] == ["high", "mid", "tie", "zero", "low"]
+
     def test_proposer_is_generate_on_the_rendered_request(self):
         """The proposer asks the handle the last call returned, and holds
         it; the handle it started from is left unchanged."""
@@ -206,6 +219,44 @@ class TestSimulatedGenerate:
             SimState([("a", 0.0)], temperature_scale=0)
 
 
+def numpy_ranked(state, l, temperature):
+    """The prefixes SimulatedTA.generate returned when it ranked the pool
+    with numpy: keys in a float64 array, ordered by a stable argsort."""
+    n = len(state.pool)
+    weights = np.array([w for _, w in state.pool], dtype=np.float64)
+    if temperature == 0.0:
+        order = np.argsort(-weights, kind="stable")
+    else:
+        with np.errstate(over="ignore"):  # a weight over a tiny scale is +-inf, in Python floats too
+            keys = weights / (state.temperature_scale * temperature) + Stream((state.rng_seed, state.calls)).gumbel(n)
+        order = np.argsort(-keys, kind="stable")
+    return [state.pool[i][0] for i in order[: min(l, n)]]
+
+
+POSITIVE = st.floats(min_value=1e-300, max_value=1e6) | st.sampled_from([1.0, 0.5, 2.0])
+
+
+@given(
+    weights=st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0]) | st.floats(-1e300, 1e300), min_size=1, max_size=70),
+    seed=st.integers(0, 2**64),
+    calls=st.integers(0, 2**32),
+    temperature_scale=POSITIVE,
+    temperature=st.just(0.0) | POSITIVE,
+    l=st.integers(1, 80),
+)
+def test_simulated_generate_is_bit_identical_to_the_numpy_argsort_formula(
+    weights, seed, calls, temperature_scale, temperature, l
+):
+    """Tied weights keep pool order, and a weight over a tiny scale
+    overflows to +-inf, in both; a scale that underflows to 0 is the greedy
+    limit (test_temperature_that_underflows_the_scale_is_greedy)."""
+    assume(temperature == 0.0 or temperature_scale * temperature > 0.0)
+    state = SimState([(f"p{i}", w) for i, w in enumerate(weights)], seed, temperature_scale, calls)
+    got, after = generate(SimulatedTA(state), [], l, temperature)
+    assert got == numpy_ranked(state, l, temperature)
+    assert after.sim == replace(state, calls=calls + 1)
+
+
 def finetune_file(targets):
     mp = make_mp()
     sys_msg = render_system_content(mp)
@@ -226,20 +277,20 @@ class TestSimulatedFinetune:
     def test_weight_bump_per_occurrence(self):
         pool = [("Focus on keywords", 0.0), ("other", 0.0)]
         h = simulated_handle(pool, rng_seed=0)
-        data = finetune_file(["Focus on keywords"] * 5)
-        new = finetune(h, data)
+        targets = ["Focus on keywords"] * 5
+        new = finetune(h, finetune_file(targets), targets)
         weights = dict(new.sim.pool)
         assert weights["Focus on keywords"] == pytest.approx(5.0)
         assert weights["other"] == 0.0
 
     def test_generation_increments(self):
         h = simulated_handle([("a", 0.0)], rng_seed=0)
-        new = finetune(h, finetune_file(["a"]))
+        new = finetune(h, finetune_file(["a"]), ["a"])
         assert new.generation == h.generation + 1 == 1
 
     def test_absent_target_inserted(self):
         h = simulated_handle([("a", 0.0)], rng_seed=0)
-        new = finetune(h, finetune_file(["brand new prefix"]))
+        new = finetune(h, finetune_file(["brand new prefix"]), ["brand new prefix"])
         assert ("brand new prefix", 1.0) in new.sim.pool
 
     def test_target_mass_strictly_increases(self):
@@ -247,18 +298,18 @@ class TestSimulatedFinetune:
         h = simulated_handle(pool, rng_seed=0)
         targets = [f"good{i}" for i in range(5)]
         before = softmax_pool_mass(h.sim, targets)
-        new = finetune(h, finetune_file(targets * 3))
+        new = finetune(h, finetune_file(targets * 3), targets * 3)
         after = softmax_pool_mass(new.sim, targets)
         assert after > before
 
-    def test_invalid_file_rejected(self):
+    def test_empty_targets_rejected(self):
         h = simulated_handle([("a", 0.0)], rng_seed=0)
-        with pytest.raises(ValidationError):
-            finetune(h, b"")
+        with pytest.raises(ValidationError, match="^finetune needs at least one target$"):
+            finetune(h, finetune_file(["a"]), [])
 
     def test_input_handle_unchanged(self):
         h = simulated_handle([("a", 0.0), ("b", 0.0)], rng_seed=0)
-        new = finetune(h, finetune_file(["a", "brand new prefix"]))
+        new = finetune(h, finetune_file(["a", "brand new prefix"]), ["a", "brand new prefix"])
         assert h.sim.pool == [("a", 0.0), ("b", 0.0)]
         assert h.generation == 0
         assert new.sim.pool == [("a", 1.0), ("b", 0.0), ("brand new prefix", 1.0)]

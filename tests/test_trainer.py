@@ -27,6 +27,7 @@ from gpta import (
 )
 from gpta import metrics as metrics_mod
 from gpta import student as student_mod
+from gpta import ta as ta_mod
 from gpta import trainer as trainer_mod
 from gpta.history import Origin, RoundStats
 from gpta.trainer import (
@@ -157,6 +158,9 @@ CONFIG_ERRORS = {
     ),
     "remote-without-base-url": (
         {"data_path": "x", "ta_backend": "remote", "base_url": ""}, "remote backend requires base_url and model_id"
+    ),
+    "remote-without-model-id": (
+        {"data_path": "x", "ta_backend": "remote", "model_id": ""}, "model_id and base_model_id must be non-empty"
     ),
     "remote-base-url-without-scheme": (
         {"data_path": "x", "ta_backend": "remote", "base_url": "api.openai.com"},
@@ -553,6 +557,19 @@ class TestStateSerialization:
         with pytest.raises(ValidationError, match=r"\$\.ta\.sim\.pool\[0\]: expected a \[prefix, weight\] pair$"):
             state_from_json(json.dumps(obj), cfg)
 
+    @pytest.mark.parametrize("key", ["model_id", "base_model_id"])
+    def test_reader_refuses_an_empty_remote_model_id(self, desk_config, key):
+        """A saved remote handle passes the check a config's handle does."""
+        ctx = prepare(desk_config(epochs=1))
+        state, _ = run_epoch(init_state(ctx), ctx)
+        cfg = desk_config(epochs=1, ta_backend="remote", base_url="http://127.0.0.1:9")
+        remote = dataclasses.replace(trainer_mod.build_ta(cfg), generation=state.ta.generation)
+        obj = json.loads(state_to_json(dataclasses.replace(state, ta=remote)))
+        assert state_from_json(json.dumps(obj), cfg).ta.to_dict() == remote.to_dict()
+        obj["ta"][key] = ""
+        with pytest.raises(ValidationError, match="malformed run state: .*model_id and base_model_id must be non-empty$"):
+            state_from_json(json.dumps(obj), cfg)
+
     def test_reader_refuses_a_student_of_other_dims(self, desk_config):
         cfg = desk_config(epochs=1)
         ctx = prepare(cfg)
@@ -777,12 +794,29 @@ class TestRunAbort:
         assert not (tmp_path / "run" / "state_epoch1.json").exists()
 
 
+def test_the_run_tunes_on_exactly_the_targets_of_the_file_it_writes(desk_config, tmp_path):
+    """Each epoch raises a pool prefix's weight by its count among the
+    assistant messages of the epoch's gradients file, read back with
+    parse_jsonl."""
+    cfg = desk_config(epochs=3)
+    run(cfg, tmp_path / "run")
+    before = dict(cfg.sim_pool)
+    for e in range(cfg.epochs):
+        state = json.loads((tmp_path / "run" / f"state_epoch{e}.json").read_text(encoding="utf-8"))
+        after = dict(state["ta"]["sim"]["pool"])
+        examples = parse_jsonl((tmp_path / "run" / f"gradients_epoch{e}.jsonl").read_bytes())
+        targets = Counter(ex.messages[2].content for ex in examples)
+        assert targets
+        assert {p: w - before.get(p, 0.0) for p, w in after.items() if w != before.get(p)} == targets
+        before = after
+
+
 class TestFinetuneFailureTolerance:
     def test_epoch_survives_finetune_failure(self, desk_config, monkeypatch, caplog):
         from gpta import trainer as trainer_mod
         from gpta.errors import FinetuneError
 
-        def boom(handle, data):
+        def boom(handle, data, targets):
             raise FinetuneError("provider says no")
 
         monkeypatch.setattr(trainer_mod.ta_mod, "finetune", boom)
@@ -849,6 +883,12 @@ def test_trainer_imports_nothing_from_remote():
     """Each backend builds itself from the config, so the loop needs no transport."""
     parts = imported_parts(trainer_mod)
     assert "ta" in parts and "remote" not in parts
+
+
+def test_ta_imports_neither_dialogue_gradient_nor_numpy():
+    """The run hands finetune the targets it holds, and the simulated pool
+    is ranked in Python floats."""
+    assert not imported_parts(ta_mod) & {"dialogue_gradient", "numpy"}
 
 
 def test_trainer_asks_the_assistant_only_through_the_proposer():
